@@ -9,7 +9,6 @@ from .cubes import (
     allowed_cubes,
     classify_allowed,
     count_summary,
-    dilate,
     gamma_set,
     kernel_sum,
     required_max_level,

@@ -71,8 +71,6 @@ def _validate(cfg: RunConfig) -> RunConfig:
     for N in cfg.sizes:
         if N < 8 or N & (N - 1):
             raise ConfigError(f"grid size must be a power of two >= 8, got {N}")
-    if cfg.m < 2 and cfg.command in ("kernel",):
-        raise ConfigError(f"dilation factor must be >= 2, got {cfg.m}")
     if cfg.pairs <= 0:
         raise ConfigError(f"pair count must be positive, got {cfg.pairs}")
     if cfg.fmt not in ("json", "csv"):

@@ -2,16 +2,18 @@
 
 Given two distinct points x, y and a dilation factor m >= 2, the tree set
 collects every dyadic subcube J of the root with x, y in mJ (same center,
-edge m*l(J)).  The set is upward-closed in the dyadic tree and finite: a
-qualifying cube needs m*l(J) >= |x-y|_inf.  Its minimal elements (no child
-qualifies) are pairwise disjoint and carry essentially the whole kernel sum
+edge m*l(J)).  At level k it is one index box: per axis, the indices with
+x and y in mJ form an integer interval.  The set is upward-closed and so
+ends at its first empty box.  Its minimal elements (no child qualifies),
+each level's box minus the parents of the next box, are pairwise disjoint
+and carry essentially the whole kernel sum
     k(x, y) = sum over qualifying J of l(J)^(-2*alpha - n).
 
-Membership tests run on scaled integers: every float is a dyadic rational,
-so after multiplying through by a common power of two the test
-|x - center| <= m*edge/2 is an exact integer comparison.  Kernel powers are
-evaluated in floating point and accumulated with math.fsum, which makes the
-subset inequality kernel(full tree) >= kernel(minimal elements) exact.
+Interval ends are computed on scaled integers: every float is a dyadic
+rational, so after multiplying through by a common power of two the test
+|x - center| <= m*edge/2 is exact.  Kernel powers are evaluated in floating
+point and accumulated with math.fsum, which makes the subset inequality
+kernel(full tree) >= kernel(minimal elements) exact.
 
 The ring classification walks the shells I_k = 2^k I_0 around the pair
 (I_0 centered at the midpoint with edge sqrt(n)|x-y|_2) and buckets each
@@ -22,9 +24,10 @@ is irrational, but the bucketing stays a partition by construction.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +39,6 @@ __all__ = [
     "GammaSet",
     "AllowedClassification",
     "CountSummary",
-    "dilate",
     "gamma_set",
     "required_max_level",
     "allowed_cubes",
@@ -81,24 +83,6 @@ class DyadicCube:
     def to_cube(self) -> Cube:
         return Cube(self.corner, self.edge)
 
-    def children(self) -> list["DyadicCube"]:
-        out = []
-        for bits in itertools.product((0, 1), repeat=self.n):
-            idx = tuple(2 * i + b for i, b in zip(self.index, bits))
-            out.append(DyadicCube(self.root, self.level + 1, idx))
-        return out
-
-    def parent(self) -> "DyadicCube | None":
-        if self.level == 0:
-            return None
-        return DyadicCube(self.root, self.level - 1, tuple(i // 2 for i in self.index))
-
-
-def dilate(J: DyadicCube | Cube, m: float) -> Cube:
-    """Cube with the same center as J and edge m*l(J)."""
-    cube = J.to_cube() if isinstance(J, DyadicCube) else J
-    return cube.dilate(m)
-
 
 def _dyadic_bits(v: float) -> int:
     """Exponent e with v * 2^e an integer (floats are dyadic rationals)."""
@@ -119,57 +103,60 @@ def required_max_level(I: Cube, x: tuple[float, ...], y: tuple[float, ...], m: f
     return max(0, math.ceil(math.log2(m * I.edge / d_inf))) + 1
 
 
+Box = tuple[tuple[int, int], ...]  # per-axis (first, last) index range
+
+
+def _box_indices(box: Box):
+    return itertools.product(*(range(first, last + 1) for first, last in box))
+
+
+def _in_box(index: tuple[int, ...], box: Box) -> bool:
+    return all(first <= i <= last for i, (first, last) in zip(index, box))
+
+
+def _volume(box: Box) -> int:
+    return math.prod(last - first + 1 for first, last in box)
+
+
 @dataclass(frozen=True, eq=False)
 class GammaSet:
-    """All dyadic subcubes J of the root with x, y in mJ."""
+    """All dyadic subcubes J of the root with x, y in mJ, one index box per level.
+
+    boxes[k] is the box of the level-k members; the tuple ends before the
+    first empty level.
+    """
 
     root: Cube
     x: tuple[float, ...]
     y: tuple[float, ...]
     m: float
-    max_level: int
-    members: frozenset[DyadicCube]
-    _keys: frozenset[tuple[int, tuple[int, ...]]] = field(repr=False, default=frozenset())
+    boxes: tuple[Box, ...]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_keys", frozenset((J.level, J.index) for J in self.members)
+    @property
+    def members(self) -> frozenset[DyadicCube]:
+        return frozenset(
+            DyadicCube(self.root, k, index)
+            for k, box in enumerate(self.boxes)
+            for index in _box_indices(box)
         )
 
     def __contains__(self, J: DyadicCube) -> bool:
-        return (J.level, J.index) in self._keys
+        return J.level < len(self.boxes) and _in_box(J.index, self.boxes[J.level])
 
     def __len__(self) -> int:
-        return len(self.members)
+        return sum(_volume(box) for box in self.boxes)
 
 
-def _point_in_dilated(
-    X: tuple[int, ...],
-    corner: tuple[int, ...],
-    edge: int,
-    m_num: int,
-    m_bits: int,
-) -> bool:
-    """Exact test x in mJ on scaled integers: |2X - 2A - E| * 2^m_bits <= m_num * E."""
-    bound = m_num * edge
-    for Xd, Ad in zip(X, corner):
-        if abs(2 * Xd - 2 * Ad - edge) << m_bits > bound:
-            return False
-    return True
+def gamma_set(I: Cube, x: tuple[float, ...], y: tuple[float, ...], m: float = 2.0) -> GammaSet:
+    """Compute the tree set level by level as index boxes.
 
-
-def gamma_set(
-    I: Cube,
-    x: tuple[float, ...],
-    y: tuple[float, ...],
-    m: float = 2.0,
-    max_level: int | None = None,
-) -> GammaSet:
-    """Enumerate the tree set by pruned descent from the root.
-
-    A subtree is pruned as soon as mJ excludes x or y, which is valid because
-    membership is monotone up the tree (mJ' is contained in mJ for J' a child
-    of J whenever m >= 1).  If x or y falls outside mI the set is empty.
+    With P, A0 and E the scaled point, root corner and level-k edge, and
+    m = m_num/m_den, the level-k cube with index i on one axis has p in mJ
+    iff |2(P - A0) - (2i+1)E| * m_den <= m_num * E, which bounds i by one
+    ceiling and one floor division.  The bounds for x and y, clipped to
+    [0, 2^k), give the level's box.  The first empty box ends the set, at
+    the latest at level required_max_level; if x or y falls outside mI the
+    set is empty.
     """
     x = tuple(float(c) for c in x)
     y = tuple(float(c) for c in y)
@@ -177,63 +164,75 @@ def gamma_set(
         raise ConfigError("point dimension does not match root cube")
     if x == y:
         raise ConfigError("diagonal point pair: x == y")
-    if m < 2:
-        raise ConfigError(f"dilation factor must be >= 2, got {m}")
+    if not (math.isfinite(m) and m >= 2):
+        raise ConfigError(f"dilation factor must be finite and >= 2, got {m}")
     required = required_max_level(I, x, y, m)
-    if max_level is None:
-        max_level = required
-    elif max_level < required:
-        raise ConfigError(
-            f"max_level {max_level} too small to expose all minimal members; "
-            f"need at least {required}"
-        )
 
     coord_bits = max(_dyadic_bits(v) for v in (*x, *y, *I.corner))
-    scale = max(coord_bits, _dyadic_bits(I.edge) + max_level)
-    X = tuple(_scaled(v, scale) for v in x)
-    Y = tuple(_scaled(v, scale) for v in y)
+    scale = max(coord_bits, _dyadic_bits(I.edge) + required)
     A0 = tuple(_scaled(v, scale) for v in I.corner)
     E0 = _scaled(I.edge, scale)
     m_num, m_den = float(m).as_integer_ratio()
-    m_bits = m_den.bit_length() - 1
+    # 2(P - A0) * m_den for P = x and P = y, per axis
+    D = [
+        (2 * (_scaled(px, scale) - a) * m_den, 2 * (_scaled(py, scale) - a) * m_den)
+        for px, py, a in zip(x, y, A0)
+    ]
 
-    members: list[DyadicCube] = []
-    stack: list[tuple[int, tuple[int, ...]]] = [(0, (0,) * I.n)]
-    while stack:
-        level, idx = stack.pop()
-        edge = E0 >> level
-        corner = tuple(a + i * edge for a, i in zip(A0, idx))
-        if not (
-            _point_in_dilated(X, corner, edge, m_num, m_bits)
-            and _point_in_dilated(Y, corner, edge, m_num, m_bits)
-        ):
-            continue
-        members.append(DyadicCube(I, level, idx))
-        if level < max_level:
-            for bits in itertools.product((0, 1), repeat=I.n):
-                stack.append((level + 1, tuple(2 * i + b for i, b in zip(idx, bits))))
+    boxes: list[Box] = []
+    for k in range(required + 1):
+        E = E0 >> k
+        span = 2 * E * m_den
+        box = []
+        for ds in D:
+            first, last = 0, 2**k - 1
+            for d in ds:
+                first = max(first, -((E * (m_num + m_den) - d) // span))
+                last = min(last, (d + E * (m_num - m_den)) // span)
+            box.append((first, last))
+        if any(last < first for first, last in box):
+            break
+        boxes.append(tuple(box))
 
-    return GammaSet(I, x, y, float(m), max_level, frozenset(members))
+    return GammaSet(I, x, y, float(m), tuple(boxes))
 
 
 def allowed_cubes(gamma: GammaSet) -> frozenset[DyadicCube]:
     """Minimal members of the tree set: none of their children qualify.
 
-    Upward closure makes the child test equivalent to the full proper-descendant
-    test.  Minimal members of an upward-closed family are pairwise disjoint.
+    The members with a child in the set are the parents of the next level's
+    box, which form the box of halved index ranges; each level contributes
+    its box minus that one.  Minimal members of an upward-closed family are
+    pairwise disjoint.
     """
+    boxes = gamma.boxes
+    empty = ((0, -1),) * gamma.root.n  # its parents (0 >> 1, -1 >> 1) are empty too
     out = []
-    for J in gamma.members:
-        if not any(child in gamma for child in J.children()):
-            out.append(J)
+    for k, (box, below) in enumerate(zip(boxes, boxes[1:] + (empty,))):
+        parents = tuple((first >> 1, last >> 1) for first, last in below)
+        out.extend(
+            DyadicCube(gamma.root, k, index)
+            for index in _box_indices(box)
+            if not _in_box(index, parents)
+        )
     return frozenset(out)
 
 
 def kernel_sum(S, alpha: float, n: int) -> float:
-    """Sum of l(J)^(-2*alpha - n) over the cubes in S (order-independent)."""
+    """Sum of l(J)^(-2*alpha - n) over the cubes in S (order-independent).
+
+    S is an iterable of DyadicCubes, or a GammaSet, which is summed level by
+    level without building its cubes.
+    """
     if not alpha > -n / 2:
         raise ConfigError(f"divergent tree-sum regime: alpha={alpha} <= -n/2")
     expo = -(2.0 * alpha + n)
+    if isinstance(S, GammaSet):
+        return math.fsum(
+            term
+            for k, box in enumerate(S.boxes)
+            for term in itertools.repeat((S.root.edge * 2.0**-k) ** expo, _volume(box))
+        )
     return math.fsum(J.edge**expo for J in S)
 
 
@@ -267,6 +266,7 @@ def classify_allowed(
     center = tuple((a + b) / 2 for a, b in zip(x, y))
     I0 = Cube(tuple(c - edge0 / 2 for c in center), edge0)
 
+    @functools.cache
     def shell(k: int) -> Cube:
         e = edge0 * 2.0**k
         return Cube(tuple(c - e / 2 for c in center), e)

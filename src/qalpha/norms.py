@@ -205,6 +205,18 @@ def _dyadic_level(I: Cube) -> int:
     return int(level)
 
 
+def _refinement_level(f: GridFunction, I: Cube, K: int) -> int:
+    """Level of the dyadic cube I, after checking that K generations below it
+    stay at least 3 levels above the grid."""
+    level = _dyadic_level(I)
+    if K < 0 or K > f.L - level - 3:
+        raise ConfigError(
+            f"K={K} too deep for a level-{level} cube on an N={f.N} grid "
+            f"(maximum {f.L - level - 3})"
+        )
+    return level
+
+
 def _children(I: Cube, k: int) -> list[Cube]:
     edge = I.edge / 2**k
     out = []
@@ -228,12 +240,7 @@ def dyadic_lp(
     """
     if not alpha > 0:
         raise ConfigError(f"alpha must be positive, got {alpha}")
-    level = _dyadic_level(I)
-    if K < 0 or K > f.L - level - 3:
-        raise ConfigError(
-            f"K={K} too deep for a level-{level} cube on an N={f.N} grid "
-            f"(maximum {f.L - level - 3})"
-        )
+    level = _refinement_level(f, I, K)
     total = 0.0
     for k in range(K + 1):
         child_edge = I.edge / 2**k
@@ -265,12 +272,7 @@ def dyadic_lp_rearranged(
     """
     if not alpha > 0:
         raise ConfigError(f"alpha must be positive, got {alpha}")
-    level = _dyadic_level(I)
-    if K < 0 or K > f.L - level - 3:
-        raise ConfigError(
-            f"K={K} too deep for a level-{level} cube on an N={f.N} grid "
-            f"(maximum {f.L - level - 3})"
-        )
+    level = _refinement_level(f, I, K)
     inv_measure = I.edge ** -f.n
     total = 0.0
     for j in range(level, decomposition.j_max + 1):

@@ -29,6 +29,8 @@ from .errors import ConfigError
 from .filterbank import decompose
 from .grid import Cube, GridFunction, cube_lattice, enumerate_cubes
 from .norms import (
+    _children,
+    _refinement_level,
     dyadic_lp,
     dyadic_lp_rearranged,
     lp_morrey,
@@ -250,21 +252,17 @@ def lemma23_check(
         sum_{k<=K} 2^((2a-n)k) sum_{J in D_k(I)} |J|^-2
             * h^(2n) * sumsum_{mJ x mJ} |f(x)-f(y)|^2 .
     """
-    if m < 2:
-        raise ConfigError(f"dilation factor must be >= 2, got {m}")
+    if not (math.isfinite(m) and m >= 2):
+        raise ConfigError(f"dilation factor must be finite and >= 2, got {m}")
     if not alpha > -f.n / 2:
         raise ConfigError(f"alpha={alpha} <= -n/2 is the divergent regime")
-    level = int(-math.log2(I.edge))
-    if K < 0 or K > f.L - level - 3:
-        raise ConfigError(f"K={K} too deep for N={f.N}")
+    _refinement_level(f, I, K)
     total = 0.0
     for k in range(K + 1):
-        edge = I.edge / 2**k
-        inv_m2 = edge ** (-2 * f.n)
+        inv_m2 = (I.edge / 2**k) ** (-2 * f.n)
         layer = 0.0
-        for idx in np.ndindex(*(2**k,) * f.n):
-            corner = tuple(c + i * edge for c, i in zip(I.corner, idx))
-            layer += inv_m2 * _oscillation_pair_sum(f, Cube(corner, edge), m)
+        for J in _children(I, k):
+            layer += inv_m2 * _oscillation_pair_sum(f, J, m)
         total += 2.0 ** ((2 * alpha - f.n) * k) * layer
     if q_value is None:
         q_value = q_alpha(f, alpha, standard_cubes(f, shifted=shifted)).value
@@ -318,7 +316,7 @@ def kernel_decay_check(
     max1, max2 = 0.0, 0
     for x, y in pairs:
         gamma = gamma_set(root, x, y, m)
-        k_full = kernel_sum(gamma.members, alpha, n)
+        k_full = kernel_sum(gamma, alpha, n)
         allowed = allowed_cubes(gamma)
         k_allowed = kernel_sum(allowed, alpha, n)
         cls = classify_allowed(allowed, x, y, m)

@@ -161,12 +161,12 @@ def test_criterion_4_kernel_combinatorics():
         g = gamma_set(UNIT1, x, y, 2.0)
         assert kernel_sum(g.members, 0.5, 1) >= kernel_sum(allowed_cubes(g), 0.5, 1)
 
-    # (b) pruned descent equals exhaustive enumeration up to depth 10
+    # (b) level boxes equal exhaustive enumeration up to depth 10
     checked = 0
     for x, y in sample_pairs(UNIT1, 40, seed=23):
         if required_max_level(UNIT1, x, y, 2.0) > 10:
             continue
-        g = gamma_set(UNIT1, x, y, 2.0, 10)
+        g = gamma_set(UNIT1, x, y, 2.0)
         assert {(J.level, J.index) for J in g.members} == oracles.exhaustive_gamma(
             (0.0,), 1.0, x, y, 2.0, 10
         )
@@ -175,12 +175,12 @@ def test_criterion_4_kernel_combinatorics():
     pairs2 = [p for p in sample_pairs(UNIT2, 24, seed=29)]
     deep = [p for p in pairs2 if required_max_level(UNIT2, *p, 2.0) <= 8][:4]
     for x, y in deep:
-        g = gamma_set(UNIT2, x, y, 2.0, 8)
+        g = gamma_set(UNIT2, x, y, 2.0)
         assert {(J.level, J.index) for J in g.members} == oracles.exhaustive_gamma(
             (0.0, 0.0), 1.0, x, y, 2.0, 8
         )
     x, y = deep[0]
-    g = gamma_set(UNIT2, x, y, 2.0, 10)
+    g = gamma_set(UNIT2, x, y, 2.0)
     assert {(J.level, J.index) for J in g.members} == oracles.exhaustive_gamma(
         (0.0, 0.0), 1.0, x, y, 2.0, 10
     )
@@ -197,7 +197,7 @@ def test_criterion_4_kernel_combinatorics():
     elapsed = time.time() - t0
     print(
         f"\nACCEPTANCE 4a-c (kernel combinatorics): subset inequality exact on 1000 pairs, "
-        f"pruned == exhaustive, worst slope error {worst:.3f} <= 0.15, {elapsed:.0f}s -> "
+        f"boxes == exhaustive, worst slope error {worst:.3f} <= 0.15, {elapsed:.0f}s -> "
         + ("PASS" if elapsed < 120 else "FAIL (runtime)")
     )
     assert elapsed < 120

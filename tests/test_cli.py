@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from qalpha import GridFunction, write_grid
 from qalpha.cli import main
@@ -32,6 +33,22 @@ def test_bad_size_exits_two(capsys):
     code, out, err = run(["kernel", "--size", "12"], capsys)
     assert code == 2
     assert "power of two" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "decay", "--m", "nan", "--pairs", "10"],
+        ["verify", "lemma23", "--m", "inf", "--sizes", "64"],
+        ["kernel", "--m", "inf", "--pairs", "10"],
+    ],
+)
+def test_non_finite_m_exits_two(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: dilation factor must be finite")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_norm_qalpha_constant_zero(tmp_path, capsys):

@@ -6,10 +6,10 @@ from qalpha import (
     ConfigError,
     Cube,
     DyadicCube,
+    GammaSet,
     allowed_cubes,
     classify_allowed,
     count_summary,
-    dilate,
     gamma_set,
     kernel_sum,
     required_max_level,
@@ -27,21 +27,22 @@ def keys(cubes) -> set:
 
 
 def test_dilate_examples():
-    assert dilate(UNIT1, 2.0) == Cube((-0.5,), 2.0)
+    assert UNIT1.dilate(2.0) == Cube((-0.5,), 2.0)
     J = DyadicCube(UNIT1, 2, (1,))  # [1/4, 1/2]
-    assert dilate(J, 2.0) == Cube((0.125,), 0.5)
+    assert J.to_cube().dilate(2.0) == Cube((0.125,), 0.5)
     # composition
     K = Cube((0.25, 0.5), 0.125)
-    assert dilate(dilate(K, 2.0), 3.0) == dilate(K, 6.0)
+    assert K.dilate(2.0).dilate(3.0) == K.dilate(6.0)
 
 
 def test_dyadic_cube_geometry():
     J = DyadicCube(UNIT2, 2, (1, 3))
     assert J.edge == 0.25
     assert J.corner == (0.25, 0.75)
-    kids = J.children()
-    assert len(kids) == 4
-    assert all(k.parent() == J for k in kids)
+    # the four children 2i + bits tile J
+    kids = [DyadicCube(UNIT2, 3, (2 + a, 6 + b)) for a in (0, 1) for b in (0, 1)]
+    assert all(k.to_cube().contained_in(J.to_cube()) for k in kids)
+    assert sum(k.edge**2 for k in kids) == J.edge**2
     with pytest.raises(ConfigError):
         DyadicCube(UNIT1, 1, (2,))
 
@@ -54,13 +55,13 @@ def test_gamma_hand_example():
 
 
 def test_gamma_empty_when_point_outside_dilated_root():
-    g = gamma_set(UNIT1, (0.1,), (2.9,), 2.0, max_level=6)
+    g = gamma_set(UNIT1, (0.1,), (2.9,), 2.0)
     assert len(g) == 0
     assert allowed_cubes(g) == frozenset()
 
 
 def test_gamma_close_pair_matches_exhaustive():
-    g = gamma_set(UNIT1, (0.30,), (0.35,), 2.0, max_level=8)
+    g = gamma_set(UNIT1, (0.30,), (0.35,), 2.0)
     oracle = oracles.exhaustive_gamma((0.0,), 1.0, (0.30,), (0.35,), 2.0, 8)
     assert keys(g.members) == oracle
 
@@ -68,20 +69,33 @@ def test_gamma_close_pair_matches_exhaustive():
 def test_gamma_boundary_ties_are_members():
     # x = 0.75 sits exactly on the closed boundary of 2*[0, 1/2]; both
     # level-1 cubes qualify only through such ties
-    g = gamma_set(UNIT1, (0.75,), (0.25,), 2.0, max_level=4)
+    g = gamma_set(UNIT1, (0.75,), (0.25,), 2.0)
     assert keys(g.members) == {(0, (0,)), (1, (0,)), (1, (1,))}
     assert keys(g.members) == oracles.exhaustive_gamma(
         (0.0,), 1.0, (0.75,), (0.25,), 2.0, 4
     )
 
 
-@pytest.mark.parametrize("n,m,count,max_level", [(1, 2.0, 25, 10), (1, 4.0, 15, 10), (2, 2.0, 6, 7), (2, 4.0, 4, 7)])
+@pytest.mark.parametrize(
+    "n,m,count,max_level",
+    [
+        (1, 2.0, 25, 10),
+        (1, 4.0, 15, 10),
+        (2, 2.0, 6, 7),
+        (2, 4.0, 4, 7),
+        # m = 5/2 and m = 3: odd numerator, and a denominator above 1 for 5/2
+        (1, 2.5, 15, 10),
+        (1, 3.0, 15, 10),
+        (2, 2.5, 6, 7),
+        (2, 3.0, 6, 7),
+    ],
+)
 def test_gamma_matches_exhaustive_random(n, m, count, max_level):
     root = UNIT1 if n == 1 else UNIT2
     for x, y in sample_pairs(root, count, seed=13):
         if required_max_level(root, x, y, m) > max_level:
             continue
-        g = gamma_set(root, x, y, m, max_level)
+        g = gamma_set(root, x, y, m)
         oracle = oracles.exhaustive_gamma(root.corner, root.edge, x, y, m, max_level)
         assert keys(g.members) == oracle
 
@@ -92,18 +106,19 @@ def test_gamma_upward_closure_and_finiteness():
         d_inf = max(abs(a - b) for a, b in zip(x, y))
         for J in g.members:
             assert J.edge >= d_inf / 2.0
-            parent = J.parent()
-            if parent is not None:
+            if J.level > 0:
+                parent = DyadicCube(UNIT2, J.level - 1, tuple(i // 2 for i in J.index))
                 assert parent in g
 
 
 def test_gamma_errors():
     with pytest.raises(ConfigError, match="diagonal"):
         gamma_set(UNIT1, (0.5,), (0.5,), 2.0)
-    with pytest.raises(ConfigError, match="need at least"):
-        gamma_set(UNIT1, (0.5,), (0.50001,), 2.0, max_level=3)
     with pytest.raises(ConfigError, match=">= 2"):
         gamma_set(UNIT1, (0.1,), (0.9,), 1.5)
+    for m in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            gamma_set(UNIT1, (0.1,), (0.9,), m)
 
 
 def test_required_max_level_message_value():
@@ -115,23 +130,16 @@ def test_allowed_single_and_chain():
     g = gamma_set(UNIT1, (0.1,), (0.9,), 2.0)
     assert keys(allowed_cubes(g)) == {(0, (0,))}
     # a literal chain I > J1 > J2 has the deepest member as its only minimum
-    from qalpha.cubes import GammaSet
-
-    chain = frozenset(
-        {
-            DyadicCube(UNIT1, 0, (0,)),
-            DyadicCube(UNIT1, 1, (0,)),
-            DyadicCube(UNIT1, 2, (1,)),
-        }
-    )
-    g2 = GammaSet(UNIT1, (0.3,), (0.4,), 2.0, 2, chain)
+    chain = (((0, 0),), ((0, 0),), ((1, 1),))
+    g2 = GammaSet(UNIT1, (0.3,), (0.4,), 2.0, chain)
+    assert keys(g2.members) == {(0, (0,)), (1, (0,)), (2, (1,))}
     assert keys(allowed_cubes(g2)) == {(2, (1,))}
     # and on a real branched instance, minimality matches the brute force
-    g3 = gamma_set(UNIT1, (0.26,), (0.27,), 2.0, max_level=9)
+    g3 = gamma_set(UNIT1, (0.26,), (0.27,), 2.0)
     assert keys(allowed_cubes(g3)) == oracles.brute_force_minimal(keys(g3.members))
 
 
-@pytest.mark.parametrize("n,m", [(1, 2.0), (1, 4.0), (2, 2.0)])
+@pytest.mark.parametrize("n,m", [(1, 2.0), (1, 4.0), (2, 2.0), (1, 2.5), (1, 3.0), (2, 2.5), (2, 3.0)])
 def test_allowed_matches_brute_force_and_disjoint(n, m):
     root = UNIT1 if n == 1 else UNIT2
     for x, y in sample_pairs(root, 15, seed=5):
@@ -149,6 +157,19 @@ def test_allowed_matches_brute_force_and_disjoint(n, m):
                 assert not overlap
 
 
+def test_box_arithmetic_matches_members():
+    # len, in and the level-by-level kernel sum agree with the built cubes
+    for n in (1, 2):
+        root = UNIT1 if n == 1 else UNIT2
+        for x, y in sample_pairs(root, 20, seed=41):
+            g = gamma_set(root, x, y, 3.0)
+            assert len(g) == len(g.members)
+            assert all(J in g for J in g.members)
+            assert kernel_sum(g, 0.5, n) == kernel_sum(g.members, 0.5, n)
+            # a cube below the last level is not a member
+            assert DyadicCube(root, len(g.boxes), (0,) * n) not in g
+
+
 def test_kernel_sum_values():
     assert kernel_sum({DyadicCube(UNIT1, 0, (0,))}, 0.5, 1) == 1.0
     assert kernel_sum({DyadicCube(UNIT1, 1, (0,))}, 0.5, 1) == 4.0
@@ -164,13 +185,11 @@ def test_kernel_subset_monotone_exact():
 
 
 def test_kernel_equivalence_constant_stable_under_deeper_trees():
-    # the tree set is complete at the required depth, so deeper enumeration
-    # changes nothing at all
+    # the tree set is complete: its last nonempty level lies above the
+    # required depth
     for x, y in sample_pairs(UNIT1, 25, seed=10):
-        req = required_max_level(UNIT1, x, y, 2.0)
-        g1 = gamma_set(UNIT1, x, y, 2.0, req)
-        g2 = gamma_set(UNIT1, x, y, 2.0, req + 2)
-        assert keys(g1.members) == keys(g2.members)
+        g1 = gamma_set(UNIT1, x, y, 2.0)
+        assert len(g1.boxes) <= required_max_level(UNIT1, x, y, 2.0)
         c = kernel_sum(g1.members, 0.5, 1) / kernel_sum(allowed_cubes(g1), 0.5, 1)
         assert math.isfinite(c) and c >= 1.0
 
@@ -182,7 +201,7 @@ def test_classification_single_cube_kinds():
     assert set(cls.rings) == {(0, 1)}
     assert cls.I0.edge == pytest.approx(0.8)
     # a tight pair: the root still meets I0 but pokes out of I1 -> class (0, 2)
-    al2 = allowed_cubes(gamma_set(UNIT1, (0.49,), (0.51,), 2.0, max_level=8))
+    al2 = allowed_cubes(gamma_set(UNIT1, (0.49,), (0.51,), 2.0))
     cls2 = classify_allowed(al2, (0.49,), (0.51,), 2.0)
     for (k, kind), cubes in cls2.rings.items():
         for J in cubes:

@@ -74,6 +74,15 @@ def test_lemma23_record_fields():
     )
     with pytest.raises(ConfigError, match=">= 2"):
         lemma23_check(f, 0.5, 1.0, UNIT1, 2)
+    for m in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            lemma23_check(f, 0.5, m, UNIT1, 2)
+
+
+def test_lemma23_rejects_non_dyadic_root():
+    f = generate(CorpusSpec("spectral_noise", 64, 1, (("slope", 0.9),), seed=42))
+    with pytest.raises(ConfigError, match="not dyadic"):
+        lemma23_check(f, 0.5, 2.0, Cube((0.0,), 0.75), 1, q_value=1.0)
 
 
 def test_lemma23_constant_zero_ratio():
