@@ -10,7 +10,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -24,61 +23,39 @@ NORM_KINDS = ("qalpha", "campanato", "lpmorrey", "dyadiclp", "mb")
 VERIFY_CHECKS = ("equivalence", "fubini", "lemma23", "decay", "embedding")
 
 
-@dataclass
-class RunConfig:
-    command: str
-    alpha: float = 0.5
-    lam: float | None = None
-    n: int = 1
-    sizes: tuple[int, ...] = ()
-    m: float = 2.0
-    K: int = 3
-    level_max: int | None = None
-    shifted: bool = False
-    corpus_path: str | None = None
-    input_path: str | None = None
-    seed: int = 7
-    pairs: int = 100
-    jmin: int = 0
-    out: str | None = None
-    fmt: str = "json"
-    kind: str | None = None
-    check: str | None = None
-    workers: int = 1
-    family: str = "exp"
-
-
 def _out_dir() -> Path:
     return Path(os.environ.get("QALPHA_OUT_DIR", "."))
 
 
-def _resolve_out(cfg: RunConfig, default_name: str) -> Path:
+def _resolve_out(cfg: argparse.Namespace, default_name: str) -> Path:
     if cfg.out:
         return Path(cfg.out)
     return _out_dir() / default_name
 
 
-def _load_corpus(cfg: RunConfig, N: int) -> list[corpus_mod.CorpusSpec]:
-    if cfg.corpus_path:
-        specs = corpus_mod.load_corpus_file(cfg.corpus_path)
+def _load_corpus(cfg: argparse.Namespace, N: int) -> list[corpus_mod.CorpusSpec]:
+    if cfg.corpus:
+        specs = corpus_mod.load_corpus_file(cfg.corpus)
         return [s.with_size(N) for s in specs]
     return corpus_mod.default_corpus(cfg.n, N)
 
 
-def _validate(cfg: RunConfig) -> RunConfig:
+def _validate(cfg: argparse.Namespace) -> argparse.Namespace:
+    """Checks argparse cannot express; `sizes` becomes a tuple for every command."""
+    cfg.sizes = tuple(cfg.sizes) if hasattr(cfg, "sizes") else (cfg.size,)
     if cfg.n not in (1, 2):
         raise ConfigError(f"dimension must be 1 or 2, got {cfg.n}")
     for N in cfg.sizes:
         if N < 8 or N & (N - 1):
             raise ConfigError(f"grid size must be a power of two >= 8, got {N}")
-    if cfg.pairs <= 0:
+    if getattr(cfg, "pairs", 1) <= 0:
         raise ConfigError(f"pair count must be positive, got {cfg.pairs}")
-    if cfg.fmt not in ("json", "csv"):
-        raise ConfigError(f"format must be json or csv, got {cfg.fmt}")
+    if getattr(cfg, "workers", 1) < 1:
+        raise ConfigError(f"worker count must be at least 1, got {cfg.workers}")
     return cfg
 
 
-def _cmd_gen(cfg: RunConfig) -> int:
+def _cmd_gen(cfg: argparse.Namespace) -> int:
     N = cfg.sizes[0]
     out_dir = Path(cfg.out) if cfg.out else _out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -90,10 +67,8 @@ def _cmd_gen(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_norm(cfg: RunConfig) -> int:
-    if cfg.input_path is None:
-        raise ConfigError("norm requires --input grid file")
-    f = read_grid(cfg.input_path)
+def _cmd_norm(cfg: argparse.Namespace) -> int:
+    f = read_grid(cfg.input)
     level_max = cfg.level_max if cfg.level_max is not None else f.L - 3
     cubes = enumerate_cubes(f.L, level_max, n=f.n, shifted=cfg.shifted)
     if cfg.kind == "qalpha":
@@ -119,17 +94,15 @@ def _cmd_norm(cfg: RunConfig) -> int:
         return 0
     print(f"{cfg.kind} value={report.value!r} argmax={report.argmax_cube}")
     if cfg.out:
-        if cfg.fmt == "json":
+        if cfg.format == "json":
             verify_mod.write_json(report, cfg.out)
         else:
             verify_mod.write_csv(report.csv_rows(), cfg.out)
     return 0
 
 
-def _cmd_decompose(cfg: RunConfig) -> int:
-    if cfg.input_path is None:
-        raise ConfigError("decompose requires --input grid file")
-    f = read_grid(cfg.input_path)
+def _cmd_decompose(cfg: argparse.Namespace) -> int:
+    f = read_grid(cfg.input)
     dec = decompose(f, j_min=cfg.jmin, family=cfg.family)
     residual = float(
         abs(dec.reconstruction() - f.values).max()
@@ -145,7 +118,7 @@ def _cmd_decompose(cfg: RunConfig) -> int:
             e = f.h**f.n * float((dec.band(j).values ** 2).sum())
             fh.write(f"{j},{e!r}\n")
     print(f"wrote {out}")
-    if cfg.fmt == "csv" and cfg.out:
+    if cfg.format == "csv" and cfg.out:
         profiles = build_profiles(f.L, cfg.jmin, n=f.n, family=cfg.family)
         ppath = Path(str(out) + ".profiles")
         profiles_to_csv(profiles, ppath)
@@ -153,7 +126,7 @@ def _cmd_decompose(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_kernel(cfg: RunConfig) -> int:
+def _cmd_kernel(cfg: argparse.Namespace) -> int:
     record = verify_mod.kernel_decay_check(cfg.alpha, cfg.m, cfg.n, cfg.pairs, cfg.seed)
     out = _resolve_out(cfg, "kernel.csv")
     verify_mod.write_kernel_csv(record, out)
@@ -164,9 +137,7 @@ def _cmd_kernel(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    if not cfg.sizes:
-        raise ConfigError("verify requires --size/--sizes")
+def _cmd_verify(cfg: argparse.Namespace) -> int:
     N = cfg.sizes[0]
     if cfg.check == "fubini":
         worst = 0.0
@@ -191,7 +162,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
             f"c_high={report.c_high:.6g} spread={report.spread:.6g}"
         )
         if cfg.out:
-            if cfg.fmt == "json":
+            if cfg.format == "json":
                 verify_mod.write_json(report, cfg.out)
             else:
                 verify_mod.write_csv(report.csv_rows(), cfg.out)
@@ -291,34 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    sizes = tuple(args.sizes) if hasattr(args, "sizes") else (args.size,)
-    return _validate(
-        RunConfig(
-            command=args.command,
-            alpha=getattr(args, "alpha", 0.5),
-            lam=getattr(args, "lam", None),
-            n=getattr(args, "n", 1),
-            sizes=sizes,
-            m=getattr(args, "m", 2.0),
-            K=getattr(args, "K", 3),
-            level_max=getattr(args, "level_max", None),
-            shifted=getattr(args, "shifted", False),
-            corpus_path=getattr(args, "corpus", None),
-            input_path=getattr(args, "input", None),
-            seed=getattr(args, "seed", 7),
-            pairs=getattr(args, "pairs", 100),
-            jmin=getattr(args, "jmin", 0),
-            out=getattr(args, "out", None),
-            fmt=getattr(args, "format", "json"),
-            kind=getattr(args, "kind", None),
-            check=getattr(args, "check", None),
-            workers=getattr(args, "workers", 1),
-            family=getattr(args, "family", "exp"),
-        )
-    )
-
-
 _COMMANDS = {
     "gen": _cmd_gen,
     "norm": _cmd_norm,
@@ -335,8 +278,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _config_from_args(args)
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](_validate(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

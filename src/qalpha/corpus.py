@@ -10,8 +10,9 @@ Identical specs (including the seed) produce bit-identical grids.
 
 from __future__ import annotations
 
-import itertools
 import json
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,6 +44,12 @@ class CorpusSpec:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown corpus kind {self.kind!r}, expected one of {KINDS}")
         params = tuple(sorted((str(k), v) for k, v in dict(self.params).items()))
+        for k, v in params:
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+                raise ConfigError(
+                    f"corpus kind {self.kind!r}: parameter {k!r} must be a finite number, "
+                    f"got {v!r}"
+                )
         object.__setattr__(self, "params", params)
 
     def param(self, name: str, default=None):
@@ -131,35 +138,33 @@ def _smoothed_step(spec: CorpusSpec) -> GridFunction:
     return GridFunction(out)
 
 
-def _canonical_half(N: int, n: int):
-    """Frequency tuples with a canonical representative per conjugate pair."""
-    half = N // 2
-    rng_axis = list(range(-half, half))
-    for xi in itertools.product(rng_axis, repeat=n):
-        if all(q == 0 for q in xi):
-            continue
-        neg = tuple(-q if q != -half else -half for q in xi)
-        self_conj = all(q in (0, -half) for q in xi)
-        if self_conj or xi >= neg:
-            yield xi, self_conj
-
-
 def _spectral_noise(spec: CorpusSpec) -> GridFunction:
+    """One draw u per conjugate pair of frequencies, in lexicographic order:
+    a self-conjugate xi gets the sign of u - 1/2, any other xi the phase
+    2 pi u and its partner -xi the conjugate."""
     slope = spec.param("slope")
     if not slope > 0:
         raise ConfigError(f"spectral slope must be positive, got {slope}")
     N, n = spec.N, spec.n
-    rng = np.random.default_rng(spec.seed)
+    half = N // 2
+    axis = np.arange(-half, half)
+    xi = np.stack(np.meshgrid(*(axis,) * n, indexing="ij"), axis=-1).reshape(-1, n)
+    neg = np.where(xi == -half, -half, -xi)
+    self_conj = np.all((xi == 0) | (xi == -half), axis=1)
+    at_least_neg = xi[:, -1] >= neg[:, -1]  # xi >= neg, lexicographically
+    for d in range(n - 2, -1, -1):
+        at_least_neg = (xi[:, d] > neg[:, d]) | ((xi[:, d] == neg[:, d]) & at_least_neg)
+    keep = np.any(xi != 0, axis=1) & (self_conj | at_least_neg)
+    xi, self_conj = xi[keep], self_conj[keep]
+    u = np.random.default_rng(spec.seed).random(len(xi))
+    # Python float powers: np.power differs from them in the last bit
+    radius = np.sqrt((xi.astype(float) ** 2).sum(axis=1))
+    mag = np.array([r ** (-slope - n / 2) for r in radius.tolist()])
+    sign = np.where(u < 0.5, 1.0, -1.0)
+    c = np.where(self_conj, mag * sign, mag * np.exp(1j * (2.0 * np.pi * u)))
     coeffs = np.zeros((N,) * n, dtype=complex)
-    for xi, self_conj in sorted(_canonical_half(N, n)):
-        mag = float(np.sqrt(sum(float(q) ** 2 for q in xi))) ** (-slope - n / 2)
-        if self_conj:
-            coeffs[tuple(q % N for q in xi)] = mag * (1.0 if rng.random() < 0.5 else -1.0)
-        else:
-            theta = rng.uniform(0.0, 2.0 * np.pi)
-            c = mag * np.exp(1j * theta)
-            coeffs[tuple(q % N for q in xi)] = c
-            coeffs[tuple(-q % N for q in xi)] = np.conj(c)
+    coeffs[tuple((xi % N).T)] = c
+    coeffs[tuple((-xi[~self_conj] % N).T)] = np.conj(c[~self_conj])
     return _from_spectrum(coeffs, N, n)
 
 
@@ -181,11 +186,13 @@ def generate(spec: CorpusSpec) -> GridFunction:
 
 def load_corpus_file(path) -> list[CorpusSpec]:
     """JSON list of {kind, params, N, n, seed} records."""
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             records = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read corpus file: {exc.strerror or exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(records, list):
         raise ConfigError(f"{path}: expected a JSON list of corpus records")
     specs = []

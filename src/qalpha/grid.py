@@ -6,14 +6,17 @@ h = 1/N).  Cubes are axis-parallel boxes in R^n; a cube may extend beyond
 [0,1)^n, in which case lattice membership wraps coordinates periodically
 while positions stay in the cube's own (unwrapped) coordinates.
 
-Two membership conventions coexist on purpose:
+All lattice access goes through `cube_blocks`: it finds each cube's first
+lattice integer and point count per axis, groups cubes with equal counts,
+and reads a group as one stacked block (cubes, M1, ..., Mn), in position
+order, with a single periodic-index gather.  Two membership rules coexist:
 
-* quadrature sums (`l2_on_cube`, `cube_lattice`) use half-open intervals
-  [corner, corner+edge) per axis, so dyadic children partition the lattice
-  points of their parent exactly and grid-aligned cubes carry their exact
-  measure;
-* `cube_mean` uses closed intervals with each lattice index counted once,
-  i.e. boundary points are included in the average.
+* half-open intervals [corner, corner+edge) per axis (the default, for all
+  quadrature sums), so dyadic children partition the lattice points of
+  their parent exactly, grid-aligned cubes carry their exact measure, and a
+  cube wider than the torus sees points with multiplicity;
+* closed intervals with each lattice index counted once (`closed=True`, for
+  `cube_mean`), i.e. boundary points are included in the average.
 
 All comparisons act on exactly representable dyadic rationals, so boundary
 ties are deterministic.
@@ -22,7 +25,6 @@ ties are deterministic.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +35,11 @@ __all__ = [
     "GridFunction",
     "SpectralFunction",
     "Cube",
+    "CubeBlock",
+    "cube_blocks",
+    "cube_sums",
+    "per_cube",
+    "cube_energies",
     "transform",
     "inverse_transform",
     "cube_mean",
@@ -119,10 +126,6 @@ class SpectralFunction:
     def N(self) -> int:
         return self.coefficients.shape[0]
 
-    def frequencies(self) -> np.ndarray:
-        """Integer frequencies along one axis, in storage (FFT) order."""
-        return np.fft.fftfreq(self.N, d=1.0 / self.N).astype(int)
-
     def coefficient(self, xi: int | tuple[int, ...]) -> complex:
         if isinstance(xi, int):
             xi = (xi,)
@@ -200,22 +203,63 @@ class Cube:
         )
 
 
-def _axis_range(a: float, b: float, N: int, closed: bool) -> tuple[int, int]:
-    """Integers i with i/N in [a,b] (closed) or [a,b) (half-open), unwrapped."""
-    lo = math.ceil(a * N)
-    hi = math.floor(b * N) if closed else math.ceil(b * N) - 1
-    return lo, hi
+@dataclass(frozen=True, eq=False)
+class CubeBlock:
+    """Cubes at positions `index` of the cube list whose lattices have the
+    per-axis counts `shape`; `start` (cubes, n) holds their first unwrapped
+    lattice integer per axis."""
+
+    index: np.ndarray
+    start: np.ndarray
+    shape: tuple[int, ...]
+
+    def read(self, f: GridFunction) -> np.ndarray:
+        """Samples of f on every cube's lattice, stacked: (cubes, M1, ..., Mn)."""
+        n = len(self.shape)
+        axes = []
+        for d, M in enumerate(self.shape):
+            idx = (self.start[:, d, None] + np.arange(M)) % f.N
+            axes.append(idx.reshape((-1,) + (1,) * d + (M,) + (1,) * (n - 1 - d)))
+        return f.values[tuple(axes)]
 
 
-def _quadrature_axes(f: GridFunction, I: Cube) -> list[np.ndarray]:
-    """Per-axis unwrapped lattice integers of the half-open cube (multiset)."""
-    axes = []
-    for d in range(f.n):
-        lo, hi = _axis_range(I.corner[d], I.corner[d] + I.edge, f.N, closed=False)
-        if hi < lo:
-            raise ConfigError("degenerate cube: no lattice point inside")
-        axes.append(np.arange(lo, hi + 1))
-    return axes
+def cube_blocks(f: GridFunction, cubes, closed: bool = False) -> list[CubeBlock]:
+    """Group the cubes by per-axis lattice count, half-open or closed
+    membership as in the module docstring.  Raises on a cube with no point."""
+    corner = np.array([I.corner[: f.n] for I in cubes], dtype=float).reshape(-1, f.n)
+    end = corner + np.array([I.edge for I in cubes])[:, None]
+    start = np.ceil(corner * f.N)
+    if closed:
+        count = np.minimum(np.floor(end * f.N) - start + 1, f.N)
+    else:
+        count = np.ceil(end * f.N) - start
+    if np.any(count < 1):
+        raise ConfigError("degenerate cube: no lattice point inside")
+    start, count = start.astype(np.int64), count.astype(np.int64)
+    shapes, group = np.unique(count, axis=0, return_inverse=True)
+    blocks = []
+    for g, shape in enumerate(shapes):
+        index = np.flatnonzero(group.ravel() == g)
+        blocks.append(CubeBlock(index, start[index], tuple(int(M) for M in shape)))
+    return blocks
+
+
+def cube_sums(block: np.ndarray) -> np.ndarray:
+    """Per-cube sums of a stacked block."""
+    return block.reshape(block.shape[0], -1).sum(axis=1)
+
+
+def per_cube(f: GridFunction, blocks: list[CubeBlock], reduce) -> np.ndarray:
+    """reduce(stacked block of f, CubeBlock) -> one value per cube, in cube-list order."""
+    out = np.empty(sum(len(b.index) for b in blocks))
+    for b in blocks:
+        out[b.index] = reduce(b.read(f), b)
+    return out
+
+
+def cube_energies(f: GridFunction, blocks: list[CubeBlock]) -> np.ndarray:
+    """h^n * sum of f^2 over each cube's lattice points, in cube-list order."""
+    return per_cube(f, blocks, lambda v, b: f.h**f.n * cube_sums(v**2))
 
 
 def cube_lattice(f: GridFunction, I: Cube) -> tuple[np.ndarray, np.ndarray]:
@@ -224,46 +268,21 @@ def cube_lattice(f: GridFunction, I: Cube) -> tuple[np.ndarray, np.ndarray]:
     Positions are unwrapped (they live in the cube, which may extend beyond
     the unit cell); values are read periodically.
     """
-    axes = _quadrature_axes(f, I)
-    if f.n == 1:
-        i = axes[0]
-        return (i / f.N)[:, None], f.values[i % f.N]
-    ii, jj = np.meshgrid(axes[0], axes[1], indexing="ij")
-    pos = np.stack([ii.ravel() / f.N, jj.ravel() / f.N], axis=1)
-    vals = f.values[ii.ravel() % f.N, jj.ravel() % f.N]
-    return pos, vals
+    (b,) = cube_blocks(f, [I])
+    axes = [(b.start[0, d] + np.arange(M)) / f.N for d, M in enumerate(b.shape)]
+    pos = np.stack([x.ravel() for x in np.meshgrid(*axes, indexing="ij")], axis=1)
+    return pos, b.read(f).ravel()
 
 
 def cube_mean(f: GridFunction, I: Cube) -> float:
-    """Arithmetic mean of f over the lattice points of the closed cube.
-
-    Each lattice index is counted once even when the cube wraps around the
-    torus more than a full period.
-    """
-    index_axes = []
-    for d in range(f.n):
-        lo, hi = _axis_range(I.corner[d], I.corner[d] + I.edge, f.N, closed=True)
-        if hi < lo:
-            raise ConfigError("degenerate cube: no lattice point inside")
-        # dedup wrapped indices in position order, so translated cubes of a
-        # translated function sum in the same order (bit-exact equivariance)
-        hi = min(hi, lo + f.N - 1)
-        idx = np.arange(lo, hi + 1) % f.N
-        index_axes.append(idx)
-    if f.n == 1:
-        return float(f.values[index_axes[0]].mean())
-    return float(f.values[np.ix_(index_axes[0], index_axes[1])].mean())
+    """Arithmetic mean of f over the lattice points of the closed cube."""
+    (b,) = cube_blocks(f, [I], closed=True)
+    return float(b.read(f).mean())
 
 
 def l2_on_cube(f: GridFunction, I: Cube) -> float:
     """Squared discrete L2 norm h^n * sum of f^2 over half-open lattice points."""
-    axes = _quadrature_axes(f, I)
-    if f.n == 1:
-        s = float(np.sum(f.values[axes[0] % f.N] ** 2))
-    else:
-        block = f.values[np.ix_(axes[0] % f.N, axes[1] % f.N)]
-        s = float(np.sum(block**2))
-    return f.h**f.n * s
+    return float(cube_energies(f, cube_blocks(f, [I]))[0])
 
 
 def enumerate_cubes(L: int, level_max: int, n: int = 1, shifted: bool = False) -> list[Cube]:
@@ -301,17 +320,23 @@ def write_grid(f: GridFunction, path) -> None:
 
 
 def read_grid(path) -> GridFunction:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ConfigError(f"{path}: malformed grid header, expected 'n N'")
-        try:
-            n, N = int(header[0]), int(header[1])
-        except ValueError as exc:
-            raise ConfigError(f"{path}: malformed grid header: {exc}") from None
-        if n not in (1, 2):
-            raise ConfigError(f"{path}: dimension must be 1 or 2, got {n}")
-        flat = np.loadtxt(fh, dtype=float, ndmin=1)
+    try:
+        with open(path) as fh:
+            header = fh.readline().split()
+            if len(header) != 2:
+                raise ConfigError(f"{path}: malformed grid header, expected 'n N'")
+            try:
+                n, N = int(header[0]), int(header[1])
+            except ValueError as exc:
+                raise ConfigError(f"{path}: malformed grid header: {exc}") from None
+            if n not in (1, 2):
+                raise ConfigError(f"{path}: dimension must be 1 or 2, got {n}")
+            try:
+                flat = np.loadtxt(fh, dtype=float, ndmin=1)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: malformed grid value: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read grid file: {exc.strerror or exc}") from None
     if flat.size != N**n:
         raise ConfigError(f"{path}: expected {N**n} values, found {flat.size}")
     return GridFunction(flat.reshape((N,) * n))

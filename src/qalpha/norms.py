@@ -8,8 +8,10 @@ exchange), and the band-supremum combination (`morrey_besov`).
 
 Sup-type functionals report the square root of the per-cube maximum along
 with the attaining cube, so users can judge how saturated the finite cube
-family is.  Pair sums are evaluated blockwise in a fixed order, which keeps
-results bit-stable for a fixed configuration regardless of worker count.
+family is.  Every functional reduces the stacked lattice blocks of
+`grid.cube_blocks`, one band at a time.  The pair sum of a block B with its
+mean removed is S = 2(<B^2, w*1> - <B, w*B>), w(d) = |h d|^-(2a+n), w(0) = 0,
+with both convolutions taken by one zero-padded batched FFT on (2M)^n.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvariantViolation
 from .filterbank import BandDecomposition
-from .grid import Cube, GridFunction, cube_lattice, cube_mean, l2_on_cube
+from .grid import Cube, GridFunction, cube_blocks, cube_energies, cube_sums, per_cube
 
 __all__ = [
     "NormReport",
@@ -33,38 +35,47 @@ __all__ = [
     "dyadic_lp",
     "dyadic_lp_rearranged",
     "morrey_besov",
-    "pair_increment_sum",
 ]
 
-_PAIR_BLOCK = 2048
+
+def _check_alpha(alpha: float, positive: bool = False) -> None:
+    """Reject a non-finite alpha and, with `positive`, alpha <= 0."""
+    if not math.isfinite(alpha) or (positive and alpha <= 0):
+        kind = "positive and finite" if positive else "finite"
+        raise ConfigError(f"alpha must be {kind}, got {alpha}")
 
 
-def pair_increment_sum(
-    positions: np.ndarray, values: np.ndarray, exponent: float
-) -> float:
-    """Sum over ordered pairs i != j of (v_i - v_j)^2 / |p_i - p_j|^exponent.
+def _centered(block: np.ndarray) -> np.ndarray:
+    """Each cube's samples minus their mean; exactly 0 on a constant cube."""
+    flat = block.reshape(block.shape[0], -1)
+    flat = flat - flat[:, :1]
+    return (flat - flat.mean(axis=1, keepdims=True)).reshape(block.shape)
 
-    Blocked with a fixed chunk size and accumulation order, so the result is
-    deterministic for a fixed input.
-    """
-    P = positions.shape[0]
-    total = 0.0
-    for a0 in range(0, P, _PAIR_BLOCK):
-        a1 = min(a0 + _PAIR_BLOCK, P)
-        pa, va = positions[a0:a1], values[a0:a1]
-        for b0 in range(a0, P, _PAIR_BLOCK):
-            b1 = min(b0 + _PAIR_BLOCK, P)
-            pb, vb = positions[b0:b1], values[b0:b1]
-            d2 = np.sum((pa[:, None, :] - pb[None, :, :]) ** 2, axis=-1)
-            dv2 = (va[:, None] - vb[None, :]) ** 2
-            if b0 == a0:
-                np.fill_diagonal(d2, 1.0)
-                np.fill_diagonal(dv2, 0.0)
-                block = float(np.sum(dv2 * d2 ** (-exponent / 2)))
-            else:
-                block = 2.0 * float(np.sum(dv2 * d2 ** (-exponent / 2)))
-            total += block
-    return total
+
+def _increment_sums(block: np.ndarray, h: float, exponent: float) -> np.ndarray:
+    """Per cube the sum over ordered pairs x != y of (f(x)-f(y))^2 / |x-y|^exponent."""
+    shape = block.shape[1:]
+    n = len(shape)
+    pad = tuple(2 * M for M in shape)
+    axes = tuple(range(1, n + 1))
+    crop = (slice(None),) + tuple(slice(M) for M in shape)
+    # |x-y|^2 on the padded torus (displacement t below M, t - 2M above)
+    d2 = np.zeros(pad)
+    for d, M in enumerate(shape):
+        t = np.arange(2 * M)
+        d2 = d2 + ((h * np.where(t < M, t, t - 2 * M)) ** 2).reshape((-1,) + (1,) * (n - 1 - d))
+    origin = (0,) * n
+    d2[origin] = 1.0
+    w = d2 ** (-exponent / 2)
+    w[origin] = 0.0
+    W = np.fft.rfftn(w)
+
+    def conv(g):
+        return np.fft.irfftn(np.fft.rfftn(g, s=pad, axes=axes) * W, s=pad, axes=axes)[crop]
+
+    B = _centered(block)
+    w_ones = conv(np.ones((1,) + shape))
+    return 2.0 * (cube_sums(B**2 * w_ones) - cube_sums(B * conv(B)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,6 +116,9 @@ def _cube_dict(c: Cube | None):
 def _finish(kind, alpha, rows, flags) -> NormReport:
     if not rows:
         raise ConfigError(f"{kind}: no usable cube in the family")
+    bad = next((I for I, v in rows if not math.isfinite(v)), None)
+    if bad is not None:
+        raise InvariantViolation(f"{kind}: non-finite value on cube {bad}")
     best = max(range(len(rows)), key=lambda i: rows[i][1])
     return NormReport(
         kind=kind,
@@ -124,21 +138,23 @@ def q_alpha(f: GridFunction, alpha: float, cubes: list[Cube]) -> NormReport:
     maximized over the family.  Straight-line distances; values read
     periodically.  Cubes with fewer than two lattice points are skipped.
     """
+    _check_alpha(alpha)
     flags = []
     if not 0 < alpha < 1:
         flags.append(
             f"alpha={alpha} outside (0,1): below it the functional behaves like the "
             "mean-oscillation norm, at or above 1 only constants stay bounded"
         )
-    expo = 2.0 * alpha + f.n
+    blocks = cube_blocks(f, cubes)
+    sums = per_cube(f, blocks, lambda v, b: _increment_sums(v, f.h, 2.0 * alpha + f.n))
+    single = {i for b in blocks if math.prod(b.shape) < 2 for i in b.index.tolist()}
     rows = []
-    for I in cubes:
-        pos, vals = cube_lattice(f, I)
-        if vals.size < 2:
+    for i, (I, s) in enumerate(zip(cubes, sums.tolist())):
+        if i in single:
             warnings.warn(f"cube {I} has fewer than 2 lattice points; skipped", stacklevel=2)
             continue
-        s = pair_increment_sum(pos, vals, expo)
-        val = I.edge ** (2.0 * alpha - f.n) * f.h ** (2 * f.n) * s
+        # a sum within rounding of 0 may come out slightly negative
+        val = I.edge ** (2.0 * alpha - f.n) * f.h ** (2 * f.n) * max(s, 0.0)
         rows.append((I, math.sqrt(val)))
     return _finish("q_alpha", alpha, rows, flags)
 
@@ -146,15 +162,18 @@ def q_alpha(f: GridFunction, alpha: float, cubes: list[Cube]) -> NormReport:
 def campanato(f: GridFunction, lam: float, cubes: list[Cube]) -> NormReport:
     """Mean-oscillation norm: sqrt of sup over cubes of
     l(I)^(-lambda) * h^n * sum_{x in I} |f(x) - f_I|^2; lambda = n is BMO.
+
+    f_I averages over the closed cube, the sum runs over the half-open one.
     """
     if not 0 <= lam <= f.n:
         raise ConfigError(f"lambda must lie in [0, n]={[0, f.n]} for diagnostics, got {lam}")
-    rows = []
-    for I in cubes:
-        mean = cube_mean(f, I)
-        _, vals = cube_lattice(f, I)
-        val = I.edge**-lam * f.h**f.n * float(np.sum((vals - mean) ** 2))
-        rows.append((I, math.sqrt(val)))
+    means = per_cube(f, cube_blocks(f, cubes, closed=True), lambda v, b: cube_sums(v) / v[0].size)
+    osc = per_cube(
+        f,
+        cube_blocks(f, cubes),
+        lambda v, b: cube_sums((v - means[b.index].reshape((-1,) + (1,) * f.n)) ** 2),
+    )
+    rows = [(I, math.sqrt(I.edge**-lam * f.h**f.n * s)) for I, s in zip(cubes, osc.tolist())]
     return _finish("campanato", lam, rows, [])
 
 
@@ -178,23 +197,26 @@ def lp_morrey(
 
     alpha outside (0,1) is allowed for degeneracy diagnostics and flagged.
     """
+    _check_alpha(alpha)
     flags: list[str] = []
     if not 0 < alpha < 1:
         flags.append(f"alpha={alpha} outside (0,1): two-sided comparison not expected")
-    rows = []
-    for I in cubes:
-        j0 = _band_start(I, flags)
-        if j0 < decomposition.j_min:
-            raise ConfigError(
-                f"cube of level {j0} needs bands from j={j0}, but the decomposition "
-                f"starts at j_min={decomposition.j_min}"
-            )
-        acc = 0.0
-        for j in range(j0, decomposition.j_max + 1):
-            acc += 2.0 ** (2 * alpha * j) * l2_on_cube(decomposition.band(j), I)
-        measure = I.edge**f.n
-        val = measure ** -(1.0 - 2.0 * alpha / f.n) * acc
-        rows.append((I, math.sqrt(val)))
+    j0 = [_band_start(I, flags) for I in cubes]
+    j_lo = min(j0, default=decomposition.j_max + 1)
+    if j_lo < decomposition.j_min:
+        raise ConfigError(
+            f"cube of level {j_lo} needs bands from j={j_lo}, but the decomposition "
+            f"starts at j_min={decomposition.j_min}"
+        )
+    blocks = cube_blocks(f, cubes)
+    acc = np.zeros(len(cubes))
+    for j in range(j_lo, decomposition.j_max + 1):
+        e = 2.0 ** (2 * alpha * j) * cube_energies(decomposition.band(j), blocks)
+        acc += np.where(np.less_equal(j0, j), e, 0.0)
+    rows = [
+        (I, math.sqrt((I.edge**f.n) ** -(1.0 - 2.0 * alpha / f.n) * a))
+        for I, a in zip(cubes, acc.tolist())
+    ]
     return _finish("lp_morrey", alpha, rows, flags)
 
 
@@ -217,15 +239,6 @@ def _refinement_level(f: GridFunction, I: Cube, K: int) -> int:
     return level
 
 
-def _children(I: Cube, k: int) -> list[Cube]:
-    edge = I.edge / 2**k
-    out = []
-    for idx in np.ndindex(*(2**k,) * I.n):
-        corner = tuple(c + i * edge for c, i in zip(I.corner, idx))
-        out.append(Cube(corner, edge))
-    return out
-
-
 def dyadic_lp(
     f: GridFunction,
     alpha: float,
@@ -237,22 +250,24 @@ def dyadic_lp(
 
         sum_{k=0}^{K} 2^((2a-n)k) sum_{J in D_k(I)} (1/|J|)
             sum_{j >= -log2 l(J)} ||band_j||_{L2(J)}^2 .
+
+    The children D_k(I) partition I's lattice into 2^k equal slabs per axis,
+    so their energies are sums over a reshape of I's block.
     """
-    if not alpha > 0:
-        raise ConfigError(f"alpha must be positive, got {alpha}")
+    _check_alpha(alpha, positive=True)
     level = _refinement_level(f, I, K)
+    (b,) = cube_blocks(f, [I])
+    layers = [np.zeros((2**k,) * f.n) for k in range(K + 1)]
+    for j in range(level, decomposition.j_max + 1):
+        sq = b.read(decomposition.band(j))[0] ** 2
+        for k in range(min(K, j - level) + 1):
+            split = [s for M in b.shape for s in (2**k, M // 2**k)]
+            layers[k] += sq.reshape(split).sum(axis=tuple(range(1, 2 * f.n, 2)))
     total = 0.0
-    for k in range(K + 1):
-        child_edge = I.edge / 2**k
-        inv_measure = child_edge ** -f.n
-        layer = 0.0
-        for J in _children(I, k):
-            j0 = level + k
-            acc = 0.0
-            for j in range(j0, decomposition.j_max + 1):
-                acc += l2_on_cube(decomposition.band(j), J)
-            layer += inv_measure * acc
-        total += 2.0 ** ((2 * alpha - f.n) * k) * layer
+    for k, layer in enumerate(layers):
+        inv_measure = (I.edge / 2**k) ** -f.n
+        energy = f.h**f.n * float(layer.sum())
+        total += 2.0 ** ((2 * alpha - f.n) * k) * (inv_measure * energy)
     return total
 
 
@@ -270,14 +285,14 @@ def dyadic_lp_rearranged(
     geometric weight w_j = sum_{k=0}^{min(K, j-level)} 2^(2ak).  Equality
     with `dyadic_lp` is exact for the truncated sums.
     """
-    if not alpha > 0:
-        raise ConfigError(f"alpha must be positive, got {alpha}")
+    _check_alpha(alpha, positive=True)
     level = _refinement_level(f, I, K)
+    blocks = cube_blocks(f, [I])
     inv_measure = I.edge ** -f.n
     total = 0.0
     for j in range(level, decomposition.j_max + 1):
         w = sum(2.0 ** (2 * alpha * k) for k in range(min(K, j - level) + 1))
-        total += w * l2_on_cube(decomposition.band(j), I)
+        total += w * float(cube_energies(decomposition.band(j), blocks)[0])
     return inv_measure * total
 
 
@@ -317,20 +332,20 @@ def morrey_besov(
 
     Other (p, q) are rejected: only the embedding case is implemented.
     """
+    _check_alpha(alpha)
     if p != 2 or q != 2 or abs(sigma - (f.n - 2 * alpha)) > 1e-9:
         raise ConfigError(
             "only the embedding case is implemented: p = q = 2, sigma = n - 2*alpha"
         )
+    if not cubes:
+        raise ConfigError("morrey_besov: no cube in the family")
+    blocks = cube_blocks(f, cubes)
+    scale = np.array([(I.edge**f.n) ** (-sigma / f.n) for I in cubes])
     rows = []
     total = 0.0
     for j in decomposition.js:
-        band = decomposition.band(j)
-        best_val, best_cube = 0.0, None
-        for I in cubes:
-            measure = I.edge**f.n
-            val = measure ** (-sigma / f.n) * 2.0 ** (2 * alpha * j) * l2_on_cube(band, I)
-            if val > best_val:
-                best_val, best_cube = val, I
-        rows.append((j, best_val, best_cube))
-        total += best_val
+        vals = scale * 2.0 ** (2 * alpha * j) * cube_energies(decomposition.band(j), blocks)
+        best = int(np.argmax(vals))  # the first attaining cube; none if every value is 0
+        rows.append((j, float(vals[best]), cubes[best]) if vals[best] > 0.0 else (j, 0.0, None))
+        total += rows[-1][1]
     return MorreyBesovReport(alpha, sigma, math.sqrt(total), tuple(rows))

@@ -27,9 +27,10 @@ from .cubes import (
 )
 from .errors import ConfigError
 from .filterbank import decompose
-from .grid import Cube, GridFunction, cube_lattice, enumerate_cubes
+from .grid import Cube, GridFunction, cube_blocks, cube_sums, enumerate_cubes, per_cube
 from .norms import (
-    _children,
+    _centered,
+    _check_alpha,
     _refinement_level,
     dyadic_lp,
     dyadic_lp_rearranged,
@@ -151,8 +152,7 @@ def equivalence_report(
     alpha outside (0,1) is allowed for degeneracy diagnostics; the two-sided
     comparison is only expected to be stable inside the regime.
     """
-    if not alpha > 0:
-        raise ConfigError(f"alpha must be positive, got {alpha}")
+    _check_alpha(alpha, positive=True)
     if sorted(sizes) != list(sizes) or len(set(sizes)) != len(sizes):
         raise ConfigError("sizes must be strictly ascending")
     tasks = [(spec, N) for spec in corpus for N in sizes]
@@ -226,16 +226,16 @@ class Lemma23Record:
         }
 
 
-def _oscillation_pair_sum(f: GridFunction, J: Cube, m: float) -> float:
-    """h^(2n) * sum over (x, y) in (mJ x mJ) of |f(x)-f(y)|^2, periodic values.
+def _oscillation_pair_sums(f: GridFunction, cubes: list[Cube]) -> np.ndarray:
+    """Per cube h^(2n) * sum over (x, y) in (I x I) of |f(x)-f(y)|^2, periodic values.
 
     Uses the exact rewrite sum_{x,y}(f(x)-f(y))^2 = 2 P sum (f - mean)^2 with
-    P the number of lattice points of mJ (multiplicity kept when mJ wraps).
+    P the number of lattice points of I (multiplicity kept when I wraps).
     """
-    _, vals = cube_lattice(f, J.dilate(m))
-    P = vals.size
-    centered = vals - vals.mean()
-    return f.h ** (2 * f.n) * 2.0 * P * float(np.sum(centered**2))
+    h2n = f.h ** (2 * f.n)
+    return per_cube(
+        f, cube_blocks(f, cubes), lambda v, b: h2n * 2.0 * v[0].size * cube_sums(_centered(v) ** 2)
+    )
 
 
 def lemma23_check(
@@ -254,15 +254,18 @@ def lemma23_check(
     """
     if not (math.isfinite(m) and m >= 2):
         raise ConfigError(f"dilation factor must be finite and >= 2, got {m}")
+    _check_alpha(alpha)
     if not alpha > -f.n / 2:
         raise ConfigError(f"alpha={alpha} <= -n/2 is the divergent regime")
     _refinement_level(f, I, K)
     total = 0.0
     for k in range(K + 1):
-        inv_m2 = (I.edge / 2**k) ** (-2 * f.n)
-        layer = 0.0
-        for J in _children(I, k):
-            layer += inv_m2 * _oscillation_pair_sum(f, J, m)
+        edge = I.edge / 2**k
+        dilated = [
+            Cube(tuple(c + i * edge for c, i in zip(I.corner, idx)), edge).dilate(m)
+            for idx in np.ndindex(*(2**k,) * f.n)
+        ]
+        layer = edge ** (-2 * f.n) * float(_oscillation_pair_sums(f, dilated).sum())
         total += 2.0 ** ((2 * alpha - f.n) * k) * layer
     if q_value is None:
         q_value = q_alpha(f, alpha, standard_cubes(f, shifted=shifted)).value

@@ -223,3 +223,42 @@ def brute_force_ring_class(corner, edge, x, y, cap: int = 64):
         if meets(k) and misses_lower:
             return (k, 1 if inside(k + 1) else 2)
     raise AssertionError("no ring class found")
+
+
+def displacement_q_alpha(values: np.ndarray, alpha: float, cubes) -> list[float]:
+    """Squares of the per-cube increment-kernel values, exact pair sums.
+
+    Each cube's half-open lattice is found by testing a <= t/N < a+edge on
+    the integers t near the cube, per axis and in position order, and cubes
+    of the same lattice shape are stacked.  The ordered pairs are grouped by
+    integer displacement t: the weight |h t|^-(2a+n) is computed once per t
+    and multiplies the squared differences of the block with its own slice
+    shifted by t.  t and -t give the same terms, so only the t whose first
+    nonzero component is positive are summed, twice.  Cost O(P^2) per cube.
+    """
+    N, n = values.shape[0], values.ndim
+    h = 1.0 / N
+    stacks = {}
+    for c, (corner, edge) in enumerate(cubes):
+        idx = []
+        for a in corner:
+            near = range(math.floor(a * N) - 1, math.ceil((a + edge) * N) + 2)
+            idx.append([t % N for t in near if a <= t / N < a + edge])
+        block = values[np.ix_(*idx)]
+        stacks.setdefault(block.shape, []).append((c, block))
+    out = [0.0] * len(cubes)
+    for shape, members in stacks.items():
+        blocks = np.stack([b for _, b in members])
+        acc = np.zeros(len(members))
+        for t in itertools.product(*(range(-(M - 1), M) for M in shape)):
+            if next((s for s in t if s), 0) <= 0:
+                continue
+            x = (slice(None),) + tuple(slice(max(0, -s), M - max(0, s)) for s, M in zip(t, shape))
+            y = (slice(None),) + tuple(slice(max(0, s), M + min(0, s)) for s, M in zip(t, shape))
+            weight = sum((h * s) ** 2 for s in t) ** (-(2 * alpha + n) / 2)
+            diff2 = (blocks[x] - blocks[y]) ** 2
+            acc += 2.0 * weight * diff2.reshape(len(members), -1).sum(axis=1)
+        for (c, _), s in zip(members, acc):
+            corner, edge = cubes[c]
+            out[c] = edge ** (2 * alpha - n) * h ** (2 * n) * float(s)
+    return out

@@ -35,18 +35,41 @@ def test_bad_size_exits_two(capsys):
     assert "power of two" in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["verify", "decay", "--m", "nan", "--pairs", "10"],
-        ["verify", "lemma23", "--m", "inf", "--sizes", "64"],
-        ["kernel", "--m", "inf", "--pairs", "10"],
-    ],
-)
-def test_non_finite_m_exits_two(argv, capsys):
-    code, out, err = run(argv, capsys)
+BAD_INPUTS = {
+    "decay_m_nan": (["verify", "decay", "--m", "nan", "--pairs", "10"],
+                    "dilation factor must be finite"),
+    "lemma23_m_inf": (["verify", "lemma23", "--m", "inf", "--sizes", "64"],
+                      "dilation factor must be finite"),
+    "kernel_m_inf": (["kernel", "--m", "inf", "--pairs", "10"], "dilation factor must be finite"),
+    "qalpha_alpha_nan": (["norm", "qalpha", "--alpha", "nan", "--input", "{grid}"],
+                         "alpha must be"),
+    "lpmorrey_alpha_inf": (["norm", "lpmorrey", "--alpha", "inf", "--input", "{grid}"],
+                           "alpha must be"),
+    "equivalence_alpha_inf": (["verify", "equivalence", "--alpha", "inf", "--corpus", "{corpus}",
+                               "--sizes", "16"], "alpha must be"),
+    "grid_value_abc": (["norm", "campanato", "--input", "{bad_grid}"], "malformed grid value"),
+    "missing_input": (["norm", "campanato", "--input", "{missing}"], "cannot read grid file"),
+    "corpus_xi0_x": (["gen", "--corpus", "{bad_corpus}", "--size", "16", "--out", "{out}"],
+                     "parameter 'xi0' must be a finite number"),
+    "workers_0": (["verify", "equivalence", "--workers", "0", "--corpus", "{corpus}",
+                   "--sizes", "16"], "worker count must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("argv,message", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_two(argv, message, tmp_path, capsys):
+    names = ("grid", "bad_grid", "corpus", "bad_corpus", "missing", "out")
+    paths = {k: str(tmp_path / k) for k in names}
+    write_constant_grid(paths["grid"], N=16)
+    lines = (tmp_path / "grid").read_text().splitlines()
+    lines[5] = "abc"
+    (tmp_path / "bad_grid").write_text("\n".join(lines) + "\n")
+    record = {"kind": "harmonic", "params": {"xi0": 1}, "N": 16, "n": 1}
+    (tmp_path / "corpus").write_text(json.dumps([record]))
+    (tmp_path / "bad_corpus").write_text(json.dumps([{**record, "params": {"xi0": "x"}}]))
+    code, out, err = run([a.format(**paths) for a in argv], capsys)
     assert code == 2
-    assert err.startswith("error: dilation factor must be finite")
+    assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1
     assert "Traceback" not in err
 

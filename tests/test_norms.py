@@ -20,7 +20,6 @@ from qalpha import (
     morrey_besov,
     q_alpha,
 )
-from qalpha.norms import pair_increment_sum
 
 import oracles
 
@@ -40,6 +39,24 @@ def test_q_alpha_constant_zero():
     cubes = enumerate_cubes(4, 1, n=1)
     for alpha in (0.3, 0.5, 0.7):
         assert q_alpha(f, alpha, cubes).value == 0.0
+    # non-dyadic constants: a mean of many copies of 0.1 is not 0.1
+    for n, N in ((1, 4096), (2, 64)):
+        cubes = enumerate_cubes(N.bit_length() - 1, N.bit_length() - 4, n=n, shifted=True)
+        for value in (0.1, -3.7):
+            assert q_alpha(GridFunction(np.full((N,) * n, value)), 0.5, cubes).value == 0.0
+
+
+@pytest.mark.parametrize("n,N", [(1, 4096), (2, 128)])
+def test_q_alpha_matches_exact_displacement_sum(n, N):
+    noise = generate(CorpusSpec("spectral_noise", N, n, (("slope", 0.9),), seed=42))
+    bump = generate(CorpusSpec("gaussian_bump", N, n, (("width", 0.08),)))
+    cubes = enumerate_cubes(noise.L, noise.L - 3, n=n, shifted=True)
+    for f in (noise, GridFunction(bump.values + 3.0)):
+        rep = q_alpha(f, 0.5, cubes)
+        exact = oracles.displacement_q_alpha(f.values, 0.5, [(c.corner, c.edge) for c in cubes])
+        assert len(rep.table) == len(cubes)
+        for (cube, got), want in zip(rep.table, exact):
+            assert got == pytest.approx(math.sqrt(want), rel=1e-12), cube
 
 
 def test_q_alpha_alternating_matches_oracle():
@@ -78,21 +95,6 @@ def test_q_alpha_regime_flag():
     f = GridFunction(np.arange(8) / 8)
     rep = q_alpha(f, 1.2, [UNIT1])
     assert any("outside (0,1)" in fl for fl in rep.flags)
-
-
-def test_pair_increment_sum_blocking_matches_naive():
-    rng = np.random.default_rng(8)
-    pos = rng.random((300, 2))
-    vals = rng.standard_normal(300)
-    naive = 0.0
-    for i in range(300):
-        for j in range(300):
-            if i == j:
-                continue
-            d2 = np.sum((pos[i] - pos[j]) ** 2)
-            naive += (vals[i] - vals[j]) ** 2 / d2 ** (1.25)
-    got = pair_increment_sum(pos, vals, 2.5)
-    assert got == pytest.approx(naive, rel=1e-11)
 
 
 def test_campanato_constant_and_oracle():

@@ -96,7 +96,7 @@ def test_oscillation_pair_sum_matches_literal_double_loop():
     # against the raw double loop over the dilated cube's lattice points
     import oracles
     from qalpha import Cube, GridFunction
-    from qalpha.verify import _oscillation_pair_sum
+    from qalpha.verify import _oscillation_pair_sums
     import numpy as np
 
     rng = np.random.default_rng(12)
@@ -110,7 +110,7 @@ def test_oscillation_pair_sum_matches_literal_double_loop():
             for _, iy in pts:
                 naive += (f.values[ix] - f.values[iy]) ** 2
         naive *= f.h**2
-        assert _oscillation_pair_sum(f, J, m) == pytest.approx(naive, rel=1e-12)
+        assert _oscillation_pair_sums(f, [D])[0] == pytest.approx(naive, rel=1e-12)
 
 
 def test_kernel_decay_check_record():
