@@ -18,8 +18,6 @@ from .errors import ConfigError, InvariantViolation
 from .filterbank import (
     BandDecomposition,
     BandProfile,
-    band_project,
-    band_project_modified,
     build_profiles,
     decompose,
     profiles_to_csv,
@@ -27,14 +25,11 @@ from .filterbank import (
 from .grid import (
     Cube,
     GridFunction,
-    SpectralFunction,
     cube_lattice,
     cube_mean,
     enumerate_cubes,
-    inverse_transform,
     l2_on_cube,
     read_grid,
-    transform,
     write_grid,
 )
 from .norms import (

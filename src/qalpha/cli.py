@@ -16,7 +16,7 @@ from . import corpus as corpus_mod
 from . import verify as verify_mod
 from .errors import ConfigError, InvariantViolation
 from .filterbank import build_profiles, decompose, profiles_to_csv
-from .grid import Cube, enumerate_cubes, read_grid, write_grid
+from .grid import Cube, _validate_size, enumerate_cubes, read_grid, write_grid
 from .norms import campanato, dyadic_lp, lp_morrey, morrey_besov, q_alpha
 
 NORM_KINDS = ("qalpha", "campanato", "lpmorrey", "dyadiclp", "mb")
@@ -41,22 +41,20 @@ def _load_corpus(cfg: argparse.Namespace, N: int) -> list[corpus_mod.CorpusSpec]
 
 
 def _validate(cfg: argparse.Namespace) -> argparse.Namespace:
-    """Checks argparse cannot express; `sizes` becomes a tuple for every command."""
-    cfg.sizes = tuple(cfg.sizes) if hasattr(cfg, "sizes") else (cfg.size,)
-    if cfg.n not in (1, 2):
+    """Checks argparse cannot express."""
+    if getattr(cfg, "n", 1) not in (1, 2):
         raise ConfigError(f"dimension must be 1 or 2, got {cfg.n}")
-    for N in cfg.sizes:
-        if N < 8 or N & (N - 1):
-            raise ConfigError(f"grid size must be a power of two >= 8, got {N}")
-    if getattr(cfg, "pairs", 1) <= 0:
-        raise ConfigError(f"pair count must be positive, got {cfg.pairs}")
+    for N in getattr(cfg, "sizes", [cfg.size] if "size" in cfg else []):
+        _validate_size(N)
+    if getattr(cfg, "seed", 0) < 0:
+        raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
     if getattr(cfg, "workers", 1) < 1:
         raise ConfigError(f"worker count must be at least 1, got {cfg.workers}")
     return cfg
 
 
 def _cmd_gen(cfg: argparse.Namespace) -> int:
-    N = cfg.sizes[0]
+    N = cfg.size
     out_dir = Path(cfg.out) if cfg.out else _out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     for spec in _load_corpus(cfg, N):
@@ -194,6 +192,20 @@ def _cmd_verify(cfg: argparse.Namespace) -> int:
     return 0
 
 
+_FLAGS = {
+    "--alpha": dict(type=float, default=0.5, help="smoothness exponent alpha"),
+    "--n": dict(type=int, default=1, help="dimension (1 or 2)"),
+    "--out": dict(help="output file (or directory for gen)"),
+    "--format": dict(choices=("json", "csv"), default="json", help="report format"),
+    "--corpus": dict(help="corpus JSON file (default: built-in corpus)"),
+    "--input": dict(required=True, help="input .grid file; it fixes n and N"),
+    "--jmin": dict(type=int, default=0, help="lowest band index"),
+    "--K": dict(type=int, default=3, help="refinement truncation depth"),
+    "--m": dict(type=float, default=2.0, help="cube dilation factor (2 to 16)"),
+    "--seed": dict(type=int, default=7, help="sampler seed"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qalpha",
@@ -201,42 +213,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, size_list=False):
-        p.add_argument("--alpha", type=float, default=0.5, help="smoothness exponent alpha")
-        p.add_argument("--n", type=int, default=1, help="dimension (1 or 2)")
-        if size_list:
-            p.add_argument(
-                "--sizes",
-                type=int,
-                nargs="+",
-                default=[64],
-                help="grid sizes N (powers of two, ascending)",
-            )
-        else:
-            p.add_argument("--size", type=int, default=64, help="grid size N (power of two)")
-        p.add_argument("--out", help="output file (or directory for gen)")
-        p.add_argument(
-            "--format", choices=("json", "csv"), default="json", help="report format"
-        )
+    def command(name, help, *flags):
+        p = sub.add_parser(name, help=help)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        return p
 
-    p = sub.add_parser("gen", help="generate corpus functions to .grid files")
-    common(p)
-    p.add_argument("--corpus", help="corpus JSON file (default: built-in corpus)")
+    p = command("gen", "generate corpus functions to .grid files", "--n", "--out", "--corpus")
+    p.add_argument("--size", type=int, default=64, help="grid size N (power of two)")
 
-    p = sub.add_parser("norm", help="compute one norm of a grid file")
+    p = command("norm", "compute one norm of a grid file",
+                "--alpha", "--out", "--format", "--input", "--K", "--jmin")
     p.add_argument("kind", choices=NORM_KINDS, help="which functional to evaluate")
-    common(p)
     p.add_argument("--lam", type=float, help="campanato exponent lambda (default n-2*alpha)")
-    p.add_argument("--input", required=True, help="input .grid file")
     p.add_argument("--level-max", type=int, help="deepest cube level (default L-3)")
     p.add_argument("--shifted", action="store_true", help="add the half-shifted cube family")
-    p.add_argument("--K", type=int, default=3, help="refinement truncation depth")
-    p.add_argument("--jmin", type=int, default=0, help="lowest band index")
 
-    p = sub.add_parser("decompose", help="band decomposition energies of a grid file")
-    common(p)
-    p.add_argument("--input", required=True, help="input .grid file")
-    p.add_argument("--jmin", type=int, default=0, help="lowest band index")
+    p = command("decompose", "band decomposition energies of a grid file",
+                "--out", "--format", "--input", "--jmin")
     p.add_argument(
         "--family",
         choices=("exp", "cosine"),
@@ -244,20 +238,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="cutoff profile family (for probing profile independence)",
     )
 
-    p = sub.add_parser("kernel", help="sample pair kernels and ring counts to CSV")
-    common(p)
-    p.add_argument("--m", type=float, default=2.0, help="cube dilation factor (>= 2)")
+    p = command("kernel", "sample pair kernels and ring counts to CSV",
+                "--alpha", "--n", "--out", "--m", "--seed")
     p.add_argument("--pairs", type=int, default=100, help="number of sampled pairs")
-    p.add_argument("--seed", type=int, default=7, help="sampler seed")
 
-    p = sub.add_parser("verify", help="run a verification check")
+    p = command("verify", "run a verification check",
+                "--alpha", "--n", "--out", "--format", "--corpus", "--m", "--K", "--seed")
     p.add_argument("check", choices=VERIFY_CHECKS, help="which check to run")
-    common(p, size_list=True)
-    p.add_argument("--corpus", help="corpus JSON file (default: built-in corpus)")
-    p.add_argument("--m", type=float, default=2.0, help="cube dilation factor (>= 2)")
-    p.add_argument("--K", type=int, default=3, help="refinement truncation depth")
+    p.add_argument(
+        "--sizes", type=int, nargs="+", default=[64], help="grid sizes N (powers of two, ascending)"
+    )
     p.add_argument("--pairs", type=int, default=400, help="pairs for the decay check")
-    p.add_argument("--seed", type=int, default=7, help="sampler seed")
     p.add_argument("--workers", type=int, default=1, help="parallel worker count")
     return parser
 

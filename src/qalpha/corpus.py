@@ -43,6 +43,8 @@ class CorpusSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown corpus kind {self.kind!r}, expected one of {KINDS}")
+        if self.n not in (1, 2) or self.seed < 0:
+            raise ConfigError(f"corpus n must be 1 or 2 and seed >= 0, got {self.n}, {self.seed}")
         params = tuple(sorted((str(k), v) for k, v in dict(self.params).items()))
         for k, v in params:
             if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
@@ -191,24 +193,23 @@ def load_corpus_file(path) -> list[CorpusSpec]:
             records = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read corpus file: {exc.strerror or exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSON syntax or text encoding
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(records, list):
         raise ConfigError(f"{path}: expected a JSON list of corpus records")
     specs = []
     for rec in records:
         try:
-            specs.append(
-                CorpusSpec(
-                    kind=rec["kind"],
-                    N=int(rec["N"]),
-                    n=int(rec["n"]),
-                    params=tuple(rec.get("params", {}).items()),
-                    seed=int(rec.get("seed", 0)),
-                )
+            fields = dict(
+                kind=rec["kind"],
+                N=int(rec["N"]),
+                n=int(rec["n"]),
+                params=tuple(rec.get("params", {}).items()),
+                seed=int(rec.get("seed", 0)),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise ConfigError(f"{path}: malformed corpus record {rec!r}: {exc}") from None
+        specs.append(CorpusSpec(**fields))
     return specs
 
 

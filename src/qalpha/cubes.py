@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvariantViolation
-from .grid import Cube
+from .grid import _WEIGHT_LOG2_MAX, Cube
 
 __all__ = [
     "DyadicCube",
@@ -82,6 +82,16 @@ class DyadicCube:
 
     def to_cube(self) -> Cube:
         return Cube(self.corner, self.edge)
+
+
+# Upper end of the dilation factor: a tree set has about (m+1)^n members per
+# level, and a dilated cube mJ holds (m l(J) N)^n lattice points.
+_M_MAX = 16
+
+
+def _check_dilation(m: float) -> None:
+    if not (math.isfinite(m) and 2 <= m <= _M_MAX):
+        raise ConfigError(f"dilation factor must be finite, >= 2 and <= {_M_MAX}, got {m}")
 
 
 def _dyadic_bits(v: float) -> int:
@@ -164,8 +174,7 @@ def gamma_set(I: Cube, x: tuple[float, ...], y: tuple[float, ...], m: float = 2.
         raise ConfigError("point dimension does not match root cube")
     if x == y:
         raise ConfigError("diagonal point pair: x == y")
-    if not (math.isfinite(m) and m >= 2):
-        raise ConfigError(f"dilation factor must be finite and >= 2, got {m}")
+    _check_dilation(m)
     required = required_max_level(I, x, y, m)
 
     coord_bits = max(_dyadic_bits(v) for v in (*x, *y, *I.corner))
@@ -222,25 +231,25 @@ def kernel_sum(S, alpha: float, n: int) -> float:
     """Sum of l(J)^(-2*alpha - n) over the cubes in S (order-independent).
 
     S is an iterable of DyadicCubes, or a GammaSet, which is summed level by
-    level without building its cubes.
+    level without building its cubes.  The largest weight, that of the
+    smallest cube, must stay below 2^_WEIGHT_LOG2_MAX.
     """
     if not alpha > -n / 2:
         raise ConfigError(f"divergent tree-sum regime: alpha={alpha} <= -n/2")
     expo = -(2.0 * alpha + n)
     if isinstance(S, GammaSet):
-        return math.fsum(
-            term
-            for k, box in enumerate(S.boxes)
-            for term in itertools.repeat((S.root.edge * 2.0**-k) ** expo, _volume(box))
-        )
-    return math.fsum(J.edge**expo for J in S)
+        terms = [(S.root.edge * 2.0**-k, _volume(box)) for k, box in enumerate(S.boxes)]
+    else:
+        terms = [(J.edge, 1) for J in S]
+    if terms and not expo * math.log2(min(e for e, _ in terms)) <= _WEIGHT_LOG2_MAX:
+        raise ConfigError(f"alpha={alpha}: kernel weights l(J)^-(2a+n) overflow")
+    return math.fsum(t for e, count in terms for t in itertools.repeat(e**expo, count))
 
 
 @dataclass(frozen=True, eq=False)
 class AllowedClassification:
     """Minimal cubes bucketed by the first shell I_k = 2^k I_0 they meet."""
 
-    allowed: frozenset[DyadicCube]
     rings: dict[tuple[int, int], frozenset[DyadicCube]]
     I0: Cube
 
@@ -283,7 +292,7 @@ def classify_allowed(
         buckets.setdefault((k, kind), set()).add(J)
 
     rings = {key: frozenset(val) for key, val in sorted(buckets.items())}
-    return AllowedClassification(frozenset(allowed), rings, I0)
+    return AllowedClassification(rings, I0)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Dyadic frequency-band multipliers and band-pass projections.
+"""Dyadic frequency-band multipliers and the band decomposition.
 
 The band-pass family is built from a radial cutoff chi with chi = 1 for
 |xi| <= 1 and chi = 0 for |xi| >= 2.  The band multiplier at scale j is the
@@ -18,7 +18,6 @@ results do not depend on the profile shape.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +29,6 @@ __all__ = [
     "BandProfile",
     "BandDecomposition",
     "build_profiles",
-    "band_project",
-    "band_project_modified",
     "decompose",
     "profiles_to_csv",
 ]
@@ -70,12 +67,12 @@ def _freq_magnitude(N: int, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BandProfile:
-    """One Fourier multiplier: kind 'standard', 'lowpass' or 'modified'."""
+    """One Fourier multiplier: kind 'standard' (band j) or 'lowpass' (every
+    band below j = j_min at once)."""
 
     j: int
     values: np.ndarray
     kind: str = "standard"
-    alpha: float | None = None
 
     def __post_init__(self):
         v = np.array(self.values, dtype=float)
@@ -86,8 +83,6 @@ class BandProfile:
     def label(self) -> str:
         if self.kind == "lowpass":
             return f"lowpass(j_min={self.j})"
-        if self.kind == "modified":
-            return f"band'{self.j}(alpha={self.alpha})"
         return f"band{self.j}"
 
 
@@ -111,51 +106,6 @@ def build_profiles(L: int, j_min: int, n: int = 1, family: str = "exp") -> list[
     return profiles
 
 
-def _modified_values(N: int, n: int, j: int, alpha: float, family: str) -> np.ndarray:
-    chi = _FAMILIES[family]
-    mag = _freq_magnitude(N, n)
-    band = chi(mag / 2.0**j) - chi(mag / 2.0 ** (j - 1))
-    scaled = mag / 2.0**j
-    factor = np.zeros_like(scaled)
-    nz = scaled > 0
-    factor[nz] = scaled[nz] ** alpha
-    return factor * band
-
-
-def _apply_multiplier(f: GridFunction, values: np.ndarray) -> GridFunction:
-    if values.shape != f.values.shape:
-        raise ConfigError(
-            f"profile shape {values.shape} does not match grid shape {f.values.shape}"
-        )
-    out = np.fft.ifftn(np.fft.fftn(f.values) * values)
-    scale = max(1.0, float(np.max(np.abs(f.values))))
-    if np.max(np.abs(out.imag)) > 1e-12 * scale:
-        raise InvariantViolation("band projection produced a non-real field")
-    return GridFunction(out.real)
-
-
-def band_project(f: GridFunction, p: BandProfile) -> GridFunction:
-    """Apply one multiplier: inverse transform of p(xi) * f_hat(xi)."""
-    return _apply_multiplier(f, p.values)
-
-
-def band_project_modified(
-    f: GridFunction, j: int, alpha: float, family: str = "exp"
-) -> GridFunction:
-    """Apply the alpha-weighted band multiplier |2^-j xi|^alpha psi_hat_j(xi).
-
-    The factor is 0 at xi = 0 by convention.  alpha outside (0,1) is allowed
-    but flagged, since the two-sided norm comparison only targets that range.
-    """
-    if not 0 < alpha < 1:
-        warnings.warn(
-            f"alpha={alpha} outside (0,1); modified band computed anyway", stacklevel=2
-        )
-    if not 0 <= j <= f.L + 1:
-        raise ConfigError(f"band index {j} outside built range 0..{f.L + 1}")
-    return _apply_multiplier(f, _modified_values(f.N, f.n, j, alpha, family))
-
-
 @dataclass(frozen=True, eq=False)
 class BandDecomposition:
     """All band projections of one function plus its lowpass block."""
@@ -164,7 +114,6 @@ class BandDecomposition:
     j_max: int
     bands: tuple[GridFunction, ...]
     lowpass: GridFunction
-    family: str = "exp"
 
     @property
     def js(self) -> range:
@@ -193,13 +142,7 @@ def decompose(f: GridFunction, j_min: int = 0, family: str = "exp") -> BandDecom
         if np.max(np.abs(out.imag)) > 1e-12 * scale:
             raise InvariantViolation("band projection produced a non-real field")
         fields.append(GridFunction(out.real))
-    return BandDecomposition(
-        j_min=j_min,
-        j_max=f.L + 1,
-        bands=tuple(fields[1:]),
-        lowpass=fields[0],
-        family=family,
-    )
+    return BandDecomposition(j_min, f.L + 1, tuple(fields[1:]), fields[0])
 
 
 def profiles_to_csv(profiles: list[BandProfile], path) -> None:

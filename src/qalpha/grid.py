@@ -29,19 +29,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvariantViolation
+from .errors import ConfigError
 
 __all__ = [
     "GridFunction",
-    "SpectralFunction",
     "Cube",
     "CubeBlock",
     "cube_blocks",
     "cube_sums",
     "per_cube",
     "cube_energies",
-    "transform",
-    "inverse_transform",
     "cube_mean",
     "l2_on_cube",
     "cube_lattice",
@@ -54,6 +51,11 @@ __all__ = [
 def _validate_size(N: int) -> None:
     if N < 8 or N & (N - 1):
         raise ConfigError(f"grid size must be a power of two >= 8, got {N}")
+
+
+# Weights 2^e with |e| above this are rejected (h^-(2a+n), 2^(2aj), ...),
+# which leaves 64 binary orders of magnitude below 2^1024 for their sums.
+_WEIGHT_LOG2_MAX = 960
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,70 +93,6 @@ class GridFunction:
     def h(self) -> float:
         return 1.0 / self.N
 
-    def roll(self, shift: int | tuple[int, ...]) -> "GridFunction":
-        """Cyclic lattice translation by whole grid steps."""
-        if isinstance(shift, int):
-            shift = (shift,) * self.n
-        return GridFunction(np.roll(self.values, shift, axis=tuple(range(self.n))))
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralFunction:
-    """Fourier coefficients indexed by integer frequencies in {-N/2,...,N/2-1}^n.
-
-    Stored in FFT wrap-around order; `coefficient` accepts signed frequencies.
-    """
-
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        c = np.array(self.coefficients, dtype=complex)
-        if c.ndim not in (1, 2):
-            raise ConfigError(f"dimension must be 1 or 2, got array of ndim {c.ndim}")
-        N = c.shape[0]
-        if any(s != N for s in c.shape):
-            raise ConfigError(f"spectrum must be square, got shape {c.shape}")
-        _validate_size(N)
-        c.setflags(write=False)
-        object.__setattr__(self, "coefficients", c)
-
-    @property
-    def n(self) -> int:
-        return self.coefficients.ndim
-
-    @property
-    def N(self) -> int:
-        return self.coefficients.shape[0]
-
-    def coefficient(self, xi: int | tuple[int, ...]) -> complex:
-        if isinstance(xi, int):
-            xi = (xi,)
-        if len(xi) != self.n:
-            raise ConfigError(f"frequency must have {self.n} components")
-        half = self.N // 2
-        for q in xi:
-            if not -half <= q < half:
-                raise ConfigError(f"frequency {q} outside [-N/2, N/2)")
-        idx = tuple(q % self.N for q in xi)
-        return complex(self.coefficients[idx])
-
-
-def transform(f: GridFunction) -> SpectralFunction:
-    """Forward DFT normalized so a constant c maps to coefficient c at xi=0.
-
-    With this pairing Parseval reads h^n sum(f^2) == sum(|f_hat|^2).
-    """
-    return SpectralFunction(np.fft.fftn(f.values) / f.N**f.n)
-
-
-def inverse_transform(F: SpectralFunction) -> GridFunction:
-    """Inverse DFT; asserts the result is real before discarding residue."""
-    v = np.fft.ifftn(F.coefficients) * F.N**F.n
-    scale = max(1.0, float(np.max(np.abs(v.real))))
-    if np.max(np.abs(v.imag)) > 1e-12 * scale:
-        raise InvariantViolation("inverse transform produced a non-real field")
-    return GridFunction(v.real)
-
 
 @dataclass(frozen=True)
 class Cube:
@@ -175,10 +113,6 @@ class Cube:
     @property
     def n(self) -> int:
         return len(self.corner)
-
-    @property
-    def center(self) -> tuple[float, ...]:
-        return tuple(c + self.edge / 2 for c in self.corner)
 
     def dilate(self, m: float) -> "Cube":
         """Cube with the same center and edge m*edge."""
@@ -321,7 +255,7 @@ def write_grid(f: GridFunction, path) -> None:
 
 def read_grid(path) -> GridFunction:
     try:
-        with open(path) as fh:
+        with open(path, errors="replace") as fh:  # stray bytes fail to parse below
             header = fh.readline().split()
             if len(header) != 2:
                 raise ConfigError(f"{path}: malformed grid header, expected 'n N'")
@@ -331,6 +265,7 @@ def read_grid(path) -> GridFunction:
                 raise ConfigError(f"{path}: malformed grid header: {exc}") from None
             if n not in (1, 2):
                 raise ConfigError(f"{path}: dimension must be 1 or 2, got {n}")
+            _validate_size(N)
             try:
                 flat = np.loadtxt(fh, dtype=float, ndmin=1)
             except ValueError as exc:

@@ -24,7 +24,15 @@ import numpy as np
 
 from .errors import ConfigError, InvariantViolation
 from .filterbank import BandDecomposition
-from .grid import Cube, GridFunction, cube_blocks, cube_energies, cube_sums, per_cube
+from .grid import (
+    _WEIGHT_LOG2_MAX,
+    Cube,
+    GridFunction,
+    cube_blocks,
+    cube_energies,
+    cube_sums,
+    per_cube,
+)
 
 __all__ = [
     "NormReport",
@@ -38,11 +46,16 @@ __all__ = [
 ]
 
 
-def _check_alpha(alpha: float, positive: bool = False) -> None:
-    """Reject a non-finite alpha and, with `positive`, alpha <= 0."""
+def _check_alpha(alpha: float, f: GridFunction | None = None, positive: bool = False) -> None:
+    """Reject a non-finite alpha, with `positive` alpha <= 0, and on f's grid an
+    alpha whose weights overflow.  Every weight, h^-(2a+n), 2^(2aj) for
+    j <= L+1, l(I)^(2a-n) or |x-y|^-(2a+n), lies within 2^±(2|a|+n)(L+1)."""
     if not math.isfinite(alpha) or (positive and alpha <= 0):
         kind = "positive and finite" if positive else "finite"
         raise ConfigError(f"alpha must be {kind}, got {alpha}")
+    if f is not None and (2 * abs(alpha) + f.n) * (f.L + 1) > _WEIGHT_LOG2_MAX:
+        bound = (_WEIGHT_LOG2_MAX / (f.L + 1) - f.n) / 2
+        raise ConfigError(f"alpha={alpha} overflows the weights at N={f.N} (|alpha| <= {bound:g})")
 
 
 def _centered(block: np.ndarray) -> np.ndarray:
@@ -138,7 +151,7 @@ def q_alpha(f: GridFunction, alpha: float, cubes: list[Cube]) -> NormReport:
     maximized over the family.  Straight-line distances; values read
     periodically.  Cubes with fewer than two lattice points are skipped.
     """
-    _check_alpha(alpha)
+    _check_alpha(alpha, f)
     flags = []
     if not 0 < alpha < 1:
         flags.append(
@@ -197,7 +210,7 @@ def lp_morrey(
 
     alpha outside (0,1) is allowed for degeneracy diagnostics and flagged.
     """
-    _check_alpha(alpha)
+    _check_alpha(alpha, f)
     flags: list[str] = []
     if not 0 < alpha < 1:
         flags.append(f"alpha={alpha} outside (0,1): two-sided comparison not expected")
@@ -254,7 +267,7 @@ def dyadic_lp(
     The children D_k(I) partition I's lattice into 2^k equal slabs per axis,
     so their energies are sums over a reshape of I's block.
     """
-    _check_alpha(alpha, positive=True)
+    _check_alpha(alpha, f, positive=True)
     level = _refinement_level(f, I, K)
     (b,) = cube_blocks(f, [I])
     layers = [np.zeros((2**k,) * f.n) for k in range(K + 1)]
@@ -285,7 +298,7 @@ def dyadic_lp_rearranged(
     geometric weight w_j = sum_{k=0}^{min(K, j-level)} 2^(2ak).  Equality
     with `dyadic_lp` is exact for the truncated sums.
     """
-    _check_alpha(alpha, positive=True)
+    _check_alpha(alpha, f, positive=True)
     level = _refinement_level(f, I, K)
     blocks = cube_blocks(f, [I])
     inv_measure = I.edge ** -f.n
@@ -332,7 +345,7 @@ def morrey_besov(
 
     Other (p, q) are rejected: only the embedding case is implemented.
     """
-    _check_alpha(alpha)
+    _check_alpha(alpha, f)
     if p != 2 or q != 2 or abs(sigma - (f.n - 2 * alpha)) > 1e-9:
         raise ConfigError(
             "only the embedding case is implemented: p = q = 2, sigma = n - 2*alpha"

@@ -18,6 +18,7 @@ import numpy as np
 
 from .corpus import CorpusSpec, generate
 from .cubes import (
+    _check_dilation,
     allowed_cubes,
     classify_allowed,
     count_summary,
@@ -252,9 +253,8 @@ def lemma23_check(
         sum_{k<=K} 2^((2a-n)k) sum_{J in D_k(I)} |J|^-2
             * h^(2n) * sumsum_{mJ x mJ} |f(x)-f(y)|^2 .
     """
-    if not (math.isfinite(m) and m >= 2):
-        raise ConfigError(f"dilation factor must be finite and >= 2, got {m}")
-    _check_alpha(alpha)
+    _check_dilation(m)
+    _check_alpha(alpha, f)
     if not alpha > -f.n / 2:
         raise ConfigError(f"alpha={alpha} <= -n/2 is the divergent regime")
     _refinement_level(f, I, K)
@@ -312,6 +312,8 @@ def kernel_decay_check(
     root: Cube | None = None,
 ) -> DecayRecord:
     """Sample pairs, enumerate tree sets, and regress log k on log |x-y|."""
+    if pair_count < 2:
+        raise ConfigError(f"the decay slope fit needs at least 2 pairs, got {pair_count}")
     if root is None:
         root = Cube((0.0,) * n, 1.0)
     pairs = sample_pairs(root, pair_count, seed)

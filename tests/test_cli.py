@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qalpha import GridFunction, write_grid
-from qalpha.cli import main
+from qalpha.cli import NORM_KINDS, VERIFY_CHECKS, main
 
 
 def run(argv, capsys):
@@ -30,7 +34,7 @@ def test_unknown_subcommand_exits_two(capsys):
 
 
 def test_bad_size_exits_two(capsys):
-    code, out, err = run(["kernel", "--size", "12"], capsys)
+    code, out, err = run(["gen", "--size", "12"], capsys)
     assert code == 2
     assert "power of two" in err
 
@@ -53,6 +57,13 @@ BAD_INPUTS = {
                      "parameter 'xi0' must be a finite number"),
     "workers_0": (["verify", "equivalence", "--workers", "0", "--corpus", "{corpus}",
                    "--sizes", "16"], "worker count must be at least 1"),
+    "qalpha_alpha_huge": (["norm", "qalpha", "--alpha", "1e308", "--input", "{grid}"], "overflow"),
+    "lpmorrey_alpha_huge": (["norm", "lpmorrey", "--alpha", "1e308", "--input", "{grid}"],
+                            "overflow"),
+    "mb_alpha_huge": (["norm", "mb", "--alpha", "1e308", "--input", "{grid}"], "overflow"),
+    "equivalence_alpha_huge": (["verify", "equivalence", "--alpha", "1e308", "--corpus",
+                                "{corpus}", "--sizes", "16"], "overflow"),
+    "decay_alpha_huge": (["verify", "decay", "--alpha", "1e308", "--pairs", "10"], "overflow"),
 }
 
 
@@ -78,7 +89,7 @@ def test_norm_qalpha_constant_zero(tmp_path, capsys):
     grid = tmp_path / "constant.grid"
     write_constant_grid(grid)
     code, out, _ = run(
-        ["norm", "qalpha", "--alpha", "0.5", "--n", "1", "--size", "8", "--input", str(grid)],
+        ["norm", "qalpha", "--alpha", "0.5", "--input", str(grid)],
         capsys,
     )
     assert code == 0
@@ -284,3 +295,84 @@ def test_console_script_invocable():
     )
     assert proc.returncode == 0
     assert "qalpha" in proc.stdout
+
+
+# -- the exit-code contract over generated command lines ----------------------
+
+NUMBERS = st.sampled_from(
+    ["nan", "inf", "-inf", "1e308", "-1e308", "1e5", "-1e5", "100", "-3", "-0.2", "0", "0.5",
+     "1.5", "2", "3", "16", "17"]
+) | st.floats().map(repr)
+INTEGERS = st.integers(-3, 12).map(str) | st.sampled_from(["-1000000", "1000000"])
+GRID_FILES = ("grid1", "grid2", "grid8", "missing", "dir", "bad_header", "bad_value",
+              "bad_count", "bad_bytes", "bad_size", "bad_dim", "empty")
+CORPUS_FILES = ("corpus", "missing", "dir", "bad_bytes", "bad_json", "not_list", "no_kind",
+                "bad_kind", "bad_N", "bad_params", "bad_n", "bad_seed", "bad_param_value")
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """Well-formed, malformed and missing inputs, by name; `out` is a directory."""
+    root = tmp_path_factory.mktemp("argv")
+    paths = {k: root / k for k in {*GRID_FILES, *CORPUS_FILES, "out"}}
+    rng = np.random.default_rng(0)
+    write_grid(GridFunction(rng.standard_normal(32)), paths["grid1"])
+    write_grid(GridFunction(rng.standard_normal((16, 16))), paths["grid2"])
+    write_grid(GridFunction(rng.standard_normal(8)), paths["grid8"])
+    paths["dir"].mkdir()
+    paths["out"].mkdir()
+    texts = {
+        "bad_header": "1 x\n", "bad_value": "1 8\n" + "1.0\n" * 7 + "abc\n",
+        "bad_count": "1 8\n1.0\n", "bad_size": "2 -3\n" + "1.0\n" * 9,
+        "bad_dim": "3 8\n" + "1.0\n" * 512, "empty": "", "bad_json": "[{",
+        "not_list": json.dumps({"kind": "constant"}),
+    }
+    record = {"kind": "harmonic", "params": {"xi0": 3}, "N": 16, "n": 1}
+    for name, change in {"corpus": {}, "bad_kind": {"kind": "sawtooth"}, "bad_N": {"N": "x"},
+                         "bad_params": {"params": [3]}, "bad_n": {"n": 3},
+                         "bad_seed": {"seed": -1}, "bad_param_value": {"params": {"xi0": "x"}},
+                         "no_kind": {"kind": None}}.items():
+        texts[name] = json.dumps([{k: v for k, v in {**record, **change}.items() if v is not None}])
+    for name, text in texts.items():
+        paths[name].write_text(text)
+    paths["bad_bytes"].write_bytes(b"\xff\xfe 1 8\n")
+    return {k: str(v) for k, v in paths.items()}
+
+
+@st.composite
+def command_lines(draw):
+    """argparse-valid argvs with file names as {placeholders}."""
+    def opt(flag, values):
+        return [f"{flag}={draw(values)}"] if draw(st.booleans()) else []
+
+    out = "--out={out}/" + draw(st.sampled_from(["r.json", "r.csv", "k.csv", "bands.csv"]))
+    corpus = opt("--corpus", st.sampled_from(CORPUS_FILES).map(lambda k: "{" + k + "}"))
+    grid = "--input={" + draw(st.sampled_from(GRID_FILES)) + "}"
+    alpha, m, n = opt("--alpha", NUMBERS), opt("--m", NUMBERS), opt("--n", st.sampled_from("12"))
+    K, jmin = opt("--K", INTEGERS), opt("--jmin", INTEGERS)
+    pairs, seed = opt("--pairs", st.integers(-1, 20)), opt("--seed", INTEGERS)
+    sizes = ["--sizes", *draw(st.sampled_from([["16"], ["32"], ["16", "32"], ["12"], ["8"]]))]
+    return draw(st.sampled_from([
+        ["norm", draw(st.sampled_from(NORM_KINDS)), grid, *alpha, *K, *jmin,
+         *opt("--lam", NUMBERS), *opt("--level-max", INTEGERS), *opt("--format", st.just("csv")),
+         *(["--shifted"] if draw(st.booleans()) else []), out],
+        ["decompose", grid, *jmin, *opt("--family", st.just("cosine")), out],
+        ["kernel", *alpha, *m, *n, *pairs, *seed, out],
+        ["verify", draw(st.sampled_from(VERIFY_CHECKS)), *alpha, *m, *n, *K, *pairs, *seed,
+         *sizes, *corpus, out],
+        ["gen", *n, "--size", draw(st.sampled_from(["8", "12", "16"])), *corpus, "--out={out}"],
+    ]))
+
+
+@given(argv=command_lines())
+@settings(max_examples=200, deadline=None)
+def test_generated_argv_exits_zero_or_two(argv, argv_files):
+    argv = [a.format(**argv_files) for a in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (argv, err.getvalue())
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+        assert "Traceback" not in err.getvalue()

@@ -11,7 +11,6 @@ from qalpha import (
     default_corpus,
     generate,
     load_corpus_file,
-    transform,
 )
 
 
@@ -20,20 +19,25 @@ def test_constant_preserves_mean():
     assert np.all(f.values == 3.5)
 
 
+def spectrum(f):
+    """Fourier coefficients, FFT order, normalized so a constant c gives c at xi = 0."""
+    return np.fft.fftn(f.values) / f.N**f.n
+
+
 def test_harmonic_exact_spectrum():
     f = generate(CorpusSpec("harmonic", 16, 1, (("xi0", 3),)))
-    F = transform(f)
-    assert F.coefficient(3) == pytest.approx(0.5, abs=1e-14)
-    assert F.coefficient(-3) == pytest.approx(0.5, abs=1e-14)
-    live = np.abs(F.coefficients) > 1e-13
+    F = spectrum(f)
+    assert F[3] == pytest.approx(0.5, abs=1e-14)
+    assert F[-3] == pytest.approx(0.5, abs=1e-14)
+    live = np.abs(F) > 1e-13
     assert live.sum() == 2
 
 
 def test_harmonic_2d_single_pair():
     f = generate(CorpusSpec("harmonic", 16, 2, (("xi0", 3),)))
-    F = transform(f)
-    assert F.coefficient((3, 3)) == pytest.approx(0.5, abs=1e-14)
-    assert np.count_nonzero(np.abs(F.coefficients) > 1e-13) == 2
+    F = spectrum(f)
+    assert F[3, 3] == pytest.approx(0.5, abs=1e-14)
+    assert np.count_nonzero(np.abs(F) > 1e-13) == 2
 
 
 def test_spectral_noise_deterministic():
@@ -47,9 +51,9 @@ def test_spectral_noise_deterministic():
 
 def test_spectral_noise_prescribed_magnitudes():
     spec = CorpusSpec("spectral_noise", 32, 1, (("slope", 0.8),), seed=5)
-    F = transform(generate(spec))
+    F = spectrum(generate(spec))
     for xi in range(1, 16):
-        assert abs(F.coefficient(xi)) == pytest.approx(
+        assert abs(F[xi]) == pytest.approx(
             float(xi) ** (-0.8 - 0.5), rel=1e-10
         )
 

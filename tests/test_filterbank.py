@@ -6,12 +6,9 @@ import pytest
 from qalpha import (
     ConfigError,
     GridFunction,
-    band_project,
-    band_project_modified,
     build_profiles,
     decompose,
     profiles_to_csv,
-    transform,
 )
 from qalpha.filterbank import _chi_cosine, _chi_exp
 
@@ -86,24 +83,22 @@ def test_chi_families_endpoints():
 
 def test_band_project_annihilates_constants():
     f = GridFunction(np.full(32, 7.0))
-    for p in build_profiles(5, 0, n=1):
-        out = band_project(f, p)
-        if p.kind == "standard":
-            assert np.max(np.abs(out.values)) < 1e-12
-        else:
-            assert np.max(np.abs(out.values - 7.0)) < 1e-12
+    dec = decompose(f, 0)
+    for j in dec.js:
+        assert np.max(np.abs(dec.band(j).values)) < 1e-12
+    assert np.max(np.abs(dec.lowpass.values - 7.0)) < 1e-12
 
 
 def test_band_project_single_harmonic_support_and_sum():
     x = np.arange(32) / 32
     f = GridFunction(np.cos(2 * np.pi * 3 * x))
-    profiles = [p for p in build_profiles(5, 0, n=1) if p.kind == "standard"]
+    dec = decompose(f, 0)
     active = {}
-    for p in profiles:
-        out = band_project(f, p)
+    for j in dec.js:
+        out = dec.band(j)
         peak = np.max(np.abs(out.values))
-        if p.j in (1, 2, 3):
-            active[p.j] = out
+        if j in (1, 2, 3):
+            active[j] = out
         else:
             assert peak < 1e-13
     total = sum(b.values for b in active.values())
@@ -113,71 +108,19 @@ def test_band_project_single_harmonic_support_and_sum():
 def test_band_project_output_spectral_support_exact():
     rng = np.random.default_rng(0)
     f = GridFunction(rng.standard_normal(32))
-    p = [q for q in build_profiles(5, 0, n=1) if q.kind == "standard" and q.j == 3][0]
-    F = transform(band_project(f, p))
+    F = np.fft.fft(decompose(f, 0).band(3).values) / 32
     freqs = np.abs(np.fft.fftfreq(32, d=1 / 32))
     outside = (freqs < 4.0) | (freqs > 16.0)
-    assert np.max(np.abs(F.coefficients[outside])) < 1e-16
+    assert np.max(np.abs(F[outside])) < 1e-16
 
 
 def test_band_project_linearity():
     rng = np.random.default_rng(1)
     f = GridFunction(rng.standard_normal(16))
     g = GridFunction(rng.standard_normal(16))
-    p = build_profiles(4, 0, n=1)[2]
-    lhs = band_project(GridFunction(2.0 * f.values - 3.0 * g.values), p)
-    rhs = 2.0 * band_project(f, p).values - 3.0 * band_project(g, p).values
+    lhs = decompose(GridFunction(2.0 * f.values - 3.0 * g.values), 0).band(1)
+    rhs = 2.0 * decompose(f, 0).band(1).values - 3.0 * decompose(g, 0).band(1).values
     assert np.max(np.abs(lhs.values - rhs)) < 1e-12
-
-
-def test_band_project_shape_mismatch():
-    f = GridFunction(np.ones(16))
-    p = build_profiles(5, 0, n=1)[0]
-    with pytest.raises(ConfigError, match="shape"):
-        band_project(f, p)
-
-
-def test_modified_band_constant_is_zero():
-    f = GridFunction(np.full(16, 3.0))
-    out = band_project_modified(f, 2, 0.5)
-    assert np.max(np.abs(out.values)) < 1e-13
-
-
-@pytest.mark.parametrize("j", [2, 3])
-def test_modified_band_unit_scale_point(j):
-    # at |xi| = 2^j the weight is 1^alpha * psi_hat(1) = 1, so output == input
-    x = np.arange(64) / 64
-    f = GridFunction(np.cos(2 * np.pi * 2**j * x))
-    out = band_project_modified(f, j, 0.73)
-    assert np.max(np.abs(out.values - f.values)) < 1e-12
-
-
-def test_modified_band_l2_ratio_bound():
-    # per-frequency the weight lies in [2^-a, 2^a] on the band support
-    rng = np.random.default_rng(2)
-    f = GridFunction(rng.standard_normal(64))
-    alpha = 0.5
-    for j in (2, 3, 4):
-        p = [q for q in build_profiles(6, 0, n=1) if q.kind == "standard" and q.j == j][0]
-        std = band_project(f, p)
-        mod = band_project_modified(f, j, alpha)
-        # direct spectral-sum oracle for both norms
-        freqs = np.abs(np.fft.fftfreq(64, d=1 / 64))
-        fhat = np.abs(np.fft.fft(f.values) / 64)
-        band_vals = p.values
-        e_std = np.sum((band_vals * fhat) ** 2)
-        scaled = np.where(freqs > 0, (freqs / 2.0**j) ** alpha, 0.0)
-        e_mod = np.sum((scaled * band_vals * fhat) ** 2)
-        assert np.sum(std.values**2) / 64 == pytest.approx(e_std, rel=1e-10)
-        assert np.sum(mod.values**2) / 64 == pytest.approx(e_mod, rel=1e-10)
-        ratio = math.sqrt(e_mod / e_std)
-        assert 2.0**-alpha - 1e-12 <= ratio <= 2.0**alpha + 1e-12
-
-
-def test_modified_band_warns_outside_regime():
-    f = GridFunction(np.ones(16))
-    with pytest.warns(UserWarning, match="outside"):
-        band_project_modified(f, 2, 1.5)
 
 
 def test_decompose_constant():
