@@ -17,7 +17,7 @@ from . import verify as verify_mod
 from .errors import ConfigError, InvariantViolation
 from .filterbank import build_profiles, decompose, profiles_to_csv
 from .grid import Cube, _validate_size, enumerate_cubes, read_grid, write_grid
-from .norms import campanato, dyadic_lp, lp_morrey, morrey_besov, q_alpha
+from .norms import _check_values, campanato, dyadic_lp, lp_morrey, morrey_besov, q_alpha
 
 NORM_KINDS = ("qalpha", "campanato", "lpmorrey", "dyadiclp", "mb")
 VERIFY_CHECKS = ("equivalence", "fubini", "lemma23", "decay", "embedding")
@@ -67,6 +67,7 @@ def _cmd_gen(cfg: argparse.Namespace) -> int:
 
 def _cmd_norm(cfg: argparse.Namespace) -> int:
     f = read_grid(cfg.input)
+    _check_values(f)  # before `decompose`, whose FFT can overflow on such values
     level_max = cfg.level_max if cfg.level_max is not None else f.L - 3
     cubes = enumerate_cubes(f.L, level_max, n=f.n, shifted=cfg.shifted)
     if cfg.kind == "qalpha":
@@ -101,6 +102,7 @@ def _cmd_norm(cfg: argparse.Namespace) -> int:
 
 def _cmd_decompose(cfg: argparse.Namespace) -> int:
     f = read_grid(cfg.input)
+    _check_values(f)  # the energies below square the bands
     dec = decompose(f, j_min=cfg.jmin, family=cfg.family)
     residual = float(
         abs(dec.reconstruction() - f.values).max()

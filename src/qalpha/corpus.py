@@ -102,8 +102,8 @@ def _phase_shift(freq, n: int, center: float = 0.5) -> np.ndarray:
 
 def _gaussian_bump(spec: CorpusSpec) -> GridFunction:
     width = spec.param("width")
-    if not width > 0:
-        raise ConfigError(f"bump width must be positive, got {width}")
+    if not 0 < width <= 1:
+        raise ConfigError(f"bump width must lie in (0, 1], the unit torus, got {width}")
     freq, mag = _freqs(spec.N, spec.n)
     coeffs = np.exp(-2.0 * np.pi**2 * width**2 * mag**2) * _phase_shift(freq, spec.n)
     coeffs[(0,) * spec.n] = 0.0

@@ -15,16 +15,26 @@ rational, so after multiplying through by a common power of two the test
 point and accumulated with math.fsum, which makes the subset inequality
 kernel(full tree) >= kernel(minimal elements) exact.
 
-The ring classification walks the shells I_k = 2^k I_0 around the pair
-(I_0 centered at the midpoint with edge sqrt(n)|x-y|_2) and buckets each
-minimal cube by the first shell it meets and whether it fits inside the
-next one.  Shell geometry uses double precision; for n = 2 the shell edge
-is irrational, but the bucketing stays a partition by construction.
+Ring classes are computed on index arrays, never on cube objects.  The
+boxes of a batch of tree sets, each with the parent box of the level below,
+go into one integer array; one vectorised expansion turns every box minus
+its parent box into rows (tree set, level, index), one per minimal cube.
+One array classifier then walks the shells I_k = 2^k I_0 around each pair
+(I_0 centered at the midpoint with edge sqrt(n)|x-y|_2): a cube's ring is
+the first k with J meeting I_k, its kind 1 if J fits inside I_(k+1) and 2
+if not.  J's corner is that of `DyadicCube.corner`, root.corner + index *
+(root.edge * 2^-level), shell k's corner is center - edge0 * 2^k / 2, and
+meeting and fitting inside are closed-interval comparisons per axis, all in
+double precision and element by element, so a cube's class does not depend
+on the batch it is classified in.  For n = 2 the shell edge is irrational,
+but the classes stay a partition by construction.  Batches are cut by
+tree-set members, so their arrays stay small whatever the pair count or
+dilation.  `allowed_cubes` and `classify_allowed` are views over the same
+expansion and classifier that hand out `DyadicCube` objects.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -43,7 +53,9 @@ __all__ = [
     "required_max_level",
     "allowed_cubes",
     "kernel_sum",
+    "level_kernel_sum",
     "classify_allowed",
+    "ring_counts",
     "count_summary",
     "sample_pairs",
 ]
@@ -206,25 +218,68 @@ def gamma_set(I: Cube, x: tuple[float, ...], y: tuple[float, ...], m: float = 2.
     return GammaSet(I, x, y, float(m), tuple(boxes))
 
 
-def allowed_cubes(gamma: GammaSet) -> frozenset[DyadicCube]:
-    """Minimal members of the tree set: none of their children qualify.
+def _index_dtype(level: int):
+    """Integer dtype for the indices of levels up to `level` (below 2^level)."""
+    return np.int64 if level < 63 else object
+
+
+def _minimal_cubes(gammas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Minimal cubes of several tree sets (at least one) as rows (owner, level, index).
 
     The members with a child in the set are the parents of the next level's
     box, which form the box of halved index ranges; each level contributes
-    its box minus that one.  Minimal members of an upward-closed family are
-    pairwise disjoint.
+    its box minus that one.  owner is the tree set's position in `gammas`,
+    index has shape (cubes, n).
     """
-    boxes = gamma.boxes
-    empty = ((0, -1),) * gamma.root.n  # its parents (0 >> 1, -1 >> 1) are empty too
-    out = []
-    for k, (box, below) in enumerate(zip(boxes, boxes[1:] + (empty,))):
-        parents = tuple((first >> 1, last >> 1) for first, last in below)
-        out.extend(
-            DyadicCube(gamma.root, k, index)
-            for index in _box_indices(box)
-            if not _in_box(index, parents)
-        )
-    return frozenset(out)
+    n = gammas[0].root.n
+    empty = ((0, -1),) * n  # its parents (0 >> 1, -1 >> 1) are empty too
+    rows = [
+        (p, k, *(v for (first, last), (lo, hi) in zip(box, below)
+                 for v in (first, last, lo >> 1, hi >> 1)))
+        for p, g in enumerate(gammas)
+        for k, (box, below) in enumerate(zip(g.boxes, g.boxes[1:] + (empty,)))
+    ]
+    depth = max(len(g.boxes) for g in gammas)
+    table = np.array(rows, dtype=_index_dtype(depth - 1)).reshape(-1, 2 + 4 * n)
+    owner, level = table[:, 0].astype(np.int64), table[:, 1].astype(np.int64)
+    first, last, parent_first, parent_last = np.moveaxis(table[:, 2:].reshape(-1, n, 4), 2, 0)
+    size = (last - first + 1).astype(np.int64)
+    volume = size.prod(axis=1)
+    box = np.repeat(np.arange(len(table)), volume)
+    offset = np.arange(len(box)) - np.repeat(np.cumsum(volume) - volume, volume)
+    index = np.empty((len(box), n), dtype=table.dtype)
+    for d in range(n - 1, -1, -1):
+        index[:, d] = first[box, d] + offset % size[box, d]
+        offset //= size[box, d]
+    in_parents = (parent_first[box] <= index) & (index <= parent_last[box])
+    minimal = ~np.all(in_parents, axis=1)
+    return owner[box[minimal]], level[box[minimal]], index[minimal]
+
+
+def allowed_cubes(gamma: GammaSet) -> frozenset[DyadicCube]:
+    """Minimal members of the tree set: none of their children qualify.
+
+    Minimal members of an upward-closed family are pairwise disjoint.
+    """
+    _, level, index = _minimal_cubes([gamma])
+    return frozenset(
+        DyadicCube(gamma.root, k, tuple(i)) for k, i in zip(level.tolist(), index.tolist())
+    )
+
+
+def _kernel_fsum(terms, alpha: float, n: int) -> float:
+    """math.fsum of `count` copies of edge^(-2*alpha - n) per (edge, count) term."""
+    if not alpha > -n / 2:
+        raise ConfigError(f"divergent tree-sum regime: alpha={alpha} <= -n/2")
+    expo = -(2.0 * alpha + n)
+    if terms and not expo * math.log2(min(e for e, _ in terms)) <= _WEIGHT_LOG2_MAX:
+        raise ConfigError(f"alpha={alpha}: kernel weights l(J)^-(2a+n) overflow")
+    return math.fsum(t for e, count in terms for t in itertools.repeat(e**expo, count))
+
+
+def level_kernel_sum(edge: float, counts, alpha: float, n: int) -> float:
+    """Kernel sum over counts[k] dyadic cubes of level k below a root of edge `edge`."""
+    return _kernel_fsum([(edge * 2.0**-k, c) for k, c in enumerate(counts) if c], alpha, n)
 
 
 def kernel_sum(S, alpha: float, n: int) -> float:
@@ -234,16 +289,9 @@ def kernel_sum(S, alpha: float, n: int) -> float:
     level without building its cubes.  The largest weight, that of the
     smallest cube, must stay below 2^_WEIGHT_LOG2_MAX.
     """
-    if not alpha > -n / 2:
-        raise ConfigError(f"divergent tree-sum regime: alpha={alpha} <= -n/2")
-    expo = -(2.0 * alpha + n)
     if isinstance(S, GammaSet):
-        terms = [(S.root.edge * 2.0**-k, _volume(box)) for k, box in enumerate(S.boxes)]
-    else:
-        terms = [(J.edge, 1) for J in S]
-    if terms and not expo * math.log2(min(e for e, _ in terms)) <= _WEIGHT_LOG2_MAX:
-        raise ConfigError(f"alpha={alpha}: kernel weights l(J)^-(2a+n) overflow")
-    return math.fsum(t for e, count in terms for t in itertools.repeat(e**expo, count))
+        return level_kernel_sum(S.root.edge, [_volume(box) for box in S.boxes], alpha, n)
+    return _kernel_fsum([(J.edge, 1) for J in S], alpha, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,42 +305,112 @@ class AllowedClassification:
 _RING_CAP = 128
 
 
-def classify_allowed(
-    allowed, x: tuple[float, ...], y: tuple[float, ...], m: float
-) -> AllowedClassification:
-    """Assign each minimal cube its ring class (k, kind).
+def _shell0(x: tuple[float, ...], y: tuple[float, ...]) -> tuple[tuple[float, ...], float]:
+    """Center and edge of I_0: the midpoint of x and y, and sqrt(n)|x-y|_2."""
+    edge0 = math.sqrt(len(x)) * math.sqrt(sum((a - b) ** 2 for a, b in zip(x, y)))
+    return tuple((a + b) / 2 for a, b in zip(x, y)), edge0
+
+
+def _ring_classes(root_corner, root_edge, level, index, center, edge0):
+    """Ring class (k, kind) of each dyadic cube J, every argument given per cube.
 
     k is the first shell index with J meeting I_k (shells are nested, so this
     also encodes J missing I_0,...,I_(k-1)); kind 1 means J fits inside
-    I_(k+1), kind 2 that it sticks out.
+    I_(k+1), kind 2 that it sticks out.  Returns two integer arrays.
     """
+    edge = root_edge * np.ldexp(1.0, -level)
+    corner = root_corner + index.astype(float) * edge[:, None]
+    end = corner + edge[:, None]
+    ring = np.zeros(len(edge), dtype=np.int64)
+    todo = np.arange(len(edge))
+    for k in range(_RING_CAP):
+        if not todo.size:
+            break
+        s = edge0[todo] * 2.0**k
+        b = center[todo] - (s / 2)[:, None]
+        meets = np.all(np.maximum(corner[todo], b) <= np.minimum(end[todo], b + s[:, None]), axis=1)
+        ring[todo[meets]] = k
+        todo = todo[~meets]
+    if todo.size:
+        raise InvariantViolation("allowed cube matched no ring class")
+    s = edge0 * np.ldexp(1.0, ring + 1)
+    b = center - (s / 2)[:, None]
+    inside = np.all((b <= corner) & (end <= b + s[:, None]), axis=1)
+    return ring, np.where(inside, 1, 2)
+
+
+def classify_allowed(
+    allowed, x: tuple[float, ...], y: tuple[float, ...], m: float
+) -> AllowedClassification:
+    """Bucket the cubes of `allowed` by their ring class (k, kind) around x, y."""
     x = tuple(float(c) for c in x)
     y = tuple(float(c) for c in y)
     if x == y:
         raise ConfigError("diagonal point pair: x == y")
-    n = len(x)
-    edge0 = math.sqrt(n) * math.sqrt(sum((a - b) ** 2 for a, b in zip(x, y)))
-    center = tuple((a + b) / 2 for a, b in zip(x, y))
+    center, edge0 = _shell0(x, y)
     I0 = Cube(tuple(c - edge0 / 2 for c in center), edge0)
-
-    @functools.cache
-    def shell(k: int) -> Cube:
-        e = edge0 * 2.0**k
-        return Cube(tuple(c - e / 2 for c in center), e)
-
+    cubes = list(allowed)
+    n = len(x)
+    level = np.array([J.level for J in cubes], dtype=np.int64)
+    index = np.array([J.index for J in cubes], dtype=_index_dtype(level.max(initial=0)))
+    ring, kind = _ring_classes(
+        np.array([J.root.corner for J in cubes]).reshape(-1, n),
+        np.array([J.root.edge for J in cubes]),
+        level,
+        index.reshape(-1, n),
+        np.full((len(cubes), n), center),
+        np.full(len(cubes), edge0),
+    )
     buckets: dict[tuple[int, int], set[DyadicCube]] = {}
-    for J in allowed:
-        Jc = J.to_cube()
-        for k in range(_RING_CAP):
-            if Jc.intersects(shell(k)):
-                break
-        else:
-            raise InvariantViolation("allowed cube matched no ring class")
-        kind = 1 if Jc.contained_in(shell(k + 1)) else 2
-        buckets.setdefault((k, kind), set()).add(J)
-
+    for J, key in zip(cubes, zip(ring.tolist(), kind.tolist())):
+        buckets.setdefault(key, set()).add(J)
     rings = {key: frozenset(val) for key, val in sorted(buckets.items())}
     return AllowedClassification(rings, I0)
+
+
+# Tree-set members per batch of `ring_counts`: a batch's arrays hold one row
+# per member at most, so their size does not grow with the pair count.
+_BATCH_MEMBERS = 2**11
+
+
+def ring_counts(gammas):
+    """Minimal cubes and ring counts of many tree sets, without cube objects.
+
+    Yields, per tree set of `gammas` in order, (the set, its minimal cubes
+    per level, the largest count of kind-1 and of kind-2 minimal cubes in one
+    ring): what `allowed_cubes`, `classify_allowed` and `count_summary` give
+    per pair.  The sets are taken in batches of about _BATCH_MEMBERS members,
+    so one batch and its arrays are held at a time.
+    """
+    batch, members = [], 0
+    for g in gammas:
+        batch.append(g)
+        members += len(g)
+        if members >= _BATCH_MEMBERS:
+            yield from _batch_ring_counts(batch)
+            batch, members = [], 0
+    if batch:
+        yield from _batch_ring_counts(batch)
+
+
+def _batch_ring_counts(batch):
+    owner, level, index = _minimal_cubes(batch)
+    shells = [_shell0(g.x, g.y) for g in batch]
+    ring, kind = _ring_classes(
+        np.array([g.root.corner for g in batch])[owner],
+        np.array([g.root.edge for g in batch])[owner],
+        level,
+        index,
+        np.array([c for c, _ in shells])[owner],
+        np.array([e for _, e in shells])[owner],
+    )
+    minimal = np.zeros((len(batch), max(len(g.boxes) for g in batch)), dtype=np.int64)
+    np.add.at(minimal, (owner, level), 1)
+    maxima = np.zeros((len(batch), 2), dtype=np.int64)
+    key, count = np.unique((owner * _RING_CAP + ring) * 2 + (kind - 1), return_counts=True)
+    np.maximum.at(maxima, (key // (2 * _RING_CAP), key % 2), count)  # (owner, kind - 1)
+    for g, counts, (kind1, kind2) in zip(batch, minimal.tolist(), maxima.tolist()):
+        yield g, counts, kind1, kind2
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,12 @@ and sums with the lowpass block chi(|xi| / 2^(j_min-1)) to exactly 1 at
 every representable frequency.  Bands above the Nyquist shell are
 identically zero on the grid, so truncating at j = L+1 loses nothing.
 
+Band j = L+1 is itself identically zero: its support starts at |xi| = 2^L,
+beyond the largest grid frequency (N/2) sqrt(n).  It is kept because the
+`decompose` CSV and the `mb` report list one row per band j = j_min..L+1,
+and the oracle checks of the benchmark in `bench/` read exactly that range.
+Its zero energies add +0.0 to every band sum, so no norm value changes.
+
 Two cutoff families are available: "exp" (default, the smooth
 exp(-1/t)-quotient ramp) and "cosine" (raised-cosine ramp) for probing that
 results do not depend on the profile shape.

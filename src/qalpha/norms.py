@@ -48,14 +48,31 @@ __all__ = [
 
 def _check_alpha(alpha: float, f: GridFunction | None = None, positive: bool = False) -> None:
     """Reject a non-finite alpha, with `positive` alpha <= 0, and on f's grid an
-    alpha whose weights overflow.  Every weight, h^-(2a+n), 2^(2aj) for
-    j <= L+1, l(I)^(2a-n) or |x-y|^-(2a+n), lies within 2^±(2|a|+n)(L+1)."""
+    alpha whose weights overflow or values whose squares overflow with them.
+    Every weight, h^-(2a+n), 2^(2aj) for j <= L+1, l(I)^(2a-n) or
+    |x-y|^-(2a+n), lies within 2^±(2|a|+n)(L+1)."""
     if not math.isfinite(alpha) or (positive and alpha <= 0):
         kind = "positive and finite" if positive else "finite"
         raise ConfigError(f"alpha must be {kind}, got {alpha}")
-    if f is not None and (2 * abs(alpha) + f.n) * (f.L + 1) > _WEIGHT_LOG2_MAX:
+    if f is None:
+        return
+    weight_log2 = (2 * abs(alpha) + f.n) * (f.L + 1)
+    if weight_log2 > _WEIGHT_LOG2_MAX:
         bound = (_WEIGHT_LOG2_MAX / (f.L + 1) - f.n) / 2
         raise ConfigError(f"alpha={alpha} overflows the weights at N={f.N} (|alpha| <= {bound:g})")
+    _check_values(f, weight_log2)
+
+
+def _check_values(f: GridFunction, weight_log2: float = 0.0) -> None:
+    """Reject grid values whose squares times weights up to 2^weight_log2 pass
+    2^_WEIGHT_LOG2_MAX, so that sums of them keep the 64 binary orders of
+    magnitude below 2^1024 that the weight bound leaves."""
+    top = float(np.abs(f.values).max())
+    if top > 0.0 and 2.0 * math.log2(top) + weight_log2 > _WEIGHT_LOG2_MAX:
+        bound = 2.0 ** ((_WEIGHT_LOG2_MAX - weight_log2) / 2)
+        raise ConfigError(
+            f"grid values up to {top:g} overflow the squared sums at N={f.N} (|f| <= {bound:.4g})"
+        )
 
 
 def _centered(block: np.ndarray) -> np.ndarray:
@@ -180,6 +197,7 @@ def campanato(f: GridFunction, lam: float, cubes: list[Cube]) -> NormReport:
     """
     if not 0 <= lam <= f.n:
         raise ConfigError(f"lambda must lie in [0, n]={[0, f.n]} for diagnostics, got {lam}")
+    _check_values(f, lam * (f.L + 1))
     means = per_cube(f, cube_blocks(f, cubes, closed=True), lambda v, b: cube_sums(v) / v[0].size)
     osc = per_cube(
         f,
@@ -358,6 +376,8 @@ def morrey_besov(
     total = 0.0
     for j in decomposition.js:
         vals = scale * 2.0 ** (2 * alpha * j) * cube_energies(decomposition.band(j), blocks)
+        if not np.all(np.isfinite(vals)):
+            raise InvariantViolation(f"morrey_besov: non-finite value in band {j}")
         best = int(np.argmax(vals))  # the first attaining cube; none if every value is 0
         rows.append((j, float(vals[best]), cubes[best]) if vals[best] > 0.0 else (j, 0.0, None))
         total += rows[-1][1]

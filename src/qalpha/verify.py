@@ -19,11 +19,10 @@ import numpy as np
 from .corpus import CorpusSpec, generate
 from .cubes import (
     _check_dilation,
-    allowed_cubes,
-    classify_allowed,
-    count_summary,
     gamma_set,
     kernel_sum,
+    level_kernel_sum,
+    ring_counts,
     sample_pairs,
 )
 from .errors import ConfigError
@@ -317,32 +316,25 @@ def kernel_decay_check(
     if root is None:
         root = Cube((0.0,) * n, 1.0)
     pairs = sample_pairs(root, pair_count, seed)
+    tree_sets = (gamma_set(root, x, y, m) for x, y in pairs)
     rows = []
-    max1, max2 = 0.0, 0
-    for x, y in pairs:
-        gamma = gamma_set(root, x, y, m)
+    for (x, y), (gamma, counts, kind1, kind2) in zip(pairs, ring_counts(tree_sets)):
         k_full = kernel_sum(gamma, alpha, n)
-        allowed = allowed_cubes(gamma)
-        k_allowed = kernel_sum(allowed, alpha, n)
-        cls = classify_allowed(allowed, x, y, m)
-        summary = count_summary(cls, m, n)
         dist = math.sqrt(sum((a - b) ** 2 for a, b in zip(x, y)))
-        max1 = max(max1, summary.max_kind1_over_mn)
-        max2 = max(max2, summary.max_kind2)
         rows.append(
             {
                 "x": list(x),
                 "y": list(y),
                 "dist": dist,
                 "k_full": k_full,
-                "k_allowed": k_allowed,
+                "k_allowed": level_kernel_sum(root.edge, counts, alpha, n),
                 "k_full_scaled": k_full * dist ** (2 * alpha + n),
-                "count_kind1_max": max(
-                    (c1 for c1, _ in summary.per_level.values()), default=0
-                ),
-                "count_kind2_max": summary.max_kind2,
+                "count_kind1_max": kind1,
+                "count_kind2_max": kind2,
             }
         )
+    max1 = max(r["count_kind1_max"] for r in rows) / m**n
+    max2 = max(r["count_kind2_max"] for r in rows)
     logs_d = np.log([r["dist"] for r in rows])
     logs_k = np.log([r["k_full"] for r in rows])
     slope = float(np.polyfit(logs_d, logs_k, 1)[0])

@@ -64,14 +64,37 @@ BAD_INPUTS = {
     "equivalence_alpha_huge": (["verify", "equivalence", "--alpha", "1e308", "--corpus",
                                 "{corpus}", "--sizes", "16"], "overflow"),
     "decay_alpha_huge": (["verify", "decay", "--alpha", "1e308", "--pairs", "10"], "overflow"),
+    "qalpha_values_huge": (["norm", "qalpha", "--input", "{big_grid}"], "overflow the squared"),
+    "lpmorrey_values_huge": (["norm", "lpmorrey", "--input", "{big_grid}"], "overflow the squared"),
+    "campanato_values_huge": (["norm", "campanato", "--input", "{big_grid}"],
+                              "overflow the squared"),
+    "mb_values_huge": (["norm", "mb", "--input", "{big_grid}"], "overflow the squared"),
+    "mb_values_at_float_limit": (["norm", "mb", "--input", "{limit_grid}"],
+                                 "overflow the squared"),
+    "decompose_values_huge": (["decompose", "--input", "{big_grid}", "--out", "{out}"],
+                              "overflow the squared"),
+    "bump_width_huge": (["gen", "--corpus", "{big_bump}", "--size", "16", "--out", "{out}"],
+                        "bump width must lie in (0, 1]"),
 }
+
+
+def write_big_grid(path):
+    """1-D N=8 grid of alternating values +-k * 1e200: finite, but their squares are not."""
+    write_grid(GridFunction(np.array([(-1) ** k * k * 1e200 for k in range(1, 9)])), path)
+
+
+BIG_BUMP = {"kind": "gaussian_bump", "params": {"width": 1e200}, "N": 16, "n": 1}
 
 
 @pytest.mark.parametrize("argv,message", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
 def test_bad_input_exits_two(argv, message, tmp_path, capsys):
-    names = ("grid", "bad_grid", "corpus", "bad_corpus", "missing", "out")
+    names = ("grid", "bad_grid", "big_grid", "limit_grid", "corpus", "bad_corpus", "big_bump",
+             "missing", "out")
     paths = {k: str(tmp_path / k) for k in names}
     write_constant_grid(paths["grid"], N=16)
+    write_big_grid(paths["big_grid"])
+    write_constant_grid(paths["limit_grid"], value=1.7e308)
+    (tmp_path / "big_bump").write_text(json.dumps([BIG_BUMP]))
     lines = (tmp_path / "grid").read_text().splitlines()
     lines[5] = "abc"
     (tmp_path / "bad_grid").write_text("\n".join(lines) + "\n")
@@ -305,9 +328,10 @@ NUMBERS = st.sampled_from(
 ) | st.floats().map(repr)
 INTEGERS = st.integers(-3, 12).map(str) | st.sampled_from(["-1000000", "1000000"])
 GRID_FILES = ("grid1", "grid2", "grid8", "missing", "dir", "bad_header", "bad_value",
-              "bad_count", "bad_bytes", "bad_size", "bad_dim", "empty")
+              "bad_count", "bad_bytes", "bad_size", "bad_dim", "empty", "big_values")
 CORPUS_FILES = ("corpus", "missing", "dir", "bad_bytes", "bad_json", "not_list", "no_kind",
-                "bad_kind", "bad_N", "bad_params", "bad_n", "bad_seed", "bad_param_value")
+                "bad_kind", "bad_N", "bad_params", "bad_n", "bad_seed", "bad_param_value",
+                "big_bump")
 
 
 @pytest.fixture(scope="module")
@@ -319,6 +343,7 @@ def argv_files(tmp_path_factory):
     write_grid(GridFunction(rng.standard_normal(32)), paths["grid1"])
     write_grid(GridFunction(rng.standard_normal((16, 16))), paths["grid2"])
     write_grid(GridFunction(rng.standard_normal(8)), paths["grid8"])
+    write_big_grid(paths["big_values"])
     paths["dir"].mkdir()
     paths["out"].mkdir()
     texts = {
@@ -333,6 +358,7 @@ def argv_files(tmp_path_factory):
                          "bad_seed": {"seed": -1}, "bad_param_value": {"params": {"xi0": "x"}},
                          "no_kind": {"kind": None}}.items():
         texts[name] = json.dumps([{k: v for k, v in {**record, **change}.items() if v is not None}])
+    texts["big_bump"] = json.dumps([BIG_BUMP])
     for name, text in texts.items():
         paths[name].write_text(text)
     paths["bad_bytes"].write_bytes(b"\xff\xfe 1 8\n")

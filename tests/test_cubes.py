@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -157,6 +158,22 @@ def test_allowed_matches_brute_force_and_disjoint(n, m):
                 assert not overlap
 
 
+def test_deep_tree_set_indices_past_int64():
+    # x near 0 in the root [-1, 1] with |x - y| = 2^-66: the minimal cubes sit
+    # at levels 59..67 with indices above 2^63
+    root = Cube((-1.0,), 2.0)
+    x, y = (2.0**-60,), (2.0**-60 + 2.0**-66,)
+    g = gamma_set(root, x, y, 2.0)
+    al = allowed_cubes(g)
+    assert keys(al) == oracles.brute_force_minimal(keys(g.members))
+    assert max(J.index[0] for J in al) > 2**63
+    cls = classify_allowed(al, x, y, 2.0)
+    assert sum(len(v) for v in cls.rings.values()) == len(al)
+    for (k, kind), cubes in cls.rings.items():
+        for J in cubes:
+            assert oracles.brute_force_ring_class(J.corner, J.edge, x, y) == (k, kind)
+
+
 def test_box_arithmetic_matches_members():
     # len, in and the level-by-level kernel sum agree with the built cubes
     for n in (1, 2):
@@ -222,6 +239,19 @@ def test_classification_matches_predicate_oracle():
         d = math.sqrt(sum((a - b) ** 2 for a, b in zip(x, y)))
         assert cls.I0.edge == pytest.approx(math.sqrt(2) * d)
         assert cls.I0.contains(x) and cls.I0.contains(y)
+
+
+@pytest.mark.parametrize("n,step", [(1, 1), (2, 8)])
+def test_classification_boundary_ties_match_predicate_oracle(n, step):
+    # pairs on a dyadic grid: shell corners (and for n = 1 shell edges) are
+    # dyadic, so cube faces land exactly on shell faces
+    root = UNIT1 if n == 1 else UNIT2
+    points = itertools.product([i / 32 for i in range(0, 33, step)], repeat=n)
+    for x, y in itertools.combinations(points, 2):
+        cls = classify_allowed(allowed_cubes(gamma_set(root, x, y, 2.0)), x, y, 2.0)
+        for (k, kind), cubes in cls.rings.items():
+            for J in cubes:
+                assert oracles.brute_force_ring_class(J.corner, J.edge, x, y) == (k, kind)
 
 
 def test_ring_partition_reconstructs_allowed_kernel():

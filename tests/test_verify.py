@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import pytest
 
@@ -11,11 +12,15 @@ from qalpha import (
     embedding_check,
     equivalence_report,
     fubini_identity_check,
+    gamma_set,
     generate,
     kernel_decay_check,
     lemma23_check,
 )
+from qalpha import cubes
 from qalpha.verify import write_json, write_kernel_csv
+
+import oracles
 
 UNIT1 = Cube((0.0,), 1.0)
 
@@ -123,6 +128,63 @@ def test_kernel_decay_check_record():
     # deterministic
     rec2 = kernel_decay_check(0.5, 2.0, 1, 120, seed=7)
     assert rec2.slope == rec.slope
+
+
+def oracle_decay_row(x, y, m, alpha, n):
+    """k_allowed and the largest kind-1 and kind-2 ring counts of one pair,
+    from the brute-force minimality and ring-class predicates."""
+    root = Cube((0.0,) * n, 1.0)
+    by_level = {}
+    for J in gamma_set(root, x, y, m).members:
+        by_level.setdefault(J.level, set()).add((J.level, J.index))
+    # the tree set is upward-closed, so a member with a descendant in it has a
+    # child in it: minimality needs two adjacent levels at a time
+    minimal = [
+        (k, index)
+        for k, keys in by_level.items()
+        for level, index in oracles.brute_force_minimal(keys | by_level.get(k + 1, set()))
+        if level == k
+    ]
+    expo = -(2.0 * alpha + n)
+    k_allowed = math.fsum((root.edge * 2.0**-k) ** expo for k, _ in minimal)
+    rings = Counter()
+    for k, index in minimal:
+        e = root.edge * 2.0**-k
+        corner = tuple(c + i * e for c, i in zip(root.corner, index))
+        rings[oracles.brute_force_ring_class(corner, e, x, y)] += 1
+    kind1, kind2 = (max((c for (_, kind), c in rings.items() if kind == want), default=0)
+                    for want in (1, 2))
+    return k_allowed, kind1, kind2
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("m", [2.0, 2.5, 3.0, 16.0])
+def test_kernel_decay_rows_match_brute_force(n, m):
+    rec = kernel_decay_check(0.5, m, n, 40, seed=11)
+    for r in rec.rows:
+        k_allowed, kind1, kind2 = oracle_decay_row(tuple(r["x"]), tuple(r["y"]), m, 0.5, n)
+        assert (r["k_allowed"], r["count_kind1_max"], r["count_kind2_max"]) == (
+            k_allowed, kind1, kind2
+        )
+    assert rec.max_kind1_over_mn == max(r["count_kind1_max"] for r in rec.rows) / m**n
+    assert rec.max_kind2 == max(r["count_kind2_max"] for r in rec.rows)
+
+
+@pytest.mark.parametrize("n,m", [(1, 3.0), (2, 2.5)])
+def test_kernel_decay_rows_independent_of_batches(n, m, monkeypatch):
+    batches = []
+    minimal_cubes = cubes._minimal_cubes
+    monkeypatch.setattr(cubes, "_minimal_cubes", lambda b: batches.append(len(b)) or minimal_cubes(b))
+    whole = kernel_decay_check(0.5, m, n, 60, seed=3)
+    assert batches == [60]
+    # a budget of 50 members cuts the 60 pairs into many batches, and one
+    # pair's tree set can fill a batch alone
+    monkeypatch.setattr(cubes, "_BATCH_MEMBERS", 50)
+    batches.clear()
+    split = kernel_decay_check(0.5, m, n, 60, seed=3)
+    assert len(batches) > 5 and sum(batches) == 60
+    assert split.rows == whole.rows
+    assert (split.max_kind1_over_mn, split.max_kind2) == (whole.max_kind1_over_mn, whole.max_kind2)
 
 
 @pytest.mark.parametrize(
