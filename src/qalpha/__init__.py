@@ -24,6 +24,7 @@ from .filterbank import (
 )
 from .grid import (
     Cube,
+    CubeFamily,
     GridFunction,
     cube_lattice,
     cube_mean,

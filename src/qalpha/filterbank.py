@@ -105,10 +105,12 @@ def build_profiles(L: int, j_min: int, n: int = 1, family: str = "exp") -> list[
     chi = _FAMILIES[family]
     N = 2**L
     mag = _freq_magnitude(N, n)
-    profiles = [BandProfile(j_min, chi(mag / 2.0 ** (j_min - 1)), kind="lowpass")]
+    below = chi(mag / 2.0 ** (j_min - 1))  # chi at scale j-1, carried over
+    profiles = [BandProfile(j_min, below, kind="lowpass")]
     for j in range(j_min, L + 2):
-        values = chi(mag / 2.0**j) - chi(mag / 2.0 ** (j - 1))
-        profiles.append(BandProfile(j, values, kind="standard"))
+        cut = chi(mag / 2.0**j)
+        profiles.append(BandProfile(j, cut - below, kind="standard"))
+        below = cut
     return profiles
 
 
@@ -138,16 +140,17 @@ class BandDecomposition:
 
 
 def decompose(f: GridFunction, j_min: int = 0, family: str = "exp") -> BandDecomposition:
-    """Split f into lowpass + bands j_min..L+1 (exact telescoping)."""
+    """Split f into lowpass + bands j_min..L+1 (exact telescoping), each from
+    the half spectrum of one real FFT: exact for even multipliers, checked."""
     profiles = build_profiles(f.L, j_min, n=f.n, family=family)
-    f_hat = np.fft.fftn(f.values)
+    f_hat = np.fft.rfftn(f.values)
+    axes = tuple(range(f.n))
     fields = []
-    scale = max(1.0, float(np.max(np.abs(f.values))))
     for p in profiles:
-        out = np.fft.ifftn(f_hat * p.values)
-        if np.max(np.abs(out.imag)) > 1e-12 * scale:
-            raise InvariantViolation("band projection produced a non-real field")
-        fields.append(GridFunction(out.real))
+        if not np.array_equal(p.values, np.roll(np.flip(p.values), 1, axis=axes)):
+            raise InvariantViolation(f"{p.label} multiplier is not even: projection not real")
+        half = p.values[..., : f.N // 2 + 1]
+        fields.append(GridFunction(np.fft.irfftn(f_hat * half, s=f.values.shape, axes=axes)))
     return BandDecomposition(j_min, f.L + 1, tuple(fields[1:]), fields[0])
 
 

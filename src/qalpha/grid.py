@@ -6,10 +6,14 @@ h = 1/N).  Cubes are axis-parallel boxes in R^n; a cube may extend beyond
 [0,1)^n, in which case lattice membership wraps coordinates periodically
 while positions stay in the cube's own (unwrapped) coordinates.
 
-All lattice access goes through `cube_blocks`: it finds each cube's first
+Cube lists are read through `cube_blocks`: it finds each cube's first
 lattice integer and point count per axis, groups cubes with equal counts,
 and reads a group as one stacked block (cubes, M1, ..., Mn), in position
-order, with a single periodic-index gather.  Two membership rules coexist:
+order, with a single periodic-index gather.  Energies on a `CubeFamily`
+also have an O(N^n) route, `family_energies`: an aligned cube is the union
+of its 2^n children, and the half-shifted level-k cube i is the union of
+the aligned level-(k+1) cubes 2i+1 and 2i+2 per axis, read periodically.
+Two membership rules coexist:
 
 * half-open intervals [corner, corner+edge) per axis (the default, for all
   quadrature sums), so dyadic children partition the lattice points of
@@ -25,7 +29,8 @@ ties are deterministic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +44,9 @@ __all__ = [
     "cube_sums",
     "per_cube",
     "cube_energies",
+    "CubeFamily",
+    "block_sums",
+    "family_energies",
     "cube_mean",
     "l2_on_cube",
     "cube_lattice",
@@ -213,30 +221,70 @@ def l2_on_cube(f: GridFunction, I: Cube) -> float:
     return float(cube_energies(f, cube_blocks(f, [I]))[0])
 
 
-def enumerate_cubes(L: int, level_max: int, n: int = 1, shifted: bool = False) -> list[Cube]:
-    """Grid-aligned dyadic subcubes of [0,1)^n, levels 0..level_max.
+@dataclass(frozen=True)
+class CubeFamily(Sequence):
+    """Grid-aligned dyadic subcubes of [0,1)^n, levels 0..level_max, for an
+    N = 2^L grid, level by level and row-major within a level; with `shifted`,
+    the same family translated by half an edge per axis follows (membership
+    wraps periodically).  An immutable sequence of `Cube`; slices are tuples."""
 
-    With `shifted`, the same family translated by half an edge per axis is
-    appended (membership wraps periodically).  level_max is capped at L-3 so
-    every cube keeps at least 8 lattice points per edge.
-    """
-    if n not in (1, 2):
-        raise ConfigError(f"dimension must be 1 or 2, got {n}")
-    if level_max < 0:
-        raise ConfigError(f"level_max must be >= 0, got {level_max}")
-    if level_max > L - 3:
-        raise ConfigError(
-            f"level_max {level_max} leaves fewer than 8 lattice points per edge "
-            f"(maximum for L={L} is {L - 3})"
+    L: int
+    level_max: int
+    n: int = 1
+    shifted: bool = False
+    cubes: tuple[Cube, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.n not in (1, 2):
+            raise ConfigError(f"dimension must be 1 or 2, got {self.n}")
+        if self.level_max < 0:
+            raise ConfigError(f"level_max must be >= 0, got {self.level_max}")
+        if self.level_max > self.L - 3:
+            raise ConfigError(
+                f"level_max {self.level_max} leaves fewer than 8 lattice points per edge "
+                f"(maximum for L={self.L} is {self.L - 3})"
+            )
+        cubes = (
+            Cube(tuple((i + shift) * 2.0**-k for i in idx), 2.0**-k)
+            for shift in ((0.0, 0.5) if self.shifted else (0.0,))
+            for k in range(self.level_max + 1)
+            for idx in itertools.product(range(2**k), repeat=self.n)
         )
-    out = []
-    for shift in (0.0, 0.5) if shifted else (0.0,):
-        for k in range(level_max + 1):
-            edge = 2.0**-k
-            for idx in itertools.product(range(2**k), repeat=n):
-                corner = tuple((i + shift) * edge for i in idx)
-                out.append(Cube(corner, edge))
-    return out
+        object.__setattr__(self, "cubes", tuple(cubes))
+
+    def __len__(self) -> int:
+        return len(self.cubes)
+
+    def __getitem__(self, i):
+        return self.cubes[i]
+
+    def __iter__(self):
+        return iter(self.cubes)
+
+
+def enumerate_cubes(L: int, level_max: int, n: int = 1, shifted: bool = False) -> CubeFamily:
+    """The `CubeFamily`; level_max is capped at L-3 so every cube keeps at
+    least 8 lattice points per edge."""
+    return CubeFamily(L, level_max, n, shifted)
+
+
+def block_sums(e: np.ndarray, width: int) -> np.ndarray:
+    """Sums of an array over its blocks of `width` entries along every axis."""
+    split = [s for m in e.shape for s in (m // width, width)]
+    return e.reshape(split).sum(axis=tuple(range(1, 2 * e.ndim, 2)))
+
+
+def family_energies(f: GridFunction, family: CubeFamily) -> np.ndarray:
+    """`cube_energies` of f on every cube of a family of f's grid, in family
+    order, from one dyadic pyramid of f^2 (module docstring)."""
+    levels = [block_sums(f.values**2, f.N >> (family.level_max + 1))]
+    while levels[-1].size > 1:
+        levels.append(block_sums(levels[-1], 2))  # levels[i] is level level_max+1-i
+    out = [e.ravel() for e in levels[:0:-1]]
+    if family.shifted:  # level k from level k+1 moved by one cell per axis
+        axes = tuple(range(f.n))
+        out += [block_sums(np.roll(e, -1, axis=axes), 2).ravel() for e in levels[-2::-1]]
+    return f.h**f.n * np.concatenate(out)
 
 
 def write_grid(f: GridFunction, path) -> None:

@@ -9,7 +9,9 @@ exchange), and the band-supremum combination (`morrey_besov`).
 Sup-type functionals report the square root of the per-cube maximum along
 with the attaining cube, so users can judge how saturated the finite cube
 family is.  Every functional reduces the stacked lattice blocks of
-`grid.cube_blocks`, one band at a time.  The pair sum of a block B with its
+`grid.cube_blocks`, one band at a time; `lp_morrey` and `morrey_besov` take
+the dyadic pyramid of `grid.family_energies` instead when the cubes are a
+`CubeFamily` of f's grid (`_band_energies`).  The pair sum of a block B with its
 mean removed is S = 2(<B^2, w*1> - <B, w*B>), w(d) = |h d|^-(2a+n), w(0) = 0,
 with both convolutions taken by one zero-padded batched FFT on (2M)^n.
 """
@@ -27,10 +29,13 @@ from .filterbank import BandDecomposition
 from .grid import (
     _WEIGHT_LOG2_MAX,
     Cube,
+    CubeFamily,
     GridFunction,
+    block_sums,
     cube_blocks,
     cube_energies,
     cube_sums,
+    family_energies,
     per_cube,
 )
 
@@ -208,6 +213,14 @@ def campanato(f: GridFunction, lam: float, cubes: list[Cube]) -> NormReport:
     return _finish("campanato", lam, rows, [])
 
 
+def _band_energies(f: GridFunction, cubes):
+    """band -> `cube_energies` of the band on every cube, in cube-list order."""
+    if isinstance(cubes, CubeFamily) and (cubes.L, cubes.n) == (f.L, f.n):
+        return lambda band: family_energies(band, cubes)
+    blocks = cube_blocks(f, cubes)
+    return lambda band: cube_energies(band, blocks)
+
+
 def _band_start(I: Cube, flags: list[str]) -> int:
     level = -math.log2(I.edge)
     j0 = math.ceil(level)
@@ -239,10 +252,10 @@ def lp_morrey(
             f"cube of level {j_lo} needs bands from j={j_lo}, but the decomposition "
             f"starts at j_min={decomposition.j_min}"
         )
-    blocks = cube_blocks(f, cubes)
+    energies = _band_energies(f, cubes)
     acc = np.zeros(len(cubes))
     for j in range(j_lo, decomposition.j_max + 1):
-        e = 2.0 ** (2 * alpha * j) * cube_energies(decomposition.band(j), blocks)
+        e = 2.0 ** (2 * alpha * j) * energies(decomposition.band(j))
         acc += np.where(np.less_equal(j0, j), e, 0.0)
     rows = [
         (I, math.sqrt((I.edge**f.n) ** -(1.0 - 2.0 * alpha / f.n) * a))
@@ -292,8 +305,7 @@ def dyadic_lp(
     for j in range(level, decomposition.j_max + 1):
         sq = b.read(decomposition.band(j))[0] ** 2
         for k in range(min(K, j - level) + 1):
-            split = [s for M in b.shape for s in (2**k, M // 2**k)]
-            layers[k] += sq.reshape(split).sum(axis=tuple(range(1, 2 * f.n, 2)))
+            layers[k] += block_sums(sq, b.shape[0] >> k)
     total = 0.0
     for k, layer in enumerate(layers):
         inv_measure = (I.edge / 2**k) ** -f.n
@@ -370,12 +382,12 @@ def morrey_besov(
         )
     if not cubes:
         raise ConfigError("morrey_besov: no cube in the family")
-    blocks = cube_blocks(f, cubes)
+    energies = _band_energies(f, cubes)
     scale = np.array([(I.edge**f.n) ** (-sigma / f.n) for I in cubes])
     rows = []
     total = 0.0
     for j in decomposition.js:
-        vals = scale * 2.0 ** (2 * alpha * j) * cube_energies(decomposition.band(j), blocks)
+        vals = scale * 2.0 ** (2 * alpha * j) * energies(decomposition.band(j))
         if not np.all(np.isfinite(vals)):
             raise InvariantViolation(f"morrey_besov: non-finite value in band {j}")
         best = int(np.argmax(vals))  # the first attaining cube; none if every value is 0

@@ -196,6 +196,17 @@ def brute_force_minimal(keys: set[tuple[int, tuple[int, ...]]]):
     }
 
 
+def child_free_members(keys: set[tuple[int, tuple[int, ...]]]):
+    """Minimality in an upward-closed set of (level, index) keys, such as a
+    tree set: a member with a descendant in the set has a child in it, so a
+    member is minimal iff none of its 2^n children is a key.  One set lookup
+    per child, so linear in the members."""
+    def children(index):
+        return itertools.product(*((2 * i, 2 * i + 1) for i in index))
+
+    return {(k, index) for k, index in keys if not any((k + 1, c) in keys for c in children(index))}
+
+
 def brute_force_ring_class(corner, edge, x, y, cap: int = 64):
     """Ring class (k, kind) of one cube by testing the defining predicates."""
     n = len(x)

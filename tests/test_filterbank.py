@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from qalpha import (
+    BandProfile,
     ConfigError,
     GridFunction,
+    InvariantViolation,
     build_profiles,
     decompose,
+    filterbank,
     profiles_to_csv,
 )
-from qalpha.filterbank import _chi_cosine, _chi_exp
+from qalpha.filterbank import _chi_cosine, _chi_exp, _freq_magnitude
 
 
 def chi_exp_scalar(u: float) -> float:
@@ -175,3 +178,30 @@ def test_profiles_csv(tmp_path):
     assert lines[0] == "xi1,profile,value"
     # one row per (frequency, profile)
     assert len(lines) == 1 + 8 * len(profiles)
+
+
+@pytest.mark.parametrize("family,chi", [("exp", _chi_exp), ("cosine", _chi_cosine)])
+@pytest.mark.parametrize("n,L", [(1, 9), (2, 6)])
+def test_profiles_equal_two_evaluation_formula(family, chi, n, L):
+    # each cutoff is evaluated once and carried to the next scale, bit for bit
+    mag = _freq_magnitude(2**L, n)
+    profiles = build_profiles(L, 1, n=n, family=family)
+    assert np.array_equal(profiles[0].values, chi(mag / 2.0**0))
+    for p in profiles[1:]:
+        assert np.array_equal(p.values, chi(mag / 2.0**p.j) - chi(mag / 2.0 ** (p.j - 1))), p.label
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_decompose_rejects_odd_multiplier(n, monkeypatch):
+    # an odd part in a multiplier makes its projection complex; the real
+    # inverse transform would drop it silently, so decompose refuses it
+    def lopsided(*args, **kwargs):
+        profiles = build_profiles(*args, **kwargs)
+        values = profiles[2].values.copy()
+        values[(1,) * n] += 0.25  # xi = (1, ..., 1) but not -xi
+        return profiles[:2] + [BandProfile(profiles[2].j, values)] + profiles[3:]
+
+    monkeypatch.setattr(filterbank, "build_profiles", lopsided)
+    f = GridFunction(np.random.default_rng(4).standard_normal((16,) * n))
+    with pytest.raises(InvariantViolation, match="band1 multiplier is not even"):
+        decompose(f, j_min=0)

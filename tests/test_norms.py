@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -20,6 +21,8 @@ from qalpha import (
     morrey_besov,
     q_alpha,
 )
+from qalpha import norms
+from qalpha.grid import cube_blocks, cube_energies
 
 import oracles
 
@@ -315,3 +318,37 @@ def test_report_serialization_round_trip(tmp_path):
     rows = list(rep.csv_rows())
     assert rows[0] == ["corner", "edge", "value"]
     assert len(rows) == 1 + len(rep.table)
+
+
+@pytest.mark.parametrize("n,N", [(1, 65536), (2, 512)])
+def test_pyramid_energies_match_cube_blocks(n, N, monkeypatch):
+    f = generate(CorpusSpec("spectral_noise", N, n, (("slope", 0.9),), seed=42))
+    dec = decompose(f, j_min=0)
+    for shifted in (False, True):
+        family = enumerate_cubes(f.L, f.L - 3, n=n, shifted=shifted)
+        # the list enumerate_cubes used to build, in its order
+        old = [
+            Cube(tuple((i + shift) * 2.0**-k for i in idx), 2.0**-k)
+            for shift in ((0.0, 0.5) if shifted else (0.0,))
+            for k in range(f.L - 2)
+            for idx in itertools.product(range(2**k), repeat=n)
+        ]
+        assert len(family) == len(old)
+        assert list(family) == old
+        assert [family[i] for i in range(len(old))] == old
+        assert family[-1] == old[-1] and family[3:9] == tuple(old[3:9])
+        blocks = cube_blocks(f, old)
+        pyramid = norms._band_energies(f, family)
+        for band in (dec.lowpass,) + dec.bands:
+            want = cube_energies(band, blocks)
+            got = pyramid(band)
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+        # anything but a family of f's own grid takes the block path
+        monkeypatch.setattr(norms, "family_energies", None)
+        band = dec.band(f.L // 2)
+        want = cube_energies(band, blocks)
+        other_L = enumerate_cubes(f.L + 1, f.L - 3, n=n, shifted=shifted)
+        for cubes in (family[:], list(family), other_L):
+            assert np.array_equal(norms._band_energies(f, cubes)(band), want)
+        assert np.array_equal(norms._band_energies(f, family[5:])(band), want[5:])
+        monkeypatch.undo()

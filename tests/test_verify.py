@@ -130,21 +130,26 @@ def test_kernel_decay_check_record():
     assert rec2.slope == rec.slope
 
 
-def oracle_decay_row(x, y, m, alpha, n):
+def oracle_decay_row(x, y, m, alpha, n, cross_check=True):
     """k_allowed and the largest kind-1 and kind-2 ring counts of one pair,
-    from the brute-force minimality and ring-class predicates."""
+    from the child-lookup minimality and the ring-class predicates; with
+    `cross_check`, the minimal cubes are also found by brute force."""
     root = Cube((0.0,) * n, 1.0)
-    by_level = {}
-    for J in gamma_set(root, x, y, m).members:
-        by_level.setdefault(J.level, set()).add((J.level, J.index))
-    # the tree set is upward-closed, so a member with a descendant in it has a
-    # child in it: minimality needs two adjacent levels at a time
-    minimal = [
-        (k, index)
-        for k, keys in by_level.items()
-        for level, index in oracles.brute_force_minimal(keys | by_level.get(k + 1, set()))
-        if level == k
-    ]
+    keys = {(J.level, J.index) for J in gamma_set(root, x, y, m).members}
+    minimal = oracles.child_free_members(keys)
+    if cross_check:
+        by_level = {}
+        for k, index in keys:
+            by_level.setdefault(k, set()).add((k, index))
+        # the tree set is upward-closed, so a member with a descendant in it
+        # has a child in it: minimality needs two adjacent levels at a time
+        brute = {
+            (k, index)
+            for k, level_keys in by_level.items()
+            for level, index in oracles.brute_force_minimal(level_keys | by_level.get(k + 1, set()))
+            if level == k
+        }
+        assert minimal == brute
     expo = -(2.0 * alpha + n)
     k_allowed = math.fsum((root.edge * 2.0**-k) ** expo for k, _ in minimal)
     rings = Counter()
@@ -162,7 +167,10 @@ def oracle_decay_row(x, y, m, alpha, n):
 def test_kernel_decay_rows_match_brute_force(n, m):
     rec = kernel_decay_check(0.5, m, n, 40, seed=11)
     for r in rec.rows:
-        k_allowed, kind1, kind2 = oracle_decay_row(tuple(r["x"]), tuple(r["y"]), m, 0.5, n)
+        # brute force is quadratic in a level's members: too slow for n=2, m=16
+        k_allowed, kind1, kind2 = oracle_decay_row(
+            tuple(r["x"]), tuple(r["y"]), m, 0.5, n, cross_check=(n, m) != (2, 16.0)
+        )
         assert (r["k_allowed"], r["count_kind1_max"], r["count_kind2_max"]) == (
             k_allowed, kind1, kind2
         )
