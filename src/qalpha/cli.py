@@ -66,6 +66,8 @@ def _cmd_gen(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_norm(cfg: argparse.Namespace) -> int:
+    if cfg.format == "csv" and cfg.kind in ("dyadiclp", "mb"):
+        raise ConfigError(f"norm {cfg.kind} writes no table: --format csv does not apply")
     f = read_grid(cfg.input)
     _check_values(f)  # before `decompose`, whose FFT can overflow on such values
     level_max = cfg.level_max if cfg.level_max is not None else f.L - 3
@@ -76,7 +78,7 @@ def _cmd_norm(cfg: argparse.Namespace) -> int:
         lam = cfg.lam if cfg.lam is not None else f.n - 2 * cfg.alpha
         report = campanato(f, lam, cubes)
     elif cfg.kind == "lpmorrey":
-        report = lp_morrey(f, cfg.alpha, cubes, decompose(f, j_min=cfg.jmin))
+        report = lp_morrey(f, cfg.alpha, cubes, decompose(f, j_min=0))
     elif cfg.kind == "dyadiclp":
         root = Cube((0.0,) * f.n, 1.0)
         value = dyadic_lp(f, cfg.alpha, root, cfg.K, decompose(f, j_min=0))
@@ -96,7 +98,7 @@ def _cmd_norm(cfg: argparse.Namespace) -> int:
         if cfg.format == "json":
             verify_mod.write_json(report, cfg.out)
         else:
-            verify_mod.write_csv(report.csv_rows(), cfg.out)
+            verify_mod.write_csv(report.table, cfg.out)
     return 0
 
 
@@ -132,12 +134,14 @@ def _cmd_kernel(cfg: argparse.Namespace) -> int:
     verify_mod.write_kernel_csv(record, out)
     print(
         f"kernel decay: {cfg.pairs} pairs, slope {record.slope:.4f} "
-        f"(expected {-(2 * cfg.alpha + cfg.n):.4f}); wrote {out}"
+        f"(expected {record.expected_slope:.4f}); wrote {out}"
     )
     return 0
 
 
 def _cmd_verify(cfg: argparse.Namespace) -> int:
+    if cfg.format == "csv" and cfg.check != "equivalence":
+        raise ConfigError(f"verify {cfg.check} writes no table: --format csv does not apply")
     N = cfg.sizes[0]
     if cfg.check == "fubini":
         worst = 0.0
@@ -165,7 +169,7 @@ def _cmd_verify(cfg: argparse.Namespace) -> int:
             if cfg.format == "json":
                 verify_mod.write_json(report, cfg.out)
             else:
-                verify_mod.write_csv(report.csv_rows(), cfg.out)
+                verify_mod.write_csv(report.rows, cfg.out)
         return 0
     if cfg.check == "lemma23":
         root = Cube((0.0,) * cfg.n, 1.0)
@@ -177,7 +181,7 @@ def _cmd_verify(cfg: argparse.Namespace) -> int:
     if cfg.check == "decay":
         record = verify_mod.kernel_decay_check(cfg.alpha, cfg.m, cfg.n, cfg.pairs, cfg.seed)
         print(
-            f"decay slope {record.slope:.4f} expected {-(2 * cfg.alpha + cfg.n):.4f}; "
+            f"decay slope {record.slope:.4f} expected {record.expected_slope:.4f}; "
             f"max ring counts kind1/m^n={record.max_kind1_over_mn:.4g} "
             f"kind2={record.max_kind2}"
         )
@@ -225,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=64, help="grid size N (power of two)")
 
     p = command("norm", "compute one norm of a grid file",
-                "--alpha", "--out", "--format", "--input", "--K", "--jmin")
+                "--alpha", "--out", "--format", "--input", "--K")
     p.add_argument("kind", choices=NORM_KINDS, help="which functional to evaluate")
     p.add_argument("--lam", type=float, help="campanato exponent lambda (default n-2*alpha)")
     p.add_argument("--level-max", type=int, help="deepest cube level (default L-3)")

@@ -197,6 +197,8 @@ def load_corpus_file(path) -> list[CorpusSpec]:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(records, list):
         raise ConfigError(f"{path}: expected a JSON list of corpus records")
+    if not records:
+        raise ConfigError(f"{path}: corpus file has no records")
     specs = []
     for rec in records:
         try:
@@ -213,16 +215,13 @@ def load_corpus_file(path) -> list[CorpusSpec]:
     return specs
 
 
-def default_corpus(n: int, N: int, with_constant: bool = True) -> list[CorpusSpec]:
+def default_corpus(n: int, N: int) -> list[CorpusSpec]:
     """A small spread of regularities used by the verification harness."""
-    specs = []
-    if with_constant:
-        specs.append(CorpusSpec("constant", N, n, (("value", 1.0),)))
-    specs += [
+    return [
+        CorpusSpec("constant", N, n, (("value", 1.0),)),
         CorpusSpec("harmonic", N, n, (("xi0", 3),)),
         CorpusSpec("gaussian_bump", N, n, (("width", 0.08),)),
         CorpusSpec("smoothed_step", N, n, (("sharpness", 6.0),)),
         CorpusSpec("spectral_noise", N, n, (("slope", 0.9),), seed=42),
         CorpusSpec("schwartz_like", N, n, (("rate", 1.0),)),
     ]
-    return specs

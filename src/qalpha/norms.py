@@ -8,12 +8,15 @@ exchange), and the band-supremum combination (`morrey_besov`).
 
 Sup-type functionals report the square root of the per-cube maximum along
 with the attaining cube, so users can judge how saturated the finite cube
-family is.  Every functional reduces the stacked lattice blocks of
-`grid.cube_blocks`, one band at a time; `lp_morrey` and `morrey_besov` take
-the dyadic pyramid of `grid.family_energies` instead when the cubes are a
-`CubeFamily` of f's grid (`_band_energies`).  The pair sum of a block B with its
-mean removed is S = 2(<B^2, w*1> - <B, w*B>), w(d) = |h d|^-(2a+n), w(0) = 0,
-with both convolutions taken by one zero-padded batched FFT on (2M)^n.
+family is.  A report's fields are the keys of its JSON file, and its table
+rows are plain dicts; `verify.write_json` and `verify.write_csv` write them.
+
+Every functional reduces the stacked lattice blocks of `grid.cube_blocks`,
+one band at a time; `lp_morrey` and `morrey_besov` take the dyadic pyramid
+of `grid.family_energies` instead when the cubes are a `CubeFamily` of f's
+grid (`_band_energies`).  The pair sum of a block B with its mean removed is
+S = 2(<B^2, w*1> - <B, w*B>), w(d) = |h d|^-(2a+n), w(0) = 0, with both
+convolutions taken by one zero-padded batched FFT on (2M)^n.
 """
 
 from __future__ import annotations
@@ -115,51 +118,29 @@ def _increment_sums(block: np.ndarray, h: float, exponent: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class NormReport:
-    """Value of a sup-type functional with its per-cube table."""
+    """Value of a sup-type functional with its per-cube table of
+    {"cube", "value"} rows."""
 
     kind: str
     alpha: float
     value: float
     argmax_cube: Cube | None
-    table: tuple[tuple[Cube, float], ...]
+    table: tuple[dict, ...]
     flags: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "alpha": self.alpha,
-            "value": self.value,
-            "argmax_cube": _cube_dict(self.argmax_cube),
-            "table": [
-                {"cube": _cube_dict(c), "value": v} for c, v in self.table
-            ],
-            "flags": list(self.flags),
-        }
-
-    def csv_rows(self):
-        yield ["corner", "edge", "value"]
-        for c, v in self.table:
-            yield [";".join(repr(x) for x in c.corner), repr(c.edge), repr(v)]
-
-
-def _cube_dict(c: Cube | None):
-    if c is None:
-        return None
-    return {"corner": list(c.corner), "edge": c.edge}
 
 
 def _finish(kind, alpha, rows, flags) -> NormReport:
     if not rows:
         raise ConfigError(f"{kind}: no usable cube in the family")
-    bad = next((I for I, v in rows if not math.isfinite(v)), None)
+    bad = next((r["cube"] for r in rows if not math.isfinite(r["value"])), None)
     if bad is not None:
         raise InvariantViolation(f"{kind}: non-finite value on cube {bad}")
-    best = max(range(len(rows)), key=lambda i: rows[i][1])
+    best = max(rows, key=lambda r: r["value"])
     return NormReport(
         kind=kind,
         alpha=alpha,
-        value=rows[best][1],
-        argmax_cube=rows[best][0],
+        value=best["value"],
+        argmax_cube=best["cube"],
         table=tuple(rows),
         flags=tuple(flags),
     )
@@ -190,7 +171,7 @@ def q_alpha(f: GridFunction, alpha: float, cubes: list[Cube]) -> NormReport:
             continue
         # a sum within rounding of 0 may come out slightly negative
         val = I.edge ** (2.0 * alpha - f.n) * f.h ** (2 * f.n) * max(s, 0.0)
-        rows.append((I, math.sqrt(val)))
+        rows.append({"cube": I, "value": math.sqrt(val)})
     return _finish("q_alpha", alpha, rows, flags)
 
 
@@ -209,7 +190,10 @@ def campanato(f: GridFunction, lam: float, cubes: list[Cube]) -> NormReport:
         cube_blocks(f, cubes),
         lambda v, b: cube_sums((v - means[b.index].reshape((-1,) + (1,) * f.n)) ** 2),
     )
-    rows = [(I, math.sqrt(I.edge**-lam * f.h**f.n * s)) for I, s in zip(cubes, osc.tolist())]
+    rows = [
+        {"cube": I, "value": math.sqrt(I.edge**-lam * f.h**f.n * s)}
+        for I, s in zip(cubes, osc.tolist())
+    ]
     return _finish("campanato", lam, rows, [])
 
 
@@ -258,7 +242,7 @@ def lp_morrey(
         e = 2.0 ** (2 * alpha * j) * energies(decomposition.band(j))
         acc += np.where(np.less_equal(j0, j), e, 0.0)
     rows = [
-        (I, math.sqrt((I.edge**f.n) ** -(1.0 - 2.0 * alpha / f.n) * a))
+        {"cube": I, "value": math.sqrt((I.edge**f.n) ** -(1.0 - 2.0 * alpha / f.n) * a)}
         for I, a in zip(cubes, acc.tolist())
     ]
     return _finish("lp_morrey", alpha, rows, flags)
@@ -341,23 +325,14 @@ def dyadic_lp_rearranged(
 
 @dataclass(frozen=True, eq=False)
 class MorreyBesovReport:
-    """Band-supremum combination with the attaining cube per band."""
+    """Band-supremum combination with one {"j", "sup", "argmax_cube"} row per
+    band; argmax_cube is None where the band is 0 on every cube."""
 
     alpha: float
     sigma: float
     value: float
-    rows: tuple[tuple[int, float, Cube | None], ...] = field(default=())
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "morrey_besov",
-            "alpha": self.alpha,
-            "sigma": self.sigma,
-            "value": self.value,
-            "rows": [
-                {"j": j, "sup": s, "argmax_cube": _cube_dict(c)} for j, s, c in self.rows
-            ],
-        }
+    rows: tuple[dict, ...] = ()
+    kind: str = field(default="morrey_besov", init=False)
 
 
 def morrey_besov(
@@ -391,6 +366,9 @@ def morrey_besov(
         if not np.all(np.isfinite(vals)):
             raise InvariantViolation(f"morrey_besov: non-finite value in band {j}")
         best = int(np.argmax(vals))  # the first attaining cube; none if every value is 0
-        rows.append((j, float(vals[best]), cubes[best]) if vals[best] > 0.0 else (j, 0.0, None))
-        total += rows[-1][1]
+        if vals[best] > 0.0:
+            rows.append({"j": j, "sup": float(vals[best]), "argmax_cube": cubes[best]})
+        else:
+            rows.append({"j": j, "sup": 0.0, "argmax_cube": None})
+        total += rows[-1]["sup"]
     return MorreyBesovReport(alpha, sigma, math.sqrt(total), tuple(rows))

@@ -1,6 +1,9 @@
 """Experiment harness: norm-equivalence, identity and decay checks.
 
-Every check returns a plain report object that serializes to JSON and CSV.
+Every check returns a report dataclass whose fields are exactly the keys of
+its JSON file.  `write_json` writes any report, and `write_csv` any sequence
+of table rows (dicts or dataclasses), with one cell rule; the norm reports of
+`norms` go through the same two writers.
 "Verified" for a comparison statement means: the relevant ratio stays
 bounded over the test population and stable under refinement of the
 truncation parameter; no continuum constants are certified.  Reports are
@@ -12,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -51,6 +54,7 @@ __all__ = [
     "kernel_decay_check",
     "embedding_check",
     "write_json",
+    "write_csv",
     "write_kernel_csv",
 ]
 
@@ -58,10 +62,8 @@ EPS_FLOOR = 1e-300
 ZERO_NORM = 1e-10
 
 
-def standard_cubes(f: GridFunction, shifted: bool = True, level_max: int | None = None):
-    if level_max is None:
-        level_max = f.L - 3
-    return enumerate_cubes(f.L, level_max, n=f.n, shifted=shifted)
+def standard_cubes(f: GridFunction, shifted: bool = True):
+    return enumerate_cubes(f.L, f.L - 3, n=f.n, shifted=shifted)
 
 
 # ---------------------------------------------------------------------------
@@ -72,20 +74,10 @@ def standard_cubes(f: GridFunction, shifted: bool = True, level_max: int | None 
 class EquivalenceRow:
     spec_id: str
     N: int
-    q_value: float
-    lp_value: float
+    q_alpha: float
+    lp_morrey: float
     ratio: float | None
     excluded: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "spec_id": self.spec_id,
-            "N": self.N,
-            "q_alpha": self.q_value,
-            "lp_morrey": self.lp_value,
-            "ratio": self.ratio,
-            "excluded": self.excluded,
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,43 +85,20 @@ class EquivalenceReport:
     alpha: float
     sizes: tuple[int, ...]
     rows: tuple[EquivalenceRow, ...]
-    trends: dict[str, tuple[float, ...]]
+    per_doubling_ratio_change: dict[str, tuple[float, ...]]
     drift_flags: dict[str, bool]
     c_low: float
     c_high: float
+    spread: float = field(init=False)
 
-    @property
-    def spread(self) -> float:
-        return self.c_high / self.c_low if self.c_low > 0 else math.inf
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "sizes": list(self.sizes),
-            "rows": [r.to_dict() for r in self.rows],
-            "per_doubling_ratio_change": {k: list(v) for k, v in self.trends.items()},
-            "drift_flags": self.drift_flags,
-            "c_low": self.c_low,
-            "c_high": self.c_high,
-            "spread": self.spread,
-        }
-
-    def csv_rows(self):
-        yield ["spec_id", "N", "q_alpha", "lp_morrey", "ratio", "excluded"]
-        for r in self.rows:
-            yield [
-                r.spec_id,
-                str(r.N),
-                repr(r.q_value),
-                repr(r.lp_value),
-                "" if r.ratio is None else repr(r.ratio),
-                str(r.excluded),
-            ]
+    def __post_init__(self):
+        spread = self.c_high / self.c_low if self.c_low > 0 else math.inf
+        object.__setattr__(self, "spread", spread)
 
 
-def _one_equivalence_row(spec: CorpusSpec, N: int, alpha: float, shifted: bool) -> EquivalenceRow:
+def _one_equivalence_row(spec: CorpusSpec, N: int, alpha: float) -> EquivalenceRow:
     f = generate(spec.with_size(N))
-    cubes = standard_cubes(f, shifted=shifted)
+    cubes = standard_cubes(f)
     dec = decompose(f, j_min=0)
     qr = q_alpha(f, alpha, cubes)
     lr = lp_morrey(f, alpha, cubes, dec)
@@ -142,7 +111,6 @@ def equivalence_report(
     corpus: list[CorpusSpec],
     alpha: float,
     sizes: list[int],
-    shifted: bool = True,
     workers: int = 1,
 ) -> EquivalenceReport:
     """Two-sided ratio table lp_morrey/q_alpha per (function, N).
@@ -156,13 +124,8 @@ def equivalence_report(
     if sorted(sizes) != list(sizes) or len(set(sizes)) != len(sizes):
         raise ConfigError("sizes must be strictly ascending")
     tasks = [(spec, N) for spec in corpus for N in sizes]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(lambda t: _one_equivalence_row(t[0], t[1], alpha, shifted), tasks)
-            )
-    else:
-        rows = [_one_equivalence_row(spec, N, alpha, shifted) for spec, N in tasks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        rows = list(pool.map(lambda t: _one_equivalence_row(t[0], t[1], alpha), tasks))
 
     trends: dict[str, tuple[float, ...]] = {}
     drift_flags: dict[str, bool] = {}
@@ -212,18 +175,8 @@ class Lemma23Record:
     m: float
     K: int
     lhs: float
-    q_value: float
+    q_alpha: float
     ratio: float
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "m": self.m,
-            "K": self.K,
-            "lhs": self.lhs,
-            "q_alpha": self.q_value,
-            "ratio": self.ratio,
-        }
 
 
 def _oscillation_pair_sums(f: GridFunction, cubes: list[Cube]) -> np.ndarray:
@@ -245,7 +198,6 @@ def lemma23_check(
     I: Cube,
     K: int,
     q_value: float | None = None,
-    shifted: bool = True,
 ) -> Lemma23Record:
     """Ratio of the dilated-cube oscillation sum to m^(2a+2n) * q_alpha^2:
 
@@ -267,7 +219,7 @@ def lemma23_check(
         layer = edge ** (-2 * f.n) * float(_oscillation_pair_sums(f, dilated).sum())
         total += 2.0 ** ((2 * alpha - f.n) * k) * layer
     if q_value is None:
-        q_value = q_alpha(f, alpha, standard_cubes(f, shifted=shifted)).value
+        q_value = q_alpha(f, alpha, standard_cubes(f)).value
     denom = m ** (2 * alpha + 2 * f.n) * q_value**2
     ratio = 0.0 if total == 0.0 else total / max(denom, EPS_FLOOR)
     return Lemma23Record(alpha, m, K, total, q_value, ratio)
@@ -287,19 +239,10 @@ class DecayRecord:
     slope: float
     max_kind1_over_mn: float
     max_kind2: int
+    expected_slope: float = field(init=False)
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "m": self.m,
-            "n": self.n,
-            "seed": self.seed,
-            "slope": self.slope,
-            "expected_slope": -(2 * self.alpha + self.n),
-            "max_kind1_over_mn": self.max_kind1_over_mn,
-            "max_kind2": self.max_kind2,
-            "rows": list(self.rows),
-        }
+    def __post_init__(self):
+        object.__setattr__(self, "expected_slope", -(2 * self.alpha + self.n))
 
 
 def kernel_decay_check(
@@ -308,13 +251,11 @@ def kernel_decay_check(
     n: int,
     pair_count: int,
     seed: int,
-    root: Cube | None = None,
 ) -> DecayRecord:
-    """Sample pairs, enumerate tree sets, and regress log k on log |x-y|."""
+    """Sample pairs in the unit cube, enumerate tree sets, and regress log k on log |x-y|."""
     if pair_count < 2:
         raise ConfigError(f"the decay slope fit needs at least 2 pairs, got {pair_count}")
-    if root is None:
-        root = Cube((0.0,) * n, 1.0)
+    root = Cube((0.0,) * n, 1.0)
     pairs = sample_pairs(root, pair_count, seed)
     tree_sets = (gamma_set(root, x, y, m) for x, y in pairs)
     rows = []
@@ -342,27 +283,7 @@ def kernel_decay_check(
 
 
 def write_kernel_csv(record: DecayRecord, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("x,y,dist,k_full,k_allowed,k_full_scaled,count_kind1_max,count_kind2_max\n")
-        for r in record.rows:
-            fh.write(
-                ";".join(repr(v) for v in r["x"])
-                + ","
-                + ";".join(repr(v) for v in r["y"])
-                + ","
-                + ",".join(
-                    repr(r[k])
-                    for k in (
-                        "dist",
-                        "k_full",
-                        "k_allowed",
-                        "k_full_scaled",
-                        "count_kind1_max",
-                        "count_kind2_max",
-                    )
-                )
-                + "\n"
-            )
+    write_csv(record.rows, path)
 
 
 # ---------------------------------------------------------------------------
@@ -376,20 +297,10 @@ class EmbeddingReport:
     max_ratio: float
     violations: tuple[str, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "rows": list(self.rows),
-            "max_ratio": self.max_ratio,
-            "violations": list(self.violations),
-        }
-
 
 def embedding_check(
     corpus: list[CorpusSpec],
     alpha: float,
-    N: int | None = None,
-    shifted: bool = True,
 ) -> EmbeddingReport:
     """Per function the ratio q_alpha / morrey_besov (embedding direction)."""
     if not 0 < alpha < 1:
@@ -398,22 +309,18 @@ def embedding_check(
     violations = []
     max_ratio = 0.0
     for spec in corpus:
-        s = spec if N is None else spec.with_size(N)
-        f = generate(s)
-        cubes = standard_cubes(f, shifted=shifted)
+        f = generate(spec)
+        cubes = standard_cubes(f)
         dec = decompose(f, j_min=0)
         qv = q_alpha(f, alpha, cubes).value
         mbv = morrey_besov(f, alpha, f.n - 2 * alpha, 2, 2, cubes, dec).value
-        if qv < ZERO_NORM and mbv < ZERO_NORM:
-            rows.append({"spec_id": s.ident, "q_alpha": qv, "mb": mbv, "ratio": None})
-            continue
-        if mbv < ZERO_NORM <= qv:
-            violations.append(s.ident)
-            rows.append({"spec_id": s.ident, "q_alpha": qv, "mb": mbv, "ratio": None})
-            continue
-        ratio = qv / mbv
-        max_ratio = max(max_ratio, ratio)
-        rows.append({"spec_id": s.ident, "q_alpha": qv, "mb": mbv, "ratio": ratio})
+        ratio = None  # both norms 0 (excluded), or only mb 0 (a violation)
+        if mbv >= ZERO_NORM:
+            ratio = qv / mbv
+            max_ratio = max(max_ratio, ratio)
+        elif qv >= ZERO_NORM:
+            violations.append(spec.ident)
+        rows.append({"spec_id": spec.ident, "q_alpha": qv, "mb": mbv, "ratio": ratio})
     return EmbeddingReport(alpha, tuple(rows), max_ratio, tuple(violations))
 
 
@@ -421,13 +328,41 @@ def embedding_check(
 # serialization helpers
 
 
+def _fields(obj) -> dict:
+    """A dataclass as {field name: value}; nested values are left as they are."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def write_json(report, path) -> None:
+    """Any report as JSON: each dataclass in it, nested rows and cubes too, as
+    {field name: value}."""
     with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(report, fh, default=_fields, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def write_csv(rows_iter, path) -> None:
+def _cell(value) -> str:
+    """The one CSV cell rule: a list or tuple is its items' reprs joined by
+    ';', None an empty cell, a str itself, a Cube its corner and edge
+    columns, and anything else its repr."""
+    if isinstance(value, (list, tuple)):
+        return ";".join(map(repr, value))
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, Cube):
+        return f"{_cell(value.corner)},{value.edge!r}"
+    return repr(value)
+
+
+def write_csv(rows, path) -> None:
+    """Table rows (dicts or dataclasses) as CSV under a header of the first
+    row's keys, where a Cube cell heads its corner and edge columns."""
     with open(path, "w") as fh:
-        for row in rows_iter:
-            fh.write(",".join(row) + "\n")
+        for i, row in enumerate(rows):
+            row = row if isinstance(row, dict) else _fields(row)
+            if i == 0:
+                header = ("corner,edge" if isinstance(v, Cube) else k for k, v in row.items())
+                fh.write(",".join(header) + "\n")
+            fh.write(",".join(map(_cell, row.values())) + "\n")

@@ -156,23 +156,31 @@ def naive_morrey_besov(
 def exhaustive_gamma(root_corner, root_edge, x, y, m, max_level):
     """Every dyadic cube key (level, index) with x, y in mJ; no pruning.
 
-    Fraction arithmetic throughout, so exact for float inputs.
+    Exact for float inputs.  Every float is a dyadic rational, so scaled by
+    2^(bits + max_level) the points, the root corner and every edge down to
+    max_level are integers, and |x - c| <= m e / 2 with c = corner + e/2 reads
+    |2X - 2C| * m_den <= m_num * E in Python integers.
     """
     n = len(root_corner)
-    xf = [Fraction(c) for c in x]
-    yf = [Fraction(c) for c in y]
+    values = [Fraction(v) for v in (*x, *y, *root_corner, root_edge)]
+    bits = max(v.denominator.bit_length() - 1 for v in values)
+    scale = 2 ** (bits + max_level)
+    scaled = [v * scale for v in values]
+    assert all(v.denominator == 1 for v in scaled), "inputs must be dyadic rationals"
+    scaled = [int(v) for v in scaled]
+    X2, Y2 = [2 * v for v in scaled[:n]], [2 * v for v in scaled[n : 2 * n]]
+    A2, E0 = [2 * v for v in scaled[2 * n : 3 * n]], scaled[3 * n]
     mf = Fraction(m)
-    ca = [Fraction(c) for c in root_corner]
-    e0 = Fraction(root_edge)
+    m_num, m_den = mf.numerator, mf.denominator
     out = set()
     for k in range(max_level + 1):
-        e = e0 / 2**k
-        half = mf * e / 2
+        E = E0 >> k
+        bound = m_num * E
         for idx in itertools.product(range(2**k), repeat=n):
             ok = True
             for d in range(n):
-                c = ca[d] + idx[d] * e + e / 2
-                if abs(xf[d] - c) > half or abs(yf[d] - c) > half:
+                C2 = A2[d] + (2 * idx[d] + 1) * E
+                if abs(X2[d] - C2) * m_den > bound or abs(Y2[d] - C2) * m_den > bound:
                     ok = False
                     break
             if ok:

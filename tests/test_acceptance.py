@@ -248,7 +248,8 @@ def test_criterion_5_ratio_stability():
     sizes = [64, 128, 256]
     rep = equivalence_report(equivalence_corpus(64), 0.5, sizes)
     worst_drift = max(
-        (abs(c) for changes in rep.trends.values() for c in changes), default=0.0
+        (abs(c) for changes in rep.per_doubling_ratio_change.values() for c in changes),
+        default=0.0,
     )
     spread = rep.spread
     rep2 = equivalence_report(equivalence_corpus(64), 0.5, sizes)

@@ -75,6 +75,16 @@ BAD_INPUTS = {
                               "overflow the squared"),
     "bump_width_huge": (["gen", "--corpus", "{big_bump}", "--size", "16", "--out", "{out}"],
                         "bump width must lie in (0, 1]"),
+    "empty_list": (["verify", "fubini", "--corpus", "{empty_list}", "--sizes", "16"],
+                   "corpus file has no records"),
+    "mb_format_csv": (["norm", "mb", "--input", "{grid}", "--format", "csv", "--out", "{out}"],
+                      "writes no table"),
+    "dyadiclp_format_csv": (["norm", "dyadiclp", "--input", "{grid}", "--format", "csv",
+                             "--out", "{out}"], "writes no table"),
+    "decay_format_csv": (["verify", "decay", "--pairs", "10", "--format", "csv", "--out", "{out}"],
+                         "writes no table"),
+    "embedding_format_csv": (["verify", "embedding", "--corpus", "{corpus}", "--sizes", "16",
+                              "--format", "csv", "--out", "{out}"], "writes no table"),
 }
 
 
@@ -89,12 +99,13 @@ BIG_BUMP = {"kind": "gaussian_bump", "params": {"width": 1e200}, "N": 16, "n": 1
 @pytest.mark.parametrize("argv,message", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
 def test_bad_input_exits_two(argv, message, tmp_path, capsys):
     names = ("grid", "bad_grid", "big_grid", "limit_grid", "corpus", "bad_corpus", "big_bump",
-             "missing", "out")
+             "empty_list", "missing", "out")
     paths = {k: str(tmp_path / k) for k in names}
     write_constant_grid(paths["grid"], N=16)
     write_big_grid(paths["big_grid"])
     write_constant_grid(paths["limit_grid"], value=1.7e308)
     (tmp_path / "big_bump").write_text(json.dumps([BIG_BUMP]))
+    (tmp_path / "empty_list").write_text("[]")
     lines = (tmp_path / "grid").read_text().splitlines()
     lines[5] = "abc"
     (tmp_path / "bad_grid").write_text("\n".join(lines) + "\n")
@@ -331,7 +342,7 @@ GRID_FILES = ("grid1", "grid2", "grid8", "missing", "dir", "bad_header", "bad_va
               "bad_count", "bad_bytes", "bad_size", "bad_dim", "empty", "big_values")
 CORPUS_FILES = ("corpus", "missing", "dir", "bad_bytes", "bad_json", "not_list", "no_kind",
                 "bad_kind", "bad_N", "bad_params", "bad_n", "bad_seed", "bad_param_value",
-                "big_bump")
+                "big_bump", "empty_list")
 
 
 @pytest.fixture(scope="module")
@@ -350,7 +361,7 @@ def argv_files(tmp_path_factory):
         "bad_header": "1 x\n", "bad_value": "1 8\n" + "1.0\n" * 7 + "abc\n",
         "bad_count": "1 8\n1.0\n", "bad_size": "2 -3\n" + "1.0\n" * 9,
         "bad_dim": "3 8\n" + "1.0\n" * 512, "empty": "", "bad_json": "[{",
-        "not_list": json.dumps({"kind": "constant"}),
+        "not_list": json.dumps({"kind": "constant"}), "empty_list": "[]",
     }
     record = {"kind": "harmonic", "params": {"xi0": 3}, "N": 16, "n": 1}
     for name, change in {"corpus": {}, "bad_kind": {"kind": "sawtooth"}, "bad_N": {"N": "x"},
@@ -379,7 +390,7 @@ def command_lines(draw):
     pairs, seed = opt("--pairs", st.integers(-1, 20)), opt("--seed", INTEGERS)
     sizes = ["--sizes", *draw(st.sampled_from([["16"], ["32"], ["16", "32"], ["12"], ["8"]]))]
     return draw(st.sampled_from([
-        ["norm", draw(st.sampled_from(NORM_KINDS)), grid, *alpha, *K, *jmin,
+        ["norm", draw(st.sampled_from(NORM_KINDS)), grid, *alpha, *K,
          *opt("--lam", NUMBERS), *opt("--level-max", INTEGERS), *opt("--format", st.just("csv")),
          *(["--shifted"] if draw(st.booleans()) else []), out],
         ["decompose", grid, *jmin, *opt("--family", st.just("cosine")), out],

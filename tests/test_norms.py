@@ -58,8 +58,8 @@ def test_q_alpha_matches_exact_displacement_sum(n, N):
         rep = q_alpha(f, 0.5, cubes)
         exact = oracles.displacement_q_alpha(f.values, 0.5, [(c.corner, c.edge) for c in cubes])
         assert len(rep.table) == len(cubes)
-        for (cube, got), want in zip(rep.table, exact):
-            assert got == pytest.approx(math.sqrt(want), rel=1e-12), cube
+        for row, want in zip(rep.table, exact):
+            assert row["value"] == pytest.approx(math.sqrt(want), rel=1e-12), row["cube"]
 
 
 def test_q_alpha_alternating_matches_oracle():
@@ -254,8 +254,8 @@ def test_morrey_besov_single_harmonic():
     )
     assert rep.value == pytest.approx(want, rel=1e-12)
     # at sigma = 0 the band supremum sits at the root cube
-    row3 = [r for r in rep.rows if r[0] == 3][0]
-    assert row3[2] == UNIT1
+    row3 = [r for r in rep.rows if r["j"] == 3][0]
+    assert row3["argmax_cube"] == UNIT1
     assert rep.value == pytest.approx(2.0, rel=1e-12)
 
 
@@ -308,15 +308,18 @@ def test_norm_comparable_across_profile_families():
 def test_report_serialization_round_trip(tmp_path):
     import json
 
+    from qalpha.verify import write_csv, write_json
+
     f = generate(CorpusSpec("harmonic", 16, 1, (("xi0", 3),)))
     rep = q_alpha(f, 0.5, enumerate_cubes(4, 1, n=1))
-    d = rep.to_dict()
+    write_json(rep, tmp_path / "r.json")
+    d = json.loads((tmp_path / "r.json").read_text())
     assert d["value"] == rep.value
     assert d["argmax_cube"]["edge"] == rep.argmax_cube.edge
-    text = json.dumps(d, sort_keys=True)
-    assert json.loads(text)["kind"] == "q_alpha"
-    rows = list(rep.csv_rows())
-    assert rows[0] == ["corner", "edge", "value"]
+    assert d["kind"] == "q_alpha"
+    write_csv(rep.table, tmp_path / "r.csv")
+    rows = (tmp_path / "r.csv").read_text().splitlines()
+    assert rows[0] == "corner,edge,value"
     assert len(rows) == 1 + len(rep.table)
 
 

@@ -57,7 +57,7 @@ def test_equivalence_report_validation():
 def test_equivalence_report_workers_deterministic():
     rep1 = equivalence_report(mini_corpus(), 0.5, [64], workers=1)
     rep2 = equivalence_report(mini_corpus(), 0.5, [64], workers=3)
-    assert [r.to_dict() for r in rep1.rows] == [r.to_dict() for r in rep2.rows]
+    assert rep1.rows == rep2.rows
 
 
 def test_fubini_identity_check_small():
@@ -73,9 +73,9 @@ def test_fubini_identity_check_small():
 def test_lemma23_record_fields():
     f = generate(CorpusSpec("spectral_noise", 64, 1, (("slope", 0.9),), seed=42))
     rec = lemma23_check(f, 0.5, 2.0, UNIT1, 2)
-    assert rec.lhs > 0 and rec.q_value > 0
+    assert rec.lhs > 0 and rec.q_alpha > 0
     assert rec.ratio == pytest.approx(
-        rec.lhs / (2.0 ** (2 * 0.5 + 2) * rec.q_value**2), rel=1e-12
+        rec.lhs / (2.0 ** (2 * 0.5 + 2) * rec.q_alpha**2), rel=1e-12
     )
     with pytest.raises(ConfigError, match=">= 2"):
         lemma23_check(f, 0.5, 1.0, UNIT1, 2)
@@ -235,8 +235,8 @@ def test_embedding_check():
 
 def test_embedding_max_ratio_stable_under_refinement():
     specs = mini_corpus()
-    r1 = embedding_check(specs, 0.5, N=128)
-    r2 = embedding_check(specs, 0.5, N=256)
+    r1 = embedding_check([s.with_size(128) for s in specs], 0.5)
+    r2 = embedding_check([s.with_size(256) for s in specs], 0.5)
     assert abs(r2.max_ratio / r1.max_ratio - 1.0) < 0.10
 
 
@@ -246,7 +246,7 @@ def test_equivalence_alpha_above_one_diagnostic():
     rep = equivalence_report(specs, 1.2, [64, 128])
     rows = [r for r in rep.rows if r.ratio is not None]
     assert len(rows) == 2
-    assert all(math.isfinite(r.lp_value) for r in rows)
+    assert all(math.isfinite(r.lp_morrey) for r in rows)
 
 
 def test_drift_flag_fires_when_one_side_diverges():
