@@ -7,6 +7,7 @@ violation.  Identical invocations produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -18,9 +19,6 @@ from .errors import ConfigError, InvariantViolation
 from .filterbank import build_profiles, decompose, profiles_to_csv
 from .grid import Cube, _validate_size, enumerate_cubes, read_grid, write_grid
 from .norms import _check_values, campanato, dyadic_lp, lp_morrey, morrey_besov, q_alpha
-
-NORM_KINDS = ("qalpha", "campanato", "lpmorrey", "dyadiclp", "mb")
-VERIFY_CHECKS = ("equivalence", "fubini", "lemma23", "decay", "embedding")
 
 
 def _out_dir() -> Path:
@@ -66,10 +64,15 @@ def _cmd_gen(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_norm(cfg: argparse.Namespace) -> int:
-    if cfg.format == "csv" and cfg.kind in ("dyadiclp", "mb"):
-        raise ConfigError(f"norm {cfg.kind} writes no table: --format csv does not apply")
     f = read_grid(cfg.input)
     _check_values(f)  # before `decompose`, whose FFT can overflow on such values
+    if cfg.kind == "dyadiclp":
+        root = Cube((0.0,) * f.n, 1.0)
+        value = dyadic_lp(f, cfg.alpha, root, cfg.K, decompose(f, j_min=0))
+        print(f"dyadiclp alpha={cfg.alpha} K={cfg.K} value={value!r}")
+        if cfg.out:
+            Path(cfg.out).write_text(f"{value!r}\n")
+        return 0
     level_max = cfg.level_max if cfg.level_max is not None else f.L - 3
     cubes = enumerate_cubes(f.L, level_max, n=f.n, shifted=cfg.shifted)
     if cfg.kind == "qalpha":
@@ -79,13 +82,6 @@ def _cmd_norm(cfg: argparse.Namespace) -> int:
         report = campanato(f, lam, cubes)
     elif cfg.kind == "lpmorrey":
         report = lp_morrey(f, cfg.alpha, cubes, decompose(f, j_min=0))
-    elif cfg.kind == "dyadiclp":
-        root = Cube((0.0,) * f.n, 1.0)
-        value = dyadic_lp(f, cfg.alpha, root, cfg.K, decompose(f, j_min=0))
-        print(f"dyadiclp alpha={cfg.alpha} K={cfg.K} value={value!r}")
-        if cfg.out:
-            Path(cfg.out).write_text(f"{value!r}\n")
-        return 0
     else:  # mb
         dec = decompose(f, j_min=0)
         report = morrey_besov(f, cfg.alpha, f.n - 2 * cfg.alpha, 2, 2, cubes, dec)
@@ -112,13 +108,10 @@ def _cmd_decompose(cfg: argparse.Namespace) -> int:
     )
     print(f"bands j={dec.j_min}..{dec.j_max}, reconstruction residual {residual:.3e}")
     out = _resolve_out(cfg, "bands.csv")
-    with open(out, "w") as fh:
-        fh.write("band,l2_energy\n")
-        low = f.h**f.n * float((dec.lowpass.values**2).sum())
-        fh.write(f"lowpass,{low!r}\n")
-        for j in dec.js:
-            e = f.h**f.n * float((dec.band(j).values ** 2).sum())
-            fh.write(f"{j},{e!r}\n")
+    bands = [("lowpass", dec.lowpass)] + [(j, dec.band(j)) for j in dec.js]
+    verify_mod.write_csv(
+        [{"band": j, "l2_energy": f.h**f.n * float((b.values**2).sum())} for j, b in bands], out
+    )
     print(f"wrote {out}")
     if cfg.format == "csv" and cfg.out:
         profiles = build_profiles(f.L, cfg.jmin, n=f.n, family=cfg.family)
@@ -140,9 +133,17 @@ def _cmd_kernel(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_verify(cfg: argparse.Namespace) -> int:
-    if cfg.format == "csv" and cfg.check != "equivalence":
-        raise ConfigError(f"verify {cfg.check} writes no table: --format csv does not apply")
-    N = cfg.sizes[0]
+    if cfg.check == "decay":
+        record = verify_mod.kernel_decay_check(cfg.alpha, cfg.m, cfg.n, cfg.pairs, cfg.seed)
+        print(
+            f"decay slope {record.slope:.4f} expected {record.expected_slope:.4f}; "
+            f"max ring counts kind1/m^n={record.max_kind1_over_mn:.4g} "
+            f"kind2={record.max_kind2}"
+        )
+        if cfg.out:
+            verify_mod.write_json(record, cfg.out)
+        return 0
+    N = cfg.sizes[0]  # the other checks read grid sizes
     if cfg.check == "fubini":
         worst = 0.0
         for spec in _load_corpus(cfg, N):
@@ -172,21 +173,11 @@ def _cmd_verify(cfg: argparse.Namespace) -> int:
                 verify_mod.write_csv(report.rows, cfg.out)
         return 0
     if cfg.check == "lemma23":
-        root = Cube((0.0,) * cfg.n, 1.0)
         for spec in _load_corpus(cfg, N):
             f = corpus_mod.generate(spec)
+            root = Cube((0.0,) * f.n, 1.0)  # a corpus file fixes n, whatever --n says
             rec = verify_mod.lemma23_check(f, cfg.alpha, cfg.m, root, cfg.K)
             print(f"{spec.ident}: ratio={rec.ratio:.6g}")
-        return 0
-    if cfg.check == "decay":
-        record = verify_mod.kernel_decay_check(cfg.alpha, cfg.m, cfg.n, cfg.pairs, cfg.seed)
-        print(
-            f"decay slope {record.slope:.4f} expected {record.expected_slope:.4f}; "
-            f"max ring counts kind1/m^n={record.max_kind1_over_mn:.4g} "
-            f"kind2={record.max_kind2}"
-        )
-        if cfg.out:
-            verify_mod.write_json(record, cfg.out)
         return 0
     # embedding
     report = verify_mod.embedding_check(_load_corpus(cfg, N), cfg.alpha)
@@ -201,81 +192,90 @@ def _cmd_verify(cfg: argparse.Namespace) -> int:
 _FLAGS = {
     "--alpha": dict(type=float, default=0.5, help="smoothness exponent alpha"),
     "--n": dict(type=int, default=1, help="dimension (1 or 2)"),
+    "--size": dict(type=int, default=64, help="grid size N (power of two)"),
+    "--sizes": dict(type=int, nargs=1, default=(64,), help="grid size N (power of two)"),
     "--out": dict(help="output file (or directory for gen)"),
     "--format": dict(choices=("json", "csv"), default="json", help="report format"),
     "--corpus": dict(help="corpus JSON file (default: built-in corpus)"),
     "--input": dict(required=True, help="input .grid file; it fixes n and N"),
     "--jmin": dict(type=int, default=0, help="lowest band index"),
+    "--family": dict(choices=("exp", "cosine"), default="exp", help="cutoff profile family"),
     "--K": dict(type=int, default=3, help="refinement truncation depth"),
+    "--lam": dict(type=float, help="campanato exponent lambda (default n-2*alpha)"),
+    "--level-max": dict(type=int, help="deepest cube level (default L-3)"),
+    "--shifted": dict(action="store_true", help="add the half-shifted cube family"),
     "--m": dict(type=float, default=2.0, help="cube dilation factor (2 to 16)"),
+    "--pairs": dict(type=int, default=100, help="number of sampled pairs"),
     "--seed": dict(type=int, default=7, help="sampler seed"),
+    "--workers": dict(type=int, default=1, help="parallel worker count"),
 }
 
+# Each command, `norm` kind and `verify` check with the flags it reads;
+# `norm` and `verify` nest theirs as subcommands.  A leaf may end with the
+# changes it makes to its flags' `_FLAGS` entries.
+_TABLE = {
+    "gen": (_cmd_gen, "generate corpus functions to .grid files", "--n --size --corpus --out"),
+    "norm": (_cmd_norm, "compute one norm of a grid file", {
+        "qalpha": ("Q_alpha norm", "--input --alpha --level-max --shifted --format --out"),
+        "campanato": ("mean-oscillation norm",
+                      "--input --alpha --lam --level-max --shifted --format --out"),
+        "lpmorrey": ("LP Morrey norm", "--input --alpha --level-max --shifted --format --out"),
+        "dyadiclp": ("dyadic LP sum on the unit cube", "--input --alpha --K --out"),
+        "mb": ("Morrey-Besov band-supremum norm", "--input --alpha --level-max --shifted --out"),
+    }),
+    "decompose": (_cmd_decompose, "band decomposition energies of a grid file",
+                  "--input --jmin --family --format --out"),
+    "kernel": (_cmd_kernel, "sample pair kernels and ring counts to CSV",
+               "--alpha --m --n --pairs --seed --out"),
+    "verify": (_cmd_verify, "run a verification check", {
+        "equivalence": ("ratio table of LP Morrey to Q_alpha",
+                        "--alpha --n --corpus --sizes --workers --format --out",
+                        {"--sizes": dict(nargs="+", help="grid sizes N (ascending)")}),
+        "fubini": ("exact rearrangement of the dyadic LP sum", "--alpha --n --corpus --sizes --K"),
+        "lemma23": ("dilated-oscillation bound", "--alpha --n --corpus --sizes --m --K"),
+        "decay": ("kernel decay and ring counts of sampled pairs",
+                  "--alpha --m --n --pairs --seed --out", {"--pairs": dict(default=400)}),
+        "embedding": ("Q_alpha against Morrey-Besov", "--alpha --n --corpus --sizes --out"),
+    }),
+}
+NORM_KINDS = tuple(_TABLE["norm"][2])
+VERIFY_CHECKS = tuple(_TABLE["verify"][2])
 
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # usage errors exit 2 with one line, like any bad input
+        raise ConfigError(message)
+
+
+def _add_flags(parser: argparse.ArgumentParser, flags: str, changes: dict | None = None) -> None:
+    for flag in flags.split():
+        parser.add_argument(flag, **{**_FLAGS[flag], **(changes or {}).get(flag, {})})
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qalpha",
         description="Numerical laboratory for increment-kernel and band-energy norms.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, help, *flags):
-        p = sub.add_parser(name, help=help)
-        for flag in flags:
-            p.add_argument(flag, **_FLAGS[flag])
-        return p
-
-    p = command("gen", "generate corpus functions to .grid files", "--n", "--out", "--corpus")
-    p.add_argument("--size", type=int, default=64, help="grid size N (power of two)")
-
-    p = command("norm", "compute one norm of a grid file",
-                "--alpha", "--out", "--format", "--input", "--K")
-    p.add_argument("kind", choices=NORM_KINDS, help="which functional to evaluate")
-    p.add_argument("--lam", type=float, help="campanato exponent lambda (default n-2*alpha)")
-    p.add_argument("--level-max", type=int, help="deepest cube level (default L-3)")
-    p.add_argument("--shifted", action="store_true", help="add the half-shifted cube family")
-
-    p = command("decompose", "band decomposition energies of a grid file",
-                "--out", "--format", "--input", "--jmin")
-    p.add_argument(
-        "--family",
-        choices=("exp", "cosine"),
-        default="exp",
-        help="cutoff profile family (for probing profile independence)",
-    )
-
-    p = command("kernel", "sample pair kernels and ring counts to CSV",
-                "--alpha", "--n", "--out", "--m", "--seed")
-    p.add_argument("--pairs", type=int, default=100, help="number of sampled pairs")
-
-    p = command("verify", "run a verification check",
-                "--alpha", "--n", "--out", "--format", "--corpus", "--m", "--K", "--seed")
-    p.add_argument("check", choices=VERIFY_CHECKS, help="which check to run")
-    p.add_argument(
-        "--sizes", type=int, nargs="+", default=[64], help="grid sizes N (powers of two, ascending)"
-    )
-    p.add_argument("--pairs", type=int, default=400, help="pairs for the decay check")
-    p.add_argument("--workers", type=int, default=1, help="parallel worker count")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help, row) in _TABLE.items():
+        p = commands.add_parser(name, help=help)
+        if isinstance(row, str):
+            _add_flags(p, row)
+            continue
+        leaves = p.add_subparsers(dest="kind" if name == "norm" else "check", required=True)
+        for leaf, (leaf_help, flags, *changes) in row.items():
+            _add_flags(leaves.add_parser(leaf, help=leaf_help), flags, *changes)
     return parser
 
 
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "norm": _cmd_norm,
-    "decompose": _cmd_decompose,
-    "kernel": _cmd_kernel,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+        return _TABLE[args.command][0](_validate(args))
+    except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return _COMMANDS[args.command](_validate(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import _freqs
 from .errors import ConfigError, InvariantViolation
 from .grid import GridFunction
 
@@ -60,15 +61,6 @@ def _chi_cosine(u: np.ndarray) -> np.ndarray:
 
 
 _FAMILIES = {"exp": _chi_exp, "cosine": _chi_cosine}
-
-
-def _freq_magnitude(N: int, n: int) -> np.ndarray:
-    """Euclidean |xi| over the grid's integer frequencies, FFT order."""
-    q = np.fft.fftfreq(N, d=1.0 / N)
-    if n == 1:
-        return np.abs(q)
-    qx, qy = np.meshgrid(q, q, indexing="ij")
-    return np.sqrt(qx**2 + qy**2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,7 +96,7 @@ def build_profiles(L: int, j_min: int, n: int = 1, family: str = "exp") -> list[
         raise ConfigError(f"j_min must satisfy 0 <= j_min <= L, got j_min={j_min}, L={L}")
     chi = _FAMILIES[family]
     N = 2**L
-    mag = _freq_magnitude(N, n)
+    mag = _freqs(N, n)[1]  # Euclidean |xi| over the integer frequencies, FFT order
     below = chi(mag / 2.0 ** (j_min - 1))  # chi at scale j-1, carried over
     profiles = [BandProfile(j_min, below, kind="lowpass")]
     for j in range(j_min, L + 2):

@@ -161,8 +161,11 @@ class CubeBlock:
 
 def cube_blocks(f: GridFunction, cubes, closed: bool = False) -> list[CubeBlock]:
     """Group the cubes by per-axis lattice count, half-open or closed
-    membership as in the module docstring.  Raises on a cube with no point."""
-    corner = np.array([I.corner[: f.n] for I in cubes], dtype=float).reshape(-1, f.n)
+    membership as in the module docstring.  Raises on a cube with no point
+    or of another dimension than f."""
+    if any(I.n != f.n for I in cubes):
+        raise ConfigError(f"cube dimension differs from the grid's n={f.n}")
+    corner = np.array([I.corner for I in cubes], dtype=float).reshape(-1, f.n)
     end = corner + np.array([I.edge for I in cubes])[:, None]
     start = np.ceil(corner * f.N)
     if closed:

@@ -1,8 +1,11 @@
+import argparse
 import contextlib
 import io
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qalpha import GridFunction, write_grid
-from qalpha.cli import NORM_KINDS, VERIFY_CHECKS, main
+from qalpha.cli import _FLAGS, _TABLE, build_parser, main
 
 
 def run(argv, capsys):
@@ -23,10 +26,50 @@ def write_constant_grid(path, N=8, n=1, value=1.0):
     write_grid(GridFunction(np.full((N,) * n, value)), path)
 
 
+def _leaves():
+    """(argv prefix, flags it reads) for each command, `norm` kind and `verify` check."""
+    for name, (_, _, row) in _TABLE.items():
+        if isinstance(row, str):
+            yield [name], row.split()
+        else:
+            yield from (([name, leaf], flags.split()) for leaf, (_, flags, *_) in row.items())
+
+
+LEAVES = list(_leaves())
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     for sub in ("gen", "norm", "decompose", "kernel", "verify"):
         assert main([sub, "--help"]) == 0
+    for path, _ in LEAVES:
+        assert main([*path, "--help"]) == 0
+
+
+def test_each_leaf_accepts_exactly_the_flags_it_reads():
+    def subcommands(parser):
+        (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+
+    pairs = 0
+    for path, flags in LEAVES:
+        parser = build_parser()
+        for name in path:
+            parser = subcommands(parser)[name]
+        options = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+        assert options == set(flags), path
+        pairs += len(flags) if len(path) == 2 else 0
+    assert pairs == 57  # (kind, flag) pairs of `norm` and `verify`
+    assert {*FLAG_VALUES, "--shifted"} == set(_FLAGS)  # the generated argvs cover every flag
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("qalpha ")]
+    assert len(lines) >= len(LEAVES)
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])  # raises ConfigError on a usage error
 
 
 def test_unknown_subcommand_exits_two(capsys):
@@ -78,13 +121,23 @@ BAD_INPUTS = {
     "empty_list": (["verify", "fubini", "--corpus", "{empty_list}", "--sizes", "16"],
                    "corpus file has no records"),
     "mb_format_csv": (["norm", "mb", "--input", "{grid}", "--format", "csv", "--out", "{out}"],
-                      "writes no table"),
+                      "unrecognized arguments: --format csv"),
     "dyadiclp_format_csv": (["norm", "dyadiclp", "--input", "{grid}", "--format", "csv",
-                             "--out", "{out}"], "writes no table"),
+                             "--out", "{out}"], "unrecognized arguments: --format csv"),
     "decay_format_csv": (["verify", "decay", "--pairs", "10", "--format", "csv", "--out", "{out}"],
-                         "writes no table"),
+                         "unrecognized arguments: --format csv"),
     "embedding_format_csv": (["verify", "embedding", "--corpus", "{corpus}", "--sizes", "16",
-                              "--format", "csv", "--out", "{out}"], "writes no table"),
+                              "--format", "csv", "--out", "{out}"],
+                             "unrecognized arguments: --format csv"),
+    "size_abc": (["gen", "--size", "abc"], "argument --size: invalid int value: 'abc'"),
+    "qalpha_no_input": (["norm", "qalpha"], "the following arguments are required: --input"),
+    "unknown_norm_kind": (["norm", "sobolev", "--input", "{grid}"], "invalid choice: 'sobolev'"),
+    "lemma23_out": (["verify", "lemma23", "--sizes", "16", "--out", "{out}"],
+                    "unrecognized arguments: --out"),
+    "fubini_out": (["verify", "fubini", "--sizes", "16", "--out", "{out}"],
+                   "unrecognized arguments: --out"),
+    "embedding_two_sizes": (["verify", "embedding", "--sizes", "16", "32"],
+                            "unrecognized arguments: 32"),
 }
 
 
@@ -94,6 +147,7 @@ def write_big_grid(path):
 
 
 BIG_BUMP = {"kind": "gaussian_bump", "params": {"width": 1e200}, "N": 16, "n": 1}
+CORPUS2 = {"kind": "spectral_noise", "params": {"slope": 0.8}, "N": 16, "n": 2, "seed": 3}
 
 
 @pytest.mark.parametrize("argv,message", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
@@ -285,6 +339,17 @@ def test_verify_lemma23(capsys):
     assert "ratio=" in out
 
 
+def test_verify_lemma23_dimension_from_corpus(tmp_path, capsys):
+    # the root cube takes its dimension from the corpus grids, whatever --n says
+    corpus = tmp_path / "c2.json"
+    corpus.write_text(json.dumps([CORPUS2]))
+    argv = ["verify", "lemma23", "--corpus", str(corpus), "--sizes", "16", "--K", "1"]
+    code, out, err = run(argv, capsys)
+    assert code == 0, err
+    assert "ratio=" in out
+    assert run([*argv, "--n", "2"], capsys) == (0, out, "")
+
+
 def test_out_dir_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("QALPHA_OUT_DIR", str(tmp_path))
     code, out, _ = run(["kernel", "--pairs", "10", "--seed", "2"], capsys)
@@ -340,9 +405,9 @@ NUMBERS = st.sampled_from(
 INTEGERS = st.integers(-3, 12).map(str) | st.sampled_from(["-1000000", "1000000"])
 GRID_FILES = ("grid1", "grid2", "grid8", "missing", "dir", "bad_header", "bad_value",
               "bad_count", "bad_bytes", "bad_size", "bad_dim", "empty", "big_values")
-CORPUS_FILES = ("corpus", "missing", "dir", "bad_bytes", "bad_json", "not_list", "no_kind",
-                "bad_kind", "bad_N", "bad_params", "bad_n", "bad_seed", "bad_param_value",
-                "big_bump", "empty_list")
+CORPUS_FILES = ("corpus", "corpus2", "missing", "dir", "bad_bytes", "bad_json", "not_list",
+                "no_kind", "bad_kind", "bad_N", "bad_params", "bad_n", "bad_seed",
+                "bad_param_value", "big_bump", "empty_list")
 
 
 @pytest.fixture(scope="module")
@@ -370,35 +435,44 @@ def argv_files(tmp_path_factory):
                          "no_kind": {"kind": None}}.items():
         texts[name] = json.dumps([{k: v for k, v in {**record, **change}.items() if v is not None}])
     texts["big_bump"] = json.dumps([BIG_BUMP])
+    texts["corpus2"] = json.dumps([CORPUS2])
     for name, text in texts.items():
         paths[name].write_text(text)
     paths["bad_bytes"].write_bytes(b"\xff\xfe 1 8\n")
     return {k: str(v) for k, v in paths.items()}
 
 
+def placeholder(names):
+    return st.sampled_from(names).map(lambda k: "{" + k + "}")
+
+
+FLAG_VALUES = {
+    "--alpha": NUMBERS, "--m": NUMBERS, "--lam": NUMBERS, "--n": st.sampled_from("12"),
+    "--K": INTEGERS, "--jmin": INTEGERS, "--level-max": INTEGERS, "--seed": INTEGERS,
+    "--pairs": st.integers(-1, 20).map(str), "--workers": st.integers(0, 2).map(str),
+    "--size": st.sampled_from(["8", "12", "16"]),
+    "--sizes": st.sampled_from([["16"], ["32"], ["16", "32"], ["12"], ["8"]]),
+    "--format": st.sampled_from(["json", "csv"]), "--family": st.sampled_from(["exp", "cosine"]),
+    "--input": placeholder(GRID_FILES), "--corpus": placeholder(CORPUS_FILES),
+    "--out": st.sampled_from(["r.json", "r.csv", "k.csv", "bands.csv"]).map(lambda f: "{out}/" + f),
+}
+
+
 @st.composite
 def command_lines(draw):
-    """argparse-valid argvs with file names as {placeholders}."""
-    def opt(flag, values):
-        return [f"{flag}={draw(values)}"] if draw(st.booleans()) else []
-
-    out = "--out={out}/" + draw(st.sampled_from(["r.json", "r.csv", "k.csv", "bands.csv"]))
-    corpus = opt("--corpus", st.sampled_from(CORPUS_FILES).map(lambda k: "{" + k + "}"))
-    grid = "--input={" + draw(st.sampled_from(GRID_FILES)) + "}"
-    alpha, m, n = opt("--alpha", NUMBERS), opt("--m", NUMBERS), opt("--n", st.sampled_from("12"))
-    K, jmin = opt("--K", INTEGERS), opt("--jmin", INTEGERS)
-    pairs, seed = opt("--pairs", st.integers(-1, 20)), opt("--seed", INTEGERS)
-    sizes = ["--sizes", *draw(st.sampled_from([["16"], ["32"], ["16", "32"], ["12"], ["8"]]))]
-    return draw(st.sampled_from([
-        ["norm", draw(st.sampled_from(NORM_KINDS)), grid, *alpha, *K,
-         *opt("--lam", NUMBERS), *opt("--level-max", INTEGERS), *opt("--format", st.just("csv")),
-         *(["--shifted"] if draw(st.booleans()) else []), out],
-        ["decompose", grid, *jmin, *opt("--family", st.just("cosine")), out],
-        ["kernel", *alpha, *m, *n, *pairs, *seed, out],
-        ["verify", draw(st.sampled_from(VERIFY_CHECKS)), *alpha, *m, *n, *K, *pairs, *seed,
-         *sizes, *corpus, out],
-        ["gen", *n, "--size", draw(st.sampled_from(["8", "12", "16"])), *corpus, "--out={out}"],
-    ]))
+    """argvs of one command, `norm` kind or `verify` check, drawn from the flags it
+    reads, with file names as {placeholders}.  `--input` and `--out` are always given."""
+    path, flags = draw(st.sampled_from(LEAVES))
+    argv = list(path)
+    for flag in flags:
+        if flag == "--out" and path == ["gen"]:
+            argv.append("--out={out}")
+        elif flag == "--shifted":
+            argv += [flag] if draw(st.booleans()) else []
+        elif flag in ("--input", "--out") or draw(st.booleans()):
+            value = draw(FLAG_VALUES[flag])
+            argv += [flag, *value] if isinstance(value, list) else [f"{flag}={value}"]
+    return argv
 
 
 @given(argv=command_lines())

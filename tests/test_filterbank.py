@@ -13,7 +13,8 @@ from qalpha import (
     filterbank,
     profiles_to_csv,
 )
-from qalpha.filterbank import _chi_cosine, _chi_exp, _freq_magnitude
+from qalpha.corpus import _freqs
+from qalpha.filterbank import _chi_cosine, _chi_exp
 
 
 def chi_exp_scalar(u: float) -> float:
@@ -184,7 +185,7 @@ def test_profiles_csv(tmp_path):
 @pytest.mark.parametrize("n,L", [(1, 9), (2, 6)])
 def test_profiles_equal_two_evaluation_formula(family, chi, n, L):
     # each cutoff is evaluated once and carried to the next scale, bit for bit
-    mag = _freq_magnitude(2**L, n)
+    mag = _freqs(2**L, n)[1]
     profiles = build_profiles(L, 1, n=n, family=family)
     assert np.array_equal(profiles[0].values, chi(mag / 2.0**0))
     for p in profiles[1:]:

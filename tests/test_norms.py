@@ -94,6 +94,15 @@ def test_q_alpha_small_cube_skipped_with_warning():
     assert len(rep.table) == 1
 
 
+def test_cube_of_other_dimension_rejected():
+    # a cube is not cut down or padded to the grid's dimension
+    f = GridFunction(np.arange(16.0))
+    with pytest.raises(ConfigError, match="dimension"):
+        q_alpha(f, 0.5, [Cube((0.0, 0.0), 1.0)])
+    with pytest.raises(ConfigError, match="dimension"):
+        cube_blocks(GridFunction(np.zeros((8, 8))), [UNIT1])
+
+
 def test_q_alpha_regime_flag():
     f = GridFunction(np.arange(8) / 8)
     rep = q_alpha(f, 1.2, [UNIT1])
