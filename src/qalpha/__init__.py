@@ -6,6 +6,7 @@ from .cubes import (
     CountSummary,
     DyadicCube,
     GammaSet,
+    TreeSets,
     allowed_cubes,
     classify_allowed,
     count_summary,
@@ -13,6 +14,7 @@ from .cubes import (
     kernel_sum,
     required_max_level,
     sample_pairs,
+    tree_sets,
 )
 from .errors import ConfigError, InvariantViolation
 from .filterbank import (

@@ -48,6 +48,8 @@ def _validate(cfg: argparse.Namespace) -> argparse.Namespace:
         raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
     if getattr(cfg, "workers", 1) < 1:
         raise ConfigError(f"worker count must be at least 1, got {cfg.workers}")
+    if getattr(cfg, "format", "json") == "csv" and not cfg.out and cfg.command != "decompose":
+        raise ConfigError("--format csv writes a table and needs --out")
     return cfg
 
 
@@ -113,7 +115,7 @@ def _cmd_decompose(cfg: argparse.Namespace) -> int:
         [{"band": j, "l2_energy": f.h**f.n * float((b.values**2).sum())} for j, b in bands], out
     )
     print(f"wrote {out}")
-    if cfg.format == "csv" and cfg.out:
+    if cfg.format == "csv":
         profiles = build_profiles(f.L, cfg.jmin, n=f.n, family=cfg.family)
         ppath = Path(str(out) + ".profiles")
         profiles_to_csv(profiles, ppath)

@@ -9,16 +9,25 @@ each level's box minus the parents of the next box, are pairwise disjoint
 and carry essentially the whole kernel sum
     k(x, y) = sum over qualifying J of l(J)^(-2*alpha - n).
 
-Interval ends are computed on scaled integers: every float is a dyadic
-rational, so after multiplying through by a common power of two the test
-|x - center| <= m*edge/2 is exact.  Kernel powers are evaluated in floating
-point and accumulated with math.fsum, which makes the subset inequality
+Interval ends are computed for all pairs and levels at once in floats, with
+an exact recheck.  With q = (p - a)/E the coordinate of a point p scaled by
+the root's corner a and edge E, the level-k index i has p in mJ iff
+q*2^k - (m+1)/2 <= i <= q*2^k + (m-1)/2; per axis a pair's box runs from
+ceil(q_hi*2^k - (m+1)/2) to floor(q_lo*2^k + (m-1)/2), clipped to [0, 2^k).
+q carries two roundings, the scaling by 2^k none, the shift and the sum one
+each, so a float bound is within 4u(2^k|q| + m + 1) + 2^(k-1075) of the
+exact value (u = 2^-53; the last term only for a subnormal q).  A bound
+further than twice that, the margin, from every integer has the exact
+ceiling or floor; the others, ties included, are recomputed on scaled
+integers, where every float is a dyadic rational and |p - center| <= m*edge/2
+is exact.  From 2^k|q| = 2^49 on the margin exceeds 1/2: deep levels are exact.
+Kernel powers are summed with math.fsum, which makes the subset inequality
 kernel(full tree) >= kernel(minimal elements) exact.
 
 Ring classes are computed on index arrays, never on cube objects.  The
 boxes of a batch of tree sets, each with the parent box of the level below,
-go into one integer array; one vectorised expansion turns every box minus
-its parent box into rows (tree set, level, index), one per minimal cube.
+give one vectorised expansion of every box minus its parent box into rows
+(tree set, level, index), one per minimal cube.
 One array classifier then walks the shells I_k = 2^k I_0 around each pair
 (I_0 centered at the midpoint with edge sqrt(n)|x-y|_2): a cube's ring is
 the first k with J meeting I_k, its kind 1 if J fits inside I_(k+1) and 2
@@ -47,9 +56,11 @@ from .grid import _WEIGHT_LOG2_MAX, Cube
 __all__ = [
     "DyadicCube",
     "GammaSet",
+    "TreeSets",
     "AllowedClassification",
     "CountSummary",
     "gamma_set",
+    "tree_sets",
     "required_max_level",
     "allowed_cubes",
     "kernel_sum",
@@ -128,14 +139,6 @@ def required_max_level(I: Cube, x: tuple[float, ...], y: tuple[float, ...], m: f
 Box = tuple[tuple[int, int], ...]  # per-axis (first, last) index range
 
 
-def _box_indices(box: Box):
-    return itertools.product(*(range(first, last + 1) for first, last in box))
-
-
-def _in_box(index: tuple[int, ...], box: Box) -> bool:
-    return all(first <= i <= last for i, (first, last) in zip(index, box))
-
-
 def _volume(box: Box) -> int:
     return math.prod(last - first + 1 for first, last in box)
 
@@ -159,63 +162,44 @@ class GammaSet:
         return frozenset(
             DyadicCube(self.root, k, index)
             for k, box in enumerate(self.boxes)
-            for index in _box_indices(box)
+            for index in itertools.product(*(range(first, last + 1) for first, last in box))
         )
 
     def __contains__(self, J: DyadicCube) -> bool:
-        return J.level < len(self.boxes) and _in_box(J.index, self.boxes[J.level])
+        return J.level < len(self.boxes) and all(
+            first <= i <= last for i, (first, last) in zip(J.index, self.boxes[J.level])
+        )
 
     def __len__(self) -> int:
         return sum(_volume(box) for box in self.boxes)
 
 
-def gamma_set(I: Cube, x: tuple[float, ...], y: tuple[float, ...], m: float = 2.0) -> GammaSet:
-    """Compute the tree set level by level as index boxes.
+@dataclass(frozen=True, eq=False)
+class TreeSets:
+    """Tree sets of many pairs (x[p], y[p]) around one root, as index arrays.
 
-    With P, A0 and E the scaled point, root corner and level-k edge, and
-    m = m_num/m_den, the level-k cube with index i on one axis has p in mJ
-    iff |2(P - A0) - (2i+1)E| * m_den <= m_num * E, which bounds i by one
-    ceiling and one floor division.  The bounds for x and y, clipped to
-    [0, 2^k), give the level's box.  The first empty box ends the set, at
-    the latest at level required_max_level; if x or y falls outside mI the
-    set is empty.
+    Pair p's level-k box is first[p, k] .. last[p, k] (one entry per axis)
+    for k < depth[p]; entries from depth[p] on mean nothing.
     """
-    x = tuple(float(c) for c in x)
-    y = tuple(float(c) for c in y)
-    if len(x) != I.n or len(y) != I.n:
-        raise ConfigError("point dimension does not match root cube")
-    if x == y:
-        raise ConfigError("diagonal point pair: x == y")
-    _check_dilation(m)
-    required = required_max_level(I, x, y, m)
 
-    coord_bits = max(_dyadic_bits(v) for v in (*x, *y, *I.corner))
-    scale = max(coord_bits, _dyadic_bits(I.edge) + required)
-    A0 = tuple(_scaled(v, scale) for v in I.corner)
-    E0 = _scaled(I.edge, scale)
-    m_num, m_den = float(m).as_integer_ratio()
-    # 2(P - A0) * m_den for P = x and P = y, per axis
-    D = [
-        (2 * (_scaled(px, scale) - a) * m_den, 2 * (_scaled(py, scale) - a) * m_den)
-        for px, py, a in zip(x, y, A0)
-    ]
+    root: Cube
+    x: np.ndarray  # (pairs, n)
+    y: np.ndarray
+    first: np.ndarray  # (pairs, levels, n), int64 or, past level 62, Python ints
+    last: np.ndarray
+    depth: np.ndarray  # (pairs,)
 
-    boxes: list[Box] = []
-    for k in range(required + 1):
-        E = E0 >> k
-        span = 2 * E * m_den
-        box = []
-        for ds in D:
-            first, last = 0, 2**k - 1
-            for d in ds:
-                first = max(first, -((E * (m_num + m_den) - d) // span))
-                last = min(last, (d + E * (m_num - m_den)) // span)
-            box.append((first, last))
-        if any(last < first for first, last in box):
-            break
-        boxes.append(tuple(box))
+    def __len__(self) -> int:
+        return len(self.depth)
 
-    return GammaSet(I, x, y, float(m), tuple(boxes))
+    def __getitem__(self, s: slice) -> TreeSets:
+        arrays = (self.x, self.y, self.first, self.last, self.depth)
+        return TreeSets(self.root, *(a[s] for a in arrays))
+
+    def counts(self) -> np.ndarray:
+        """Members per (pair, level), zero from each pair's depth on."""
+        live = np.arange(self.first.shape[1]) < self.depth[:, None]
+        return np.where(live, (self.last - self.first + 1).prod(axis=2), 0)
 
 
 def _index_dtype(level: int):
@@ -223,32 +207,96 @@ def _index_dtype(level: int):
     return np.int64 if level < 63 else object
 
 
-def _minimal_cubes(gammas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Minimal cubes of several tree sets (at least one) as rows (owner, level, index).
+def _exact_bound(p: float, a: float, e: float, m: float, k: int, upper: int) -> int:
+    """First (upper 0) or last (upper 1) level-k index on one axis whose mJ holds p.
+
+    With P, A and E the point, root corner and level-k edge scaled to
+    integers and m = m_num/m_den, i qualifies iff |2(P - A) - (2i+1)E| * m_den
+    <= m_num * E: one ceiling and one floor division.
+    """
+    scale = max(_dyadic_bits(p), _dyadic_bits(a), _dyadic_bits(e) + k)
+    E = _scaled(e, scale) >> k
+    m_num, m_den = float(m).as_integer_ratio()
+    d = 2 * (_scaled(p, scale) - _scaled(a, scale)) * m_den
+    if upper:
+        return (d + E * (m_num - m_den)) // (2 * E * m_den)
+    return -((E * (m_num + m_den) - d) // (2 * E * m_den))
+
+
+def tree_sets(root: Cube, x, y, m: float) -> TreeSets:
+    """Tree sets of the pairs (x[p], y[p]), each ending at its first empty
+    level, at the latest at required_max_level (always empty)."""
+    _check_dilation(m)
+    x, y = np.array(x, dtype=float), np.array(y, dtype=float)
+    if x.ndim != 2 or x.shape != y.shape or x.shape[1] != root.n:
+        raise ConfigError("point dimension does not match root cube")
+    required = [required_max_level(root, p, q, m) for p, q in zip(x.tolist(), y.tolist())]
+    levels = np.arange(max(required, default=-1) + 1)
+    live = levels <= np.array(required, dtype=np.int64)[:, None]
+    dtype = _index_dtype(len(levels) - 1)
+    bounds = np.zeros((2, len(x), len(levels), root.n), dtype=dtype)  # first, last
+    points = np.maximum(x, y), np.minimum(x, y)
+    for k, upper in itertools.product(levels.tolist(), (0, 1)):
+        with np.errstate(over="ignore", invalid="ignore"):  # past float range: rechecked
+            t = np.ldexp((points[upper] - root.corner) / root.edge, k)
+            v = t + ((m - 1) / 2 if upper else -(m + 1) / 2)
+            margin = 2.0**-50 * (np.abs(t) + m + 1) + math.ldexp(1.0, k - 1074)
+            recheck = ~(np.abs(v - np.rint(v)) > margin) & live[:, k, None]
+            bound = (np.floor if upper else np.ceil)(np.where(recheck, 0, v)).astype(np.int64)
+        bounds[upper, :, k] = bound
+        for i, d in zip(*np.nonzero(recheck)):
+            p = points[upper][i, d]
+            bounds[upper, i, k, d] = _exact_bound(p, root.corner[d], root.edge, m, k, upper)
+    first, last = bounds
+    top = np.array([(1 << k) - 1 for k in levels.tolist()], dtype=dtype)[:, None]
+    np.maximum(first, 0, out=first)
+    np.minimum(last, top, out=last)
+    depth = np.argmax(np.any(last < first, axis=2), axis=1)
+    return TreeSets(root, x, y, first, last, depth)
+
+
+def gamma_set(I: Cube, x: tuple[float, ...], y: tuple[float, ...], m: float = 2.0) -> GammaSet:
+    """The tree set of one pair: `tree_sets` on a batch of one.
+
+    Per axis the level-k box runs from ceil(q_hi*2^k - (m+1)/2) to
+    floor(q_lo*2^k + (m-1)/2) in floats; a bound within twice its float error,
+    2^-50 (2^k|q| + m + 1) + 2^(k-1074), of an integer is recomputed on scaled
+    integers (see the module docstring), so membership is exact.
+    """
+    x, y = tuple(map(float, x)), tuple(map(float, y))
+    sets = tree_sets(I, [x], [y], m)
+    depth = int(sets.depth[0])
+    first, last = sets.first[0, :depth].tolist(), sets.last[0, :depth].tolist()
+    return GammaSet(I, x, y, float(m), tuple(tuple(zip(f, l)) for f, l in zip(first, last)))
+
+
+def _as_batch(g: GammaSet) -> TreeSets:
+    boxes = np.array(g.boxes, dtype=_index_dtype(len(g.boxes) - 1)).reshape(1, -1, g.root.n, 2)
+    pair = np.array([g.x]), np.array([g.y])
+    return TreeSets(g.root, *pair, boxes[..., 0], boxes[..., 1], np.array([len(g.boxes)]))
+
+
+def _minimal_cubes(sets: TreeSets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Minimal cubes of a batch of tree sets as rows (owner, level, index).
 
     The members with a child in the set are the parents of the next level's
     box, which form the box of halved index ranges; each level contributes
-    its box minus that one.  owner is the tree set's position in `gammas`,
+    its box minus that one.  owner is the tree set's position in the batch,
     index has shape (cubes, n).
     """
-    n = gammas[0].root.n
-    empty = ((0, -1),) * n  # its parents (0 >> 1, -1 >> 1) are empty too
-    rows = [
-        (p, k, *(v for (first, last), (lo, hi) in zip(box, below)
-                 for v in (first, last, lo >> 1, hi >> 1)))
-        for p, g in enumerate(gammas)
-        for k, (box, below) in enumerate(zip(g.boxes, g.boxes[1:] + (empty,)))
-    ]
-    depth = max(len(g.boxes) for g in gammas)
-    table = np.array(rows, dtype=_index_dtype(depth - 1)).reshape(-1, 2 + 4 * n)
-    owner, level = table[:, 0].astype(np.int64), table[:, 1].astype(np.int64)
-    first, last, parent_first, parent_last = np.moveaxis(table[:, 2:].reshape(-1, n, 4), 2, 0)
+    levels = sets.first.shape[1]
+    owner, level = np.nonzero(np.arange(levels) < sets.depth[:, None])
+    first, last = sets.first[owner, level], sets.last[owner, level]
+    below = (owner, np.minimum(level + 1, levels - 1))
+    has_child = (level + 1 < sets.depth[owner])[:, None]  # else the parents are empty
+    parent_first = np.where(has_child, sets.first[below] >> 1, 0)
+    parent_last = np.where(has_child, sets.last[below] >> 1, -1)
     size = (last - first + 1).astype(np.int64)
     volume = size.prod(axis=1)
-    box = np.repeat(np.arange(len(table)), volume)
+    box = np.repeat(np.arange(len(owner)), volume)
     offset = np.arange(len(box)) - np.repeat(np.cumsum(volume) - volume, volume)
-    index = np.empty((len(box), n), dtype=table.dtype)
-    for d in range(n - 1, -1, -1):
+    index = np.empty((len(box), sets.root.n), dtype=first.dtype)
+    for d in range(sets.root.n - 1, -1, -1):
         index[:, d] = first[box, d] + offset % size[box, d]
         offset //= size[box, d]
     in_parents = (parent_first[box] <= index) & (index <= parent_last[box])
@@ -261,7 +309,7 @@ def allowed_cubes(gamma: GammaSet) -> frozenset[DyadicCube]:
 
     Minimal members of an upward-closed family are pairwise disjoint.
     """
-    _, level, index = _minimal_cubes([gamma])
+    _, level, index = _minimal_cubes(_as_batch(gamma))
     return frozenset(
         DyadicCube(gamma.root, k, tuple(i)) for k, i in zip(level.tolist(), index.tolist())
     )
@@ -343,8 +391,7 @@ def classify_allowed(
     allowed, x: tuple[float, ...], y: tuple[float, ...], m: float
 ) -> AllowedClassification:
     """Bucket the cubes of `allowed` by their ring class (k, kind) around x, y."""
-    x = tuple(float(c) for c in x)
-    y = tuple(float(c) for c in y)
+    x, y = tuple(map(float, x)), tuple(map(float, y))
     if x == y:
         raise ConfigError("diagonal point pair: x == y")
     center, edge0 = _shell0(x, y)
@@ -373,44 +420,35 @@ def classify_allowed(
 _BATCH_MEMBERS = 2**11
 
 
-def ring_counts(gammas):
+def ring_counts(sets: TreeSets):
     """Minimal cubes and ring counts of many tree sets, without cube objects.
 
-    Yields, per tree set of `gammas` in order, (the set, its minimal cubes
-    per level, the largest count of kind-1 and of kind-2 minimal cubes in one
-    ring): what `allowed_cubes`, `classify_allowed` and `count_summary` give
-    per pair.  The sets are taken in batches of about _BATCH_MEMBERS members,
+    Yields, per pair of `sets` in order, (its minimal cubes per level, the
+    largest count of kind-1 and of kind-2 minimal cubes in one ring): what
+    `allowed_cubes`, `classify_allowed` and `count_summary` give per pair.
+    The pairs are taken in batches of about _BATCH_MEMBERS tree-set members,
     so one batch and its arrays are held at a time.
     """
-    batch, members = [], 0
-    for g in gammas:
-        batch.append(g)
-        members += len(g)
-        if members >= _BATCH_MEMBERS:
-            yield from _batch_ring_counts(batch)
-            batch, members = [], 0
-    if batch:
-        yield from _batch_ring_counts(batch)
+    start, members = 0, 0
+    for p, count in enumerate(sets.counts().sum(axis=1).tolist()):
+        members += count
+        if members >= _BATCH_MEMBERS or p == len(sets) - 1:
+            yield from _batch_ring_counts(sets[start : p + 1])
+            start, members = p + 1, 0
 
 
-def _batch_ring_counts(batch):
+def _batch_ring_counts(batch: TreeSets):
     owner, level, index = _minimal_cubes(batch)
-    shells = [_shell0(g.x, g.y) for g in batch]
-    ring, kind = _ring_classes(
-        np.array([g.root.corner for g in batch])[owner],
-        np.array([g.root.edge for g in batch])[owner],
-        level,
-        index,
-        np.array([c for c, _ in shells])[owner],
-        np.array([e for _, e in shells])[owner],
-    )
-    minimal = np.zeros((len(batch), max(len(g.boxes) for g in batch)), dtype=np.int64)
+    shells = zip(*(_shell0(x, y) for x, y in zip(batch.x.tolist(), batch.y.tolist())))
+    center, edge0 = (np.array(v)[owner] for v in shells)
+    ring, kind = _ring_classes(batch.root.corner, batch.root.edge, level, index, center, edge0)
+    minimal = np.zeros((len(batch), batch.first.shape[1]), dtype=np.int64)
     np.add.at(minimal, (owner, level), 1)
     maxima = np.zeros((len(batch), 2), dtype=np.int64)
     key, count = np.unique((owner * _RING_CAP + ring) * 2 + (kind - 1), return_counts=True)
     np.maximum.at(maxima, (key // (2 * _RING_CAP), key % 2), count)  # (owner, kind - 1)
-    for g, counts, (kind1, kind2) in zip(batch, minimal.tolist(), maxima.tolist()):
-        yield g, counts, kind1, kind2
+    for counts, (kind1, kind2) in zip(minimal.tolist(), maxima.tolist()):
+        yield counts, kind1, kind2
 
 
 @dataclass(frozen=True)
@@ -423,15 +461,9 @@ class CountSummary:
 
 
 def count_summary(c: AllowedClassification, m: float, n: int) -> CountSummary:
-    per_level: dict[int, tuple[int, int]] = {}
-    for (k, kind), cubes in c.rings.items():
-        c1, c2 = per_level.get(k, (0, 0))
-        if kind == 1:
-            c1 += len(cubes)
-        else:
-            c2 += len(cubes)
-        per_level[k] = (c1, c2)
-    per_level = dict(sorted(per_level.items()))
+    per_level = {
+        k: tuple(len(c.rings.get((k, kind), ())) for kind in (1, 2)) for k, _ in sorted(c.rings)
+    }
     max1 = max((c1 for c1, _ in per_level.values()), default=0)
     max2 = max((c2 for _, c2 in per_level.values()), default=0)
     return CountSummary(per_level, max1 / m**n, max2)

@@ -20,14 +20,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .corpus import CorpusSpec, generate
-from .cubes import (
-    _check_dilation,
-    gamma_set,
-    kernel_sum,
-    level_kernel_sum,
-    ring_counts,
-    sample_pairs,
-)
+from .cubes import _check_dilation, level_kernel_sum, ring_counts, sample_pairs, tree_sets
 from .errors import ConfigError
 from .filterbank import decompose
 from .grid import Cube, GridFunction, cube_blocks, cube_sums, enumerate_cubes, per_cube
@@ -257,10 +250,11 @@ def kernel_decay_check(
         raise ConfigError(f"the decay slope fit needs at least 2 pairs, got {pair_count}")
     root = Cube((0.0,) * n, 1.0)
     pairs = sample_pairs(root, pair_count, seed)
-    tree_sets = (gamma_set(root, x, y, m) for x, y in pairs)
+    sets = tree_sets(root, [x for x, _ in pairs], [y for _, y in pairs], m)
     rows = []
-    for (x, y), (gamma, counts, kind1, kind2) in zip(pairs, ring_counts(tree_sets)):
-        k_full = kernel_sum(gamma, alpha, n)
+    per_pair = zip(pairs, sets.counts().tolist(), ring_counts(sets))
+    for (x, y), full, (minimal, kind1, kind2) in per_pair:
+        k_full = level_kernel_sum(root.edge, full, alpha, n)
         dist = math.sqrt(sum((a - b) ** 2 for a, b in zip(x, y)))
         rows.append(
             {
@@ -268,7 +262,7 @@ def kernel_decay_check(
                 "y": list(y),
                 "dist": dist,
                 "k_full": k_full,
-                "k_allowed": level_kernel_sum(root.edge, counts, alpha, n),
+                "k_allowed": level_kernel_sum(root.edge, minimal, alpha, n),
                 "k_full_scaled": k_full * dist ** (2 * alpha + n),
                 "count_kind1_max": kind1,
                 "count_kind2_max": kind2,

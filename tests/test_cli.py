@@ -138,6 +138,14 @@ BAD_INPUTS = {
                    "unrecognized arguments: --out"),
     "embedding_two_sizes": (["verify", "embedding", "--sizes", "16", "32"],
                             "unrecognized arguments: 32"),
+    "qalpha_csv_no_out": (["norm", "qalpha", "--input", "{grid}", "--format", "csv"],
+                          "--format csv writes a table and needs --out"),
+    "campanato_csv_no_out": (["norm", "campanato", "--input", "{grid}", "--format", "csv"],
+                             "--format csv writes a table and needs --out"),
+    "lpmorrey_csv_no_out": (["norm", "lpmorrey", "--input", "{grid}", "--format", "csv"],
+                            "--format csv writes a table and needs --out"),
+    "equivalence_csv_no_out": (["verify", "equivalence", "--corpus", "{corpus}", "--sizes", "16",
+                                "--format", "csv"], "--format csv writes a table and needs --out"),
 }
 
 
@@ -355,6 +363,18 @@ def test_out_dir_env_var(tmp_path, capsys, monkeypatch):
     code, out, _ = run(["kernel", "--pairs", "10", "--seed", "2"], capsys)
     assert code == 0
     assert (tmp_path / "kernel.csv").exists()
+
+
+def test_decompose_profiles_without_out(tmp_path, capsys, monkeypatch):
+    # --format csv writes the profile table next to the default bands.csv
+    monkeypatch.setenv("QALPHA_OUT_DIR", str(tmp_path))
+    grid = tmp_path / "f.grid"
+    write_grid(GridFunction(np.cos(2 * np.pi * 3 * np.arange(32) / 32)), grid)
+    code, text, _ = run(["decompose", "--input", str(grid), "--format", "csv"], capsys)
+    assert code == 0
+    assert (tmp_path / "bands.csv").read_text().startswith("band,l2_energy\n")
+    assert (tmp_path / "bands.csv.profiles").read_text().strip()
+    assert f"wrote {tmp_path / 'bands.csv.profiles'}" in text
 
 
 def test_decompose_family_flag(tmp_path, capsys):

@@ -15,7 +15,9 @@ from qalpha import (
     kernel_sum,
     required_max_level,
     sample_pairs,
+    tree_sets,
 )
+from qalpha import cubes as cubes_module
 
 import oracles
 
@@ -101,6 +103,70 @@ def test_gamma_matches_exhaustive_random(n, m, count, max_level):
         assert keys(g.members) == oracle
 
 
+def batch_keys(sets, p) -> set:
+    """(level, index) of every member of pair p's tree set in a TreeSets batch."""
+    out = set()
+    for k in range(sets.depth[p]):
+        box = zip(sets.first[p, k].tolist(), sets.last[p, k].tolist())
+        out |= {(k, i) for i in itertools.product(*(range(f, l + 1) for f, l in box))}
+    return out
+
+
+def record_exact_bounds(monkeypatch, key) -> set:
+    """Patch the exact-path bound so that each call adds key(its arguments)
+    to the returned set."""
+    seen, exact_bound = set(), cubes_module._exact_bound
+
+    def recording(*args):
+        seen.add(key(*args))
+        return exact_bound(*args)
+
+    monkeypatch.setattr(cubes_module, "_exact_bound", recording)
+    return seen
+
+
+def tie_pairs(root, m, level):
+    """Pairs with a level-`level` index bound on axis 0 that is an integer up
+    to rounding: x is the upper point of its pair with q*2^level - (m+1)/2
+    an integer, or the lower one with q*2^level + (m-1)/2 an integer, where
+    q = (x[0] - a)/E.  Each tie comes as is and one float step either way."""
+    a, E = root.corner, root.edge
+    sep = E * max(1 / 8, m / 32)
+    for q0, upper in ((0.3, True), (0.6, True), (0.4, False), (0.7, False)):
+        shift = -(m + 1) / 2 if upper else (m - 1) / 2
+        tie = a[0] + E * (round(q0 * 2**level + shift) - shift) / 2**level
+        for x0 in (tie, math.nextafter(tie, -math.inf), math.nextafter(tie, math.inf)):
+            x = (x0, *(c + E * 0.3 for c in a[1:]))
+            yield x, tuple(c + (-sep if upper else sep) for c in x)
+
+
+@pytest.mark.parametrize("m", [2.0, 2.1, 2.5, 3.0, 16.0])
+@pytest.mark.parametrize(
+    "root,cap",
+    [(UNIT1, 10), (Cube((0.3,), 0.7), 10), (UNIT2, 6), (Cube((-0.25, 0.1), 3.0), 6)],
+    ids=["unit1", "root1", "unit2", "root2"],
+)
+def test_tree_sets_batch_matches_exhaustive(root, cap, m, monkeypatch):
+    # one batch of random pairs and of pairs with a bound on or next to an
+    # integer; those take the exact path, and every box matches the oracle
+    rechecked = record_exact_bounds(monkeypatch, lambda p, a, e, m, k, upper: float(p))
+    ties = [pair for level in (1, 2, 3) for pair in tie_pairs(root, m, level)]
+    pairs = [
+        (x, y)
+        for x, y in sample_pairs(root, 8, seed=17) + ties
+        if required_max_level(root, x, y, m) <= cap
+    ]
+    assert sum(pair in pairs for pair in ties) >= 6
+    sets = tree_sets(root, [x for x, _ in pairs], [y for _, y in pairs], m)
+    for p, (x, y) in enumerate(pairs):
+        level = required_max_level(root, x, y, m)
+        oracle = oracles.exhaustive_gamma(root.corner, root.edge, x, y, m, level)
+        assert batch_keys(sets, p) == oracle
+        assert keys(gamma_set(root, x, y, m).members) == oracle
+        if (x, y) in ties:
+            assert x[0] in rechecked
+
+
 def test_gamma_upward_closure_and_finiteness():
     for x, y in sample_pairs(UNIT2, 20, seed=21):
         g = gamma_set(UNIT2, x, y, 2.0)
@@ -158,12 +224,15 @@ def test_allowed_matches_brute_force_and_disjoint(n, m):
                 assert not overlap
 
 
-def test_deep_tree_set_indices_past_int64():
+def test_deep_tree_set_indices_past_int64(monkeypatch):
     # x near 0 in the root [-1, 1] with |x - y| = 2^-66: the minimal cubes sit
     # at levels 59..67 with indices above 2^63
     root = Cube((-1.0,), 2.0)
     x, y = (2.0**-60,), (2.0**-60 + 2.0**-66,)
+    rechecked = record_exact_bounds(monkeypatch, lambda p, a, e, m, k, upper: (k, upper))
     g = gamma_set(root, x, y, 2.0)
+    # from 2^k q = 2^49 (q = 1/2 here) on, both bounds of every level are exact
+    assert rechecked >= {(k, upper) for k in range(50, len(g.boxes) + 1) for upper in (0, 1)}
     al = allowed_cubes(g)
     assert keys(al) == oracles.brute_force_minimal(keys(g.members))
     assert max(J.index[0] for J in al) > 2**63

@@ -182,7 +182,14 @@ def test_kernel_decay_rows_match_brute_force(n, m):
 def test_kernel_decay_rows_independent_of_batches(n, m, monkeypatch):
     batches = []
     minimal_cubes = cubes._minimal_cubes
-    monkeypatch.setattr(cubes, "_minimal_cubes", lambda b: batches.append(len(b)) or minimal_cubes(b))
+
+    def record(batch):
+        # a batch is a slice of the pairs' tree-set arrays, one row per pair
+        assert isinstance(batch, cubes.TreeSets)
+        batches.append(len(batch.depth))
+        return minimal_cubes(batch)
+
+    monkeypatch.setattr(cubes, "_minimal_cubes", record)
     whole = kernel_decay_check(0.5, m, n, 60, seed=3)
     assert batches == [60]
     # a budget of 50 members cuts the 60 pairs into many batches, and one
