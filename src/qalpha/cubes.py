@@ -103,9 +103,6 @@ class DyadicCube:
         e = self.edge
         return tuple(c + i * e for c, i in zip(self.root.corner, self.index))
 
-    def to_cube(self) -> Cube:
-        return Cube(self.corner, self.edge)
-
 
 # Upper end of the dilation factor: a tree set has about (m+1)^n members per
 # level, and a dilated cube mJ holds (m l(J) N)^n lattice points.
@@ -316,13 +313,16 @@ def allowed_cubes(gamma: GammaSet) -> frozenset[DyadicCube]:
 
 
 def _kernel_fsum(terms, alpha: float, n: int) -> float:
-    """math.fsum of `count` copies of edge^(-2*alpha - n) per (edge, count) term."""
+    """Sum of `count` copies of edge^(-2*alpha - n) per (edge, count) term, rounded once
+    like math.fsum: each term is num / 2^d, summed as integers over the largest 2^d."""
     if not alpha > -n / 2:
         raise ConfigError(f"divergent tree-sum regime: alpha={alpha} <= -n/2")
     expo = -(2.0 * alpha + n)
     if terms and not expo * math.log2(min(e for e, _ in terms)) <= _WEIGHT_LOG2_MAX:
         raise ConfigError(f"alpha={alpha}: kernel weights l(J)^-(2a+n) overflow")
-    return math.fsum(t for e, count in terms for t in itertools.repeat(e**expo, count))
+    ratios = [(e**expo).as_integer_ratio() for e, _ in terms]
+    den = max([d for _, d in ratios], default=1)
+    return sum([num * (den // d) * count for (num, d), (_, count) in zip(ratios, terms)]) / den
 
 
 def level_kernel_sum(edge: float, counts, alpha: float, n: int) -> float:
@@ -469,26 +469,25 @@ def count_summary(c: AllowedClassification, m: float, n: int) -> CountSummary:
     return CountSummary(per_level, max1 / m**n, max2)
 
 
+_R_MIN, _R_MAX = 4e-3, 4e-1  # range of the sampled pair separations r
+
+
 def sample_pairs(
     root: Cube,
     count: int,
     seed: int,
-    r_min: float = 4e-3,
-    r_max: float = 4e-1,
 ) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
     """Point pairs with log-uniform separation: x uniform in the root cube,
     y = x + r*u with uniform direction u, rejected until y lands in the root.
     """
-    if not 0 < r_min < r_max:
-        raise ConfigError("need 0 < r_min < r_max")
-    if r_max > root.edge:
-        raise ConfigError("r_max exceeds the root cube edge")
+    if _R_MAX > root.edge:
+        raise ConfigError(f"pair separations up to {_R_MAX} exceed the root cube edge")
     n = root.n
     rng = np.random.default_rng(seed)
     pairs = []
     while len(pairs) < count:
         x = tuple(c + root.edge * rng.random() for c in root.corner)
-        r = math.exp(rng.uniform(math.log(r_min), math.log(r_max)))
+        r = math.exp(rng.uniform(math.log(_R_MIN), math.log(_R_MAX)))
         if n == 1:
             u = (1.0 if rng.random() < 0.5 else -1.0,)
         else:

@@ -132,12 +132,6 @@ class Cube:
         """Closed-cube membership of a point in the cube's own coordinates."""
         return all(a <= x <= a + self.edge for a, x in zip(self.corner, point))
 
-    def contained_in(self, other: "Cube") -> bool:
-        return all(
-            b <= a and a + self.edge <= b + other.edge
-            for a, b in zip(self.corner, other.corner)
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class CubeBlock:

@@ -6,10 +6,10 @@ band-energy norm (`lp_morrey`), its dyadic-refinement rearrangement
 (`dyadic_lp` and `dyadic_lp_rearranged`, equal by an exact finite Fubini
 exchange), and the band-supremum combination (`morrey_besov`).
 
-Sup-type functionals report the square root of the per-cube maximum along
-with the attaining cube, so users can judge how saturated the finite cube
-family is.  A report's fields are the keys of its JSON file, and its table
-rows are plain dicts; `verify.write_json` and `verify.write_csv` write them.
+Sup-type functionals report the square root of the per-cube maximum with
+the first attaining cube in cube-list order, so users can judge how saturated
+the finite cube family is.  A report's fields are the keys of its JSON file,
+and its table rows are plain dicts; `verify.write_json` and `write_csv` write them.
 
 Every functional reduces the stacked lattice blocks of `grid.cube_blocks`,
 one band at a time; `lp_morrey` and `morrey_besov` take the dyadic pyramid
@@ -22,7 +22,6 @@ convolutions taken by one zero-padded batched FFT on (2M)^n.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,19 +128,21 @@ class NormReport:
     flags: tuple[str, ...] = ()
 
 
-def _finish(kind, alpha, rows, flags) -> NormReport:
-    if not rows:
-        raise ConfigError(f"{kind}: no usable cube in the family")
-    bad = next((r["cube"] for r in rows if not math.isfinite(r["value"])), None)
-    if bad is not None:
-        raise InvariantViolation(f"{kind}: non-finite value on cube {bad}")
-    best = max(rows, key=lambda r: r["value"])
+def _finish(kind, alpha, cubes, values: np.ndarray, flags) -> NormReport:
+    """Report of per-cube values; the maximum goes to the first attaining cube."""
+    if not len(cubes):
+        raise ConfigError(f"{kind}: no cube in the family")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise InvariantViolation(f"{kind}: non-finite value on cube {cubes[bad[0]]}")
+    best = int(np.argmax(values))
+    values = values.tolist()
     return NormReport(
         kind=kind,
         alpha=alpha,
-        value=best["value"],
-        argmax_cube=best["cube"],
-        table=tuple(rows),
+        value=values[best],
+        argmax_cube=cubes[best],
+        table=tuple({"cube": I, "value": v} for I, v in zip(cubes, values)),
         flags=tuple(flags),
     )
 
@@ -152,7 +153,7 @@ def q_alpha(f: GridFunction, alpha: float, cubes: list[Cube]) -> NormReport:
         l(I)^(2a-n) * h^(2n) * sum_{x != y in I} |f(x)-f(y)|^2 / |x-y|^(2a+n),
 
     maximized over the family.  Straight-line distances; values read
-    periodically.  Cubes with fewer than two lattice points are skipped.
+    periodically.  A cube with one lattice point has no pair: its value is 0.
     """
     _check_alpha(alpha, f)
     flags = []
@@ -163,16 +164,9 @@ def q_alpha(f: GridFunction, alpha: float, cubes: list[Cube]) -> NormReport:
         )
     blocks = cube_blocks(f, cubes)
     sums = per_cube(f, blocks, lambda v, b: _increment_sums(v, f.h, 2.0 * alpha + f.n))
-    single = {i for b in blocks if math.prod(b.shape) < 2 for i in b.index.tolist()}
-    rows = []
-    for i, (I, s) in enumerate(zip(cubes, sums.tolist())):
-        if i in single:
-            warnings.warn(f"cube {I} has fewer than 2 lattice points; skipped", stacklevel=2)
-            continue
-        # a sum within rounding of 0 may come out slightly negative
-        val = I.edge ** (2.0 * alpha - f.n) * f.h ** (2 * f.n) * max(s, 0.0)
-        rows.append({"cube": I, "value": math.sqrt(val)})
-    return _finish("q_alpha", alpha, rows, flags)
+    weight = np.array([I.edge ** (2.0 * alpha - f.n) * f.h ** (2 * f.n) for I in cubes])
+    # a sum within rounding of 0 may come out slightly negative
+    return _finish("q_alpha", alpha, cubes, np.sqrt(weight * np.maximum(sums, 0.0)), flags)
 
 
 def campanato(f: GridFunction, lam: float, cubes: list[Cube]) -> NormReport:
@@ -190,11 +184,8 @@ def campanato(f: GridFunction, lam: float, cubes: list[Cube]) -> NormReport:
         cube_blocks(f, cubes),
         lambda v, b: cube_sums((v - means[b.index].reshape((-1,) + (1,) * f.n)) ** 2),
     )
-    rows = [
-        {"cube": I, "value": math.sqrt(I.edge**-lam * f.h**f.n * s)}
-        for I, s in zip(cubes, osc.tolist())
-    ]
-    return _finish("campanato", lam, rows, [])
+    weight = np.array([I.edge**-lam * f.h**f.n for I in cubes])
+    return _finish("campanato", lam, cubes, np.sqrt(weight * osc), [])
 
 
 def _band_energies(f: GridFunction, cubes):
@@ -205,21 +196,14 @@ def _band_energies(f: GridFunction, cubes):
     return lambda band: cube_energies(band, blocks)
 
 
-def _band_start(I: Cube, flags: list[str]) -> int:
-    level = -math.log2(I.edge)
-    j0 = math.ceil(level)
-    if j0 != level:
-        flags.append(f"cube edge {I.edge} not dyadic: band sum started at j={j0}")
-    return j0
-
-
 def lp_morrey(
     f: GridFunction,
     alpha: float,
     cubes: list[Cube],
     decomposition: BandDecomposition,
 ) -> NormReport:
-    """Band-energy Morrey norm: per cube of level k the square root of
+    """Band-energy Morrey norm: per cube of dyadic edge 2^-k (any other edge
+    is rejected) the square root of
 
         |I|^-(1-2a/n) * sum_{j=k}^{L+1} 2^(2aj) * ||band_j||_{L2(I)}^2.
 
@@ -229,7 +213,7 @@ def lp_morrey(
     flags: list[str] = []
     if not 0 < alpha < 1:
         flags.append(f"alpha={alpha} outside (0,1): two-sided comparison not expected")
-    j0 = [_band_start(I, flags) for I in cubes]
+    j0 = [_dyadic_level(I) for I in cubes]
     j_lo = min(j0, default=decomposition.j_max + 1)
     if j_lo < decomposition.j_min:
         raise ConfigError(
@@ -241,11 +225,8 @@ def lp_morrey(
     for j in range(j_lo, decomposition.j_max + 1):
         e = 2.0 ** (2 * alpha * j) * energies(decomposition.band(j))
         acc += np.where(np.less_equal(j0, j), e, 0.0)
-    rows = [
-        {"cube": I, "value": math.sqrt((I.edge**f.n) ** -(1.0 - 2.0 * alpha / f.n) * a)}
-        for I, a in zip(cubes, acc.tolist())
-    ]
-    return _finish("lp_morrey", alpha, rows, flags)
+    weight = np.array([(I.edge**f.n) ** -(1.0 - 2.0 * alpha / f.n) for I in cubes])
+    return _finish("lp_morrey", alpha, cubes, np.sqrt(weight * acc), flags)
 
 
 def _dyadic_level(I: Cube) -> int:

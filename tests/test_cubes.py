@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -32,7 +33,7 @@ def keys(cubes) -> set:
 def test_dilate_examples():
     assert UNIT1.dilate(2.0) == Cube((-0.5,), 2.0)
     J = DyadicCube(UNIT1, 2, (1,))  # [1/4, 1/2]
-    assert J.to_cube().dilate(2.0) == Cube((0.125,), 0.5)
+    assert Cube(J.corner, J.edge).dilate(2.0) == Cube((0.125,), 0.5)
     # composition
     K = Cube((0.25, 0.5), 0.125)
     assert K.dilate(2.0).dilate(3.0) == K.dilate(6.0)
@@ -44,7 +45,11 @@ def test_dyadic_cube_geometry():
     assert J.corner == (0.25, 0.75)
     # the four children 2i + bits tile J
     kids = [DyadicCube(UNIT2, 3, (2 + a, 6 + b)) for a in (0, 1) for b in (0, 1)]
-    assert all(k.to_cube().contained_in(J.to_cube()) for k in kids)
+    assert all(
+        J.corner[d] <= k.corner[d] and k.corner[d] + k.edge <= J.corner[d] + J.edge
+        for k in kids
+        for d in range(2)
+    )
     assert sum(k.edge**2 for k in kids) == J.edge**2
     with pytest.raises(ConfigError):
         DyadicCube(UNIT1, 1, (2,))
@@ -213,7 +218,7 @@ def test_allowed_matches_brute_force_and_disjoint(n, m):
         g = gamma_set(root, x, y, m)
         al = allowed_cubes(g)
         assert keys(al) == oracles.brute_force_minimal(keys(g.members))
-        cubes = [J.to_cube() for J in al]
+        cubes = [Cube(J.corner, J.edge) for J in al]
         for i in range(len(cubes)):
             for j in range(i + 1, len(cubes)):
                 a, b = cubes[i], cubes[j]
@@ -261,6 +266,28 @@ def test_kernel_sum_values():
     assert kernel_sum({DyadicCube(UNIT1, 1, (0,))}, 0.5, 1) == 4.0
     with pytest.raises(ConfigError, match="divergent"):
         kernel_sum(set(), -0.5, 1)
+
+
+def test_kernel_fsum_matches_expanded_fsum():
+    # the counted sum is bit for bit math.fsum over every copy of every term
+    rng = random.Random(11)
+    cases = [
+        ([], 0.5, 1),
+        ([(1.0, 3), (0.5, 0)], 0.5, 1),
+        ([(3.0, 1), (3.0, 1), (1.0, 1)], 0.5, 1),  # two equal terms
+        ([(1.0, 1), (2.0**53, 1)], 0.0, 1),  # 1 + 2^-53: a tie, rounded down to even
+        ([(1.0, 1), (2.0**52, 1), (2.0**53, 1)], 0.0, 1),  # a tie rounded up to even
+        ([(2.0**530, 5), (2.0**700, 7), (2.0**500, 1)], 0.5, 1),  # subnormal terms and 0
+    ]
+    for _ in range(300):
+        n = rng.choice((1, 2))
+        edges = (2.0**-rng.randint(0, 40), rng.uniform(1e-3, 1.0), 2.0**rng.uniform(0, 700))
+        terms = [(rng.choice(edges), rng.randint(0, 200)) for _ in range(rng.randint(1, 8))]
+        cases.append((terms, rng.uniform(-n / 2 + 1e-3, 2.0), n))
+    for terms, alpha, n in cases:
+        expo = -(2.0 * alpha + n)
+        want = math.fsum(t for e, c in terms for t in itertools.repeat(e**expo, c))
+        assert cubes_module._kernel_fsum(terms, alpha, n) == want
 
 
 def test_kernel_subset_monotone_exact():
@@ -370,5 +397,3 @@ def test_sample_pairs_properties():
         r = math.sqrt(sum((a - b) ** 2 for a, b in zip(x, y)))
         assert 4e-3 <= r <= 4e-1
     assert pairs == sample_pairs(UNIT2, 40, seed=3)
-    with pytest.raises(ConfigError):
-        sample_pairs(UNIT2, 4, seed=1, r_min=0.5, r_max=0.2)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from qalpha import (
     CorpusSpec,
     Cube,
     GridFunction,
+    InvariantViolation,
     campanato,
     decompose,
     dyadic_lp,
@@ -87,11 +89,37 @@ def test_q_alpha_two_resolution_consistency():
     assert abs(vals[128] / vals[64] - 1) < 0.05
 
 
-def test_q_alpha_small_cube_skipped_with_warning():
+def test_q_alpha_one_point_cube_is_zero():
+    # a cube holding one lattice point has no pair: the empty sum
     f = GridFunction(np.arange(8) / 8)
-    with pytest.warns(UserWarning, match="fewer than 2"):
-        rep = q_alpha(f, 0.5, [Cube((0.24,), 0.02), UNIT1])
-    assert len(rep.table) == 1
+    point = Cube((0.24,), 0.02)
+    rep = q_alpha(f, 0.5, [point, UNIT1])
+    assert rep.table[0] == {"cube": point, "value": 0.0}
+    assert rep.table[1]["cube"] == UNIT1 and rep.table[1]["value"] > 0
+    assert rep.argmax_cube == UNIT1
+
+
+def test_tie_reports_first_cube():
+    # cos(2 pi 2x) sampled with period 1/2: both halves hold the same samples
+    half = np.cos(2 * np.pi * 2 * np.arange(32) / 64)
+    f = GridFunction(np.tile(half, 2))
+    cubes = [Cube((0.0,), 0.5), Cube((0.5,), 0.5)]
+    for rep in (
+        q_alpha(f, 0.5, cubes),
+        campanato(f, 0.5, cubes),
+        lp_morrey(f, 0.5, cubes, decompose(f, 0)),
+    ):
+        assert rep.table[0]["value"] == rep.table[1]["value"] > 0
+        assert rep.argmax_cube is cubes[0]
+        assert rep.value == rep.table[0]["value"]
+
+
+def test_non_finite_value_names_first_bad_cube(monkeypatch):
+    f = GridFunction(np.cos(2 * np.pi * np.arange(64) / 64))
+    cubes = [Cube((0.25 * i,), 0.25) for i in range(3)]
+    monkeypatch.setattr(norms, "_increment_sums", lambda *a: np.array([1.0, np.nan, np.nan]))
+    with pytest.raises(InvariantViolation, match=re.escape(f"on cube {cubes[1]}")):
+        q_alpha(f, 0.5, cubes)
 
 
 def test_cube_of_other_dimension_rejected():
@@ -172,12 +200,11 @@ def test_lp_morrey_requires_bands():
         lp_morrey(f, 0.5, [UNIT1], dec)
 
 
-def test_lp_morrey_non_dyadic_edge_flagged():
+def test_lp_morrey_non_dyadic_edge_rejected():
     f = generate(CorpusSpec("harmonic", 32, 1, (("xi0", 3),)))
     dec = decompose(f, 0)
-    rep = lp_morrey(f, 0.5, [Cube((0.0,), 0.3)], dec)
-    assert any("not dyadic" in fl for fl in rep.flags)
-    assert rep.value > 0
+    with pytest.raises(ConfigError, match="not dyadic"):
+        lp_morrey(f, 0.5, [UNIT1, Cube((0.0,), 0.3)], dec)
 
 
 @given(scale=st.floats(0.1, 10.0))
