@@ -5,7 +5,6 @@ from .cubes import (
     AllowedClassification,
     CountSummary,
     DyadicCube,
-    GammaSet,
     TreeSets,
     allowed_cubes,
     classify_allowed,

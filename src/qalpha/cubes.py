@@ -21,8 +21,11 @@ further than twice that, the margin, from every integer has the exact
 ceiling or floor; the others, ties included, are recomputed on scaled
 integers, where every float is a dyadic rational and |p - center| <= m*edge/2
 is exact.  From 2^k|q| = 2^49 on the margin exceeds 1/2: deep levels are exact.
-Kernel powers are summed with math.fsum, which makes the subset inequality
-kernel(full tree) >= kernel(minimal elements) exact.
+Kernel sums are exact: a weight l(J)^(-2*alpha - n) is a float num/2^d, so
+the sum over counted cubes per level is one integer over the largest 2^d,
+rounded once, the value math.fsum gives.  That makes the subset inequality
+kernel(full tree) >= kernel(minimal elements) exact.  A batch of tree sets is
+a `TreeSets`; `gamma_set`, the tree set of one pair, is a batch of one.
 
 Ring classes are computed on index arrays, never on cube objects.  The
 boxes of a batch of tree sets, each with the parent box of the level below,
@@ -55,7 +58,6 @@ from .grid import _WEIGHT_LOG2_MAX, Cube
 
 __all__ = [
     "DyadicCube",
-    "GammaSet",
     "TreeSets",
     "AllowedClassification",
     "CountSummary",
@@ -64,7 +66,6 @@ __all__ = [
     "required_max_level",
     "allowed_cubes",
     "kernel_sum",
-    "level_kernel_sum",
     "classify_allowed",
     "ring_counts",
     "count_summary",
@@ -133,44 +134,6 @@ def required_max_level(I: Cube, x: tuple[float, ...], y: tuple[float, ...], m: f
     return max(0, math.ceil(math.log2(m * I.edge / d_inf))) + 1
 
 
-Box = tuple[tuple[int, int], ...]  # per-axis (first, last) index range
-
-
-def _volume(box: Box) -> int:
-    return math.prod(last - first + 1 for first, last in box)
-
-
-@dataclass(frozen=True, eq=False)
-class GammaSet:
-    """All dyadic subcubes J of the root with x, y in mJ, one index box per level.
-
-    boxes[k] is the box of the level-k members; the tuple ends before the
-    first empty level.
-    """
-
-    root: Cube
-    x: tuple[float, ...]
-    y: tuple[float, ...]
-    m: float
-    boxes: tuple[Box, ...]
-
-    @property
-    def members(self) -> frozenset[DyadicCube]:
-        return frozenset(
-            DyadicCube(self.root, k, index)
-            for k, box in enumerate(self.boxes)
-            for index in itertools.product(*(range(first, last + 1) for first, last in box))
-        )
-
-    def __contains__(self, J: DyadicCube) -> bool:
-        return J.level < len(self.boxes) and all(
-            first <= i <= last for i, (first, last) in zip(J.index, self.boxes[J.level])
-        )
-
-    def __len__(self) -> int:
-        return sum(_volume(box) for box in self.boxes)
-
-
 @dataclass(frozen=True, eq=False)
 class TreeSets:
     """Tree sets of many pairs (x[p], y[p]) around one root, as index arrays.
@@ -197,6 +160,19 @@ class TreeSets:
         """Members per (pair, level), zero from each pair's depth on."""
         live = np.arange(self.first.shape[1]) < self.depth[:, None]
         return np.where(live, (self.last - self.first + 1).prod(axis=2), 0)
+
+    def _boxes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(pair, level) of every nonempty box."""
+        return np.nonzero(np.arange(self.first.shape[1]) < self.depth[:, None])
+
+    @property
+    def members(self) -> frozenset[DyadicCube]:
+        """Every member of the batch's tree sets (their union) as a DyadicCube."""
+        pair, level = self._boxes()
+        box, index = _expand(self.first[pair, level], self.last[pair, level])
+        return frozenset(
+            DyadicCube(self.root, k, tuple(i)) for k, i in zip(level[box].tolist(), index.tolist())
+        )
 
 
 def _index_dtype(level: int):
@@ -252,25 +228,23 @@ def tree_sets(root: Cube, x, y, m: float) -> TreeSets:
     return TreeSets(root, x, y, first, last, depth)
 
 
-def gamma_set(I: Cube, x: tuple[float, ...], y: tuple[float, ...], m: float = 2.0) -> GammaSet:
-    """The tree set of one pair: `tree_sets` on a batch of one.
-
-    Per axis the level-k box runs from ceil(q_hi*2^k - (m+1)/2) to
-    floor(q_lo*2^k + (m-1)/2) in floats; a bound within twice its float error,
-    2^-50 (2^k|q| + m + 1) + 2^(k-1074), of an integer is recomputed on scaled
-    integers (see the module docstring), so membership is exact.
-    """
-    x, y = tuple(map(float, x)), tuple(map(float, y))
-    sets = tree_sets(I, [x], [y], m)
-    depth = int(sets.depth[0])
-    first, last = sets.first[0, :depth].tolist(), sets.last[0, :depth].tolist()
-    return GammaSet(I, x, y, float(m), tuple(tuple(zip(f, l)) for f, l in zip(first, last)))
+def gamma_set(I: Cube, x: tuple[float, ...], y: tuple[float, ...], m: float = 2.0) -> TreeSets:
+    """The tree set of one pair: `tree_sets` on a batch of one."""
+    return tree_sets(I, [x], [y], m)
 
 
-def _as_batch(g: GammaSet) -> TreeSets:
-    boxes = np.array(g.boxes, dtype=_index_dtype(len(g.boxes) - 1)).reshape(1, -1, g.root.n, 2)
-    pair = np.array([g.x]), np.array([g.y])
-    return TreeSets(g.root, *pair, boxes[..., 0], boxes[..., 1], np.array([len(g.boxes)]))
+def _expand(first: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every index of the boxes first[b] .. last[b] (shape (boxes, n)) as rows
+    (box, index), in box order and, within a box, last axis fastest."""
+    size = (last - first + 1).astype(np.int64)
+    volume = size.prod(axis=1)
+    box = np.repeat(np.arange(len(first)), volume)
+    offset = np.arange(len(box)) - np.repeat(np.cumsum(volume) - volume, volume)
+    index = np.empty((len(box), first.shape[1]), dtype=first.dtype)
+    for d in range(first.shape[1] - 1, -1, -1):
+        index[:, d] = first[box, d] + offset % size[box, d]
+        offset //= size[box, d]
+    return box, index
 
 
 def _minimal_cubes(sets: TreeSets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -281,65 +255,54 @@ def _minimal_cubes(sets: TreeSets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     its box minus that one.  owner is the tree set's position in the batch,
     index has shape (cubes, n).
     """
-    levels = sets.first.shape[1]
-    owner, level = np.nonzero(np.arange(levels) < sets.depth[:, None])
-    first, last = sets.first[owner, level], sets.last[owner, level]
-    below = (owner, np.minimum(level + 1, levels - 1))
+    owner, level = sets._boxes()
+    below = (owner, np.minimum(level + 1, sets.first.shape[1] - 1))
     has_child = (level + 1 < sets.depth[owner])[:, None]  # else the parents are empty
     parent_first = np.where(has_child, sets.first[below] >> 1, 0)
     parent_last = np.where(has_child, sets.last[below] >> 1, -1)
-    size = (last - first + 1).astype(np.int64)
-    volume = size.prod(axis=1)
-    box = np.repeat(np.arange(len(owner)), volume)
-    offset = np.arange(len(box)) - np.repeat(np.cumsum(volume) - volume, volume)
-    index = np.empty((len(box), sets.root.n), dtype=first.dtype)
-    for d in range(sets.root.n - 1, -1, -1):
-        index[:, d] = first[box, d] + offset % size[box, d]
-        offset //= size[box, d]
+    box, index = _expand(sets.first[owner, level], sets.last[owner, level])
     in_parents = (parent_first[box] <= index) & (index <= parent_last[box])
     minimal = ~np.all(in_parents, axis=1)
     return owner[box[minimal]], level[box[minimal]], index[minimal]
 
 
-def allowed_cubes(gamma: GammaSet) -> frozenset[DyadicCube]:
-    """Minimal members of the tree set: none of their children qualify.
+def allowed_cubes(gamma: TreeSets) -> frozenset[DyadicCube]:
+    """Minimal members of the tree sets: none of their children qualify.
 
     Minimal members of an upward-closed family are pairwise disjoint.
     """
-    _, level, index = _minimal_cubes(_as_batch(gamma))
+    _, level, index = _minimal_cubes(gamma)
     return frozenset(
         DyadicCube(gamma.root, k, tuple(i)) for k, i in zip(level.tolist(), index.tolist())
     )
 
 
-def _kernel_fsum(terms, alpha: float, n: int) -> float:
-    """Sum of `count` copies of edge^(-2*alpha - n) per (edge, count) term, rounded once
-    like math.fsum: each term is num / 2^d, summed as integers over the largest 2^d."""
+def _kernel_sums(edges, counts, alpha: float, n: int) -> list[float]:
+    """Per row of `counts`, the sum of counts[r, k] copies of edges[k]^(-2*alpha - n),
+    rounded once like math.fsum: each weight is num / 2^d, so a row is one
+    integer over the largest 2^d.  Only levels counted in some row are weighed,
+    and the largest of their weights must stay below 2^_WEIGHT_LOG2_MAX."""
     if not alpha > -n / 2:
         raise ConfigError(f"divergent tree-sum regime: alpha={alpha} <= -n/2")
     expo = -(2.0 * alpha + n)
-    if terms and not expo * math.log2(min(e for e, _ in terms)) <= _WEIGHT_LOG2_MAX:
+    counts = np.asarray(counts, dtype=object)
+    used = np.flatnonzero(counts.any(axis=0))
+    if used.size and not expo * math.log2(min(edges[k] for k in used)) <= _WEIGHT_LOG2_MAX:
         raise ConfigError(f"alpha={alpha}: kernel weights l(J)^-(2a+n) overflow")
-    ratios = [(e**expo).as_integer_ratio() for e, _ in terms]
+    ratios = [(edges[k] ** expo).as_integer_ratio() for k in used]
     den = max([d for _, d in ratios], default=1)
-    return sum([num * (den // d) * count for (num, d), (_, count) in zip(ratios, terms)]) / den
-
-
-def level_kernel_sum(edge: float, counts, alpha: float, n: int) -> float:
-    """Kernel sum over counts[k] dyadic cubes of level k below a root of edge `edge`."""
-    return _kernel_fsum([(edge * 2.0**-k, c) for k, c in enumerate(counts) if c], alpha, n)
+    nums = np.array([num * (den // d) for num, d in ratios], dtype=object)
+    return [int(total) / den for total in counts[:, used].dot(nums)]
 
 
 def kernel_sum(S, alpha: float, n: int) -> float:
-    """Sum of l(J)^(-2*alpha - n) over the cubes in S (order-independent).
+    """Sum of l(J)^(-2*alpha - n) over the DyadicCubes in S (order-independent).
 
-    S is an iterable of DyadicCubes, or a GammaSet, which is summed level by
-    level without building its cubes.  The largest weight, that of the
-    smallest cube, must stay below 2^_WEIGHT_LOG2_MAX.
+    The largest weight, that of the smallest cube, must stay below
+    2^_WEIGHT_LOG2_MAX.
     """
-    if isinstance(S, GammaSet):
-        return level_kernel_sum(S.root.edge, [_volume(box) for box in S.boxes], alpha, n)
-    return _kernel_fsum([(J.edge, 1) for J in S], alpha, n)
+    edges, counts = np.unique([J.edge for J in S], return_counts=True)
+    return _kernel_sums(edges.tolist(), [counts], alpha, n)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -420,35 +383,32 @@ def classify_allowed(
 _BATCH_MEMBERS = 2**11
 
 
-def ring_counts(sets: TreeSets):
+def ring_counts(sets: TreeSets) -> tuple[np.ndarray, np.ndarray]:
     """Minimal cubes and ring counts of many tree sets, without cube objects.
 
-    Yields, per pair of `sets` in order, (its minimal cubes per level, the
-    largest count of kind-1 and of kind-2 minimal cubes in one ring): what
-    `allowed_cubes`, `classify_allowed` and `count_summary` give per pair.
-    The pairs are taken in batches of about _BATCH_MEMBERS tree-set members,
-    so one batch and its arrays are held at a time.
+    Returns minimal, the minimal cubes per (pair, level), and maxima, per
+    pair the largest count of kind-1 and of kind-2 minimal cubes in one ring:
+    what `allowed_cubes`, `classify_allowed` and `count_summary` give per
+    pair.  The pairs are taken in batches of about _BATCH_MEMBERS tree-set
+    members, so one batch's expansion is held at a time.
     """
+    minimal = np.zeros((len(sets), sets.first.shape[1]), dtype=np.int64)
+    maxima = np.zeros((len(sets), 2), dtype=np.int64)
     start, members = 0, 0
     for p, count in enumerate(sets.counts().sum(axis=1).tolist()):
         members += count
-        if members >= _BATCH_MEMBERS or p == len(sets) - 1:
-            yield from _batch_ring_counts(sets[start : p + 1])
-            start, members = p + 1, 0
-
-
-def _batch_ring_counts(batch: TreeSets):
-    owner, level, index = _minimal_cubes(batch)
-    shells = zip(*(_shell0(x, y) for x, y in zip(batch.x.tolist(), batch.y.tolist())))
-    center, edge0 = (np.array(v)[owner] for v in shells)
-    ring, kind = _ring_classes(batch.root.corner, batch.root.edge, level, index, center, edge0)
-    minimal = np.zeros((len(batch), batch.first.shape[1]), dtype=np.int64)
-    np.add.at(minimal, (owner, level), 1)
-    maxima = np.zeros((len(batch), 2), dtype=np.int64)
-    key, count = np.unique((owner * _RING_CAP + ring) * 2 + (kind - 1), return_counts=True)
-    np.maximum.at(maxima, (key // (2 * _RING_CAP), key % 2), count)  # (owner, kind - 1)
-    for counts, (kind1, kind2) in zip(minimal.tolist(), maxima.tolist()):
-        yield counts, kind1, kind2
+        if members < _BATCH_MEMBERS and p < len(sets) - 1:
+            continue
+        batch = sets[start : p + 1]
+        owner, level, index = _minimal_cubes(batch)
+        shells = zip(*(_shell0(x, y) for x, y in zip(batch.x.tolist(), batch.y.tolist())))
+        center, edge0 = (np.array(v)[owner] for v in shells)
+        ring, kind = _ring_classes(batch.root.corner, batch.root.edge, level, index, center, edge0)
+        np.add.at(minimal, (start + owner, level), 1)
+        key, in_ring = np.unique((owner * _RING_CAP + ring) * 2 + (kind - 1), return_counts=True)
+        np.maximum.at(maxima, (start + key // (2 * _RING_CAP), key % 2), in_ring)  # owner, kind - 1
+        start, members = p + 1, 0
+    return minimal, maxima
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ results do not depend on the profile shape.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,18 +149,10 @@ def decompose(f: GridFunction, j_min: int = 0, family: str = "exp") -> BandDecom
 
 def profiles_to_csv(profiles: list[BandProfile], path) -> None:
     """Long-format table (frequency components, profile label, value)."""
-    first = profiles[0]
-    N = first.values.shape[0]
-    n = first.values.ndim
-    freqs = np.fft.fftfreq(N, d=1.0 / N).astype(int)
+    N, n = profiles[0].values.shape[0], profiles[0].values.ndim
+    freqs = np.fft.fftfreq(N, d=1.0 / N).astype(int).tolist()
     with open(path, "w") as fh:
-        cols = ",".join(f"xi{d + 1}" for d in range(n))
-        fh.write(f"{cols},profile,value\n")
+        fh.write(",".join(f"xi{d + 1}" for d in range(n)) + ",profile,value\n")
         for p in profiles:
-            if n == 1:
-                for q, v in zip(freqs, p.values):
-                    fh.write(f"{q},{p.label},{float(v)!r}\n")
-            else:
-                for a, qa in enumerate(freqs):
-                    for b, qb in enumerate(freqs):
-                        fh.write(f"{qa},{qb},{p.label},{float(p.values[a, b])!r}\n")
+            for q, v in zip(itertools.product(freqs, repeat=n), p.values.ravel().tolist()):
+                fh.write(f"{','.join(map(str, q))},{p.label},{v!r}\n")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .corpus import CorpusSpec, generate
-from .cubes import _check_dilation, level_kernel_sum, ring_counts, sample_pairs, tree_sets
+from .cubes import _check_dilation, _kernel_sums, ring_counts, sample_pairs, tree_sets
 from .errors import ConfigError
 from .filterbank import decompose
 from .grid import Cube, GridFunction, cube_blocks, cube_sums, enumerate_cubes, per_cube
@@ -251,19 +251,21 @@ def kernel_decay_check(
     root = Cube((0.0,) * n, 1.0)
     pairs = sample_pairs(root, pair_count, seed)
     sets = tree_sets(root, [x for x, _ in pairs], [y for _, y in pairs], m)
+    edges = [root.edge * 2.0**-k for k in range(sets.first.shape[1])]
+    k_full = _kernel_sums(edges, sets.counts(), alpha, n)
+    minimal, maxima = ring_counts(sets)
+    k_allowed = _kernel_sums(edges, minimal, alpha, n)
     rows = []
-    per_pair = zip(pairs, sets.counts().tolist(), ring_counts(sets))
-    for (x, y), full, (minimal, kind1, kind2) in per_pair:
-        k_full = level_kernel_sum(root.edge, full, alpha, n)
+    for (x, y), full, allowed, (kind1, kind2) in zip(pairs, k_full, k_allowed, maxima.tolist()):
         dist = math.sqrt(sum((a - b) ** 2 for a, b in zip(x, y)))
         rows.append(
             {
                 "x": list(x),
                 "y": list(y),
                 "dist": dist,
-                "k_full": k_full,
-                "k_allowed": level_kernel_sum(root.edge, minimal, alpha, n),
-                "k_full_scaled": k_full * dist ** (2 * alpha + n),
+                "k_full": full,
+                "k_allowed": allowed,
+                "k_full_scaled": full * dist ** (2 * alpha + n),
                 "count_kind1_max": kind1,
                 "count_kind2_max": kind2,
             }

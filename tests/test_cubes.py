@@ -2,13 +2,14 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from qalpha import (
     ConfigError,
     Cube,
     DyadicCube,
-    GammaSet,
+    TreeSets,
     allowed_cubes,
     classify_allowed,
     count_summary,
@@ -64,7 +65,7 @@ def test_gamma_hand_example():
 
 def test_gamma_empty_when_point_outside_dilated_root():
     g = gamma_set(UNIT1, (0.1,), (2.9,), 2.0)
-    assert len(g) == 0
+    assert g.counts().sum() == 0
     assert allowed_cubes(g) == frozenset()
 
 
@@ -180,7 +181,7 @@ def test_gamma_upward_closure_and_finiteness():
             assert J.edge >= d_inf / 2.0
             if J.level > 0:
                 parent = DyadicCube(UNIT2, J.level - 1, tuple(i // 2 for i in J.index))
-                assert parent in g
+                assert parent in g.members
 
 
 def test_gamma_errors():
@@ -202,8 +203,8 @@ def test_allowed_single_and_chain():
     g = gamma_set(UNIT1, (0.1,), (0.9,), 2.0)
     assert keys(allowed_cubes(g)) == {(0, (0,))}
     # a literal chain I > J1 > J2 has the deepest member as its only minimum
-    chain = (((0, 0),), ((0, 0),), ((1, 1),))
-    g2 = GammaSet(UNIT1, (0.3,), (0.4,), 2.0, chain)
+    chain = np.array([[[0], [0], [1]]])  # (pairs, levels, n): first = last
+    g2 = TreeSets(UNIT1, np.array([[0.3]]), np.array([[0.4]]), chain, chain, np.array([3]))
     assert keys(g2.members) == {(0, (0,)), (1, (0,)), (2, (1,))}
     assert keys(allowed_cubes(g2)) == {(2, (1,))}
     # and on a real branched instance, minimality matches the brute force
@@ -237,7 +238,8 @@ def test_deep_tree_set_indices_past_int64(monkeypatch):
     rechecked = record_exact_bounds(monkeypatch, lambda p, a, e, m, k, upper: (k, upper))
     g = gamma_set(root, x, y, 2.0)
     # from 2^k q = 2^49 (q = 1/2 here) on, both bounds of every level are exact
-    assert rechecked >= {(k, upper) for k in range(50, len(g.boxes) + 1) for upper in (0, 1)}
+    depth = int(g.depth[0])
+    assert rechecked >= {(k, upper) for k in range(50, depth + 1) for upper in (0, 1)}
     al = allowed_cubes(g)
     assert keys(al) == oracles.brute_force_minimal(keys(g.members))
     assert max(J.index[0] for J in al) > 2**63
@@ -249,16 +251,24 @@ def test_deep_tree_set_indices_past_int64(monkeypatch):
 
 
 def test_box_arithmetic_matches_members():
-    # len, in and the level-by-level kernel sum agree with the built cubes
+    # counts, boxes and the level-by-level kernel sum agree with the built cubes
     for n in (1, 2):
         root = UNIT1 if n == 1 else UNIT2
         for x, y in sample_pairs(root, 20, seed=41):
             g = gamma_set(root, x, y, 3.0)
-            assert len(g) == len(g.members)
-            assert all(J in g for J in g.members)
-            assert kernel_sum(g, 0.5, n) == kernel_sum(g.members, 0.5, n)
+            depth = int(g.depth[0])
+            assert g.counts().sum() == len(g.members)
+            assert all(
+                J.level < depth
+                and all(g.first[0, J.level] <= J.index)
+                and all(J.index <= g.last[0, J.level])
+                for J in g.members
+            )
+            edges = [root.edge * 2.0**-k for k in range(g.first.shape[1])]
+            by_level = cubes_module._kernel_sums(edges, g.counts(), 0.5, n)
+            assert by_level == [kernel_sum(g.members, 0.5, n)]
             # a cube below the last level is not a member
-            assert DyadicCube(root, len(g.boxes), (0,) * n) not in g
+            assert DyadicCube(root, depth, (0,) * n) not in g.members
 
 
 def test_kernel_sum_values():
@@ -268,7 +278,7 @@ def test_kernel_sum_values():
         kernel_sum(set(), -0.5, 1)
 
 
-def test_kernel_fsum_matches_expanded_fsum():
+def test_kernel_sums_match_expanded_fsum():
     # the counted sum is bit for bit math.fsum over every copy of every term
     rng = random.Random(11)
     cases = [
@@ -287,7 +297,41 @@ def test_kernel_fsum_matches_expanded_fsum():
     for terms, alpha, n in cases:
         expo = -(2.0 * alpha + n)
         want = math.fsum(t for e, c in terms for t in itertools.repeat(e**expo, c))
-        assert cubes_module._kernel_fsum(terms, alpha, n) == want
+        edges, counts = [e for e, _ in terms], [[c for _, c in terms]]
+        assert cubes_module._kernel_sums(edges, counts, alpha, n) == [want]
+
+
+def test_kernel_sums_rows_match_expanded_fsum():
+    # every row of a count matrix is its own fsum, bit for bit; an all-zero
+    # row sums to 0.0, and the weight of a level no row counts is never
+    # formed: 2^-600 would give 2^1200 at alpha = 0.5, n = 1
+    rng = random.Random(12)
+    edges = [2.0**-k for k in range(12)] + [0.3, 2.0**-600]
+    counts = [[rng.randint(0, 50) for _ in edges[:-1]] + [0] for _ in range(40)]
+    counts[7] = [0] * len(edges)
+    counts[19][:-1] = [1, 0, 0, 1] * 3 + [0]
+    for alpha, n in ((0.5, 1), (0.3, 2), (-0.2, 1)):
+        expo = -(2.0 * alpha + n)
+        want = [
+            math.fsum(e**expo for e, c in zip(edges, row) if c for _ in range(c))
+            for row in counts
+        ]
+        got = cubes_module._kernel_sums(edges, np.array(counts), alpha, n)
+        assert got == want
+        assert got[7] == 0.0
+    with pytest.raises(ConfigError, match="overflow"):
+        cubes_module._kernel_sums(edges, [[0] * (len(edges) - 1) + [1]], 0.5, 1)
+
+
+def test_tree_sets_members_union_of_pairs():
+    # a two-pair batch holds the members of both one-pair tree sets
+    for n in (1, 2):
+        root = UNIT1 if n == 1 else UNIT2
+        (x1, y1), (x2, y2) = sample_pairs(root, 2, seed=43)
+        both = tree_sets(root, [x1, x2], [y1, y2], 2.5)
+        one, two = gamma_set(root, x1, y1, 2.5), gamma_set(root, x2, y2, 2.5)
+        assert both.members == one.members | two.members
+        assert both[:1].members == one.members and both[1:].members == two.members
 
 
 def test_kernel_subset_monotone_exact():
@@ -302,7 +346,7 @@ def test_kernel_equivalence_constant_stable_under_deeper_trees():
     # required depth
     for x, y in sample_pairs(UNIT1, 25, seed=10):
         g1 = gamma_set(UNIT1, x, y, 2.0)
-        assert len(g1.boxes) <= required_max_level(UNIT1, x, y, 2.0)
+        assert g1.depth[0] <= required_max_level(UNIT1, x, y, 2.0)
         c = kernel_sum(g1.members, 0.5, 1) / kernel_sum(allowed_cubes(g1), 0.5, 1)
         assert math.isfinite(c) and c >= 1.0
 
