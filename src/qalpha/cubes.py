@@ -18,9 +18,9 @@ q carries two roundings, the scaling by 2^k none, the shift and the sum one
 each, so a float bound is within 4u(2^k|q| + m + 1) + 2^(k-1075) of the
 exact value (u = 2^-53; the last term only for a subnormal q).  A bound
 further than twice that, the margin, from every integer has the exact
-ceiling or floor; the others, ties included, are recomputed on scaled
-integers, where every float is a dyadic rational and |p - center| <= m*edge/2
-is exact.  From 2^k|q| = 2^49 on the margin exceeds 1/2: deep levels are exact.
+ceiling or floor; the others, ties included, are recomputed from q*2^k
+in `Fraction`s, where every float is exact, so the ceiling or floor is too.
+From 2^k|q| = 2^49 on the margin exceeds 1/2: deep levels are exact.
 Kernel sums are exact: a weight l(J)^(-2*alpha - n) is a float num/2^d, so
 the sum over counted cubes per level is one integer over the largest 2^d,
 rounded once, the value math.fsum gives.  That makes the subset inequality
@@ -50,6 +50,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -115,17 +116,6 @@ def _check_dilation(m: float) -> None:
         raise ConfigError(f"dilation factor must be finite, >= 2 and <= {_M_MAX}, got {m}")
 
 
-def _dyadic_bits(v: float) -> int:
-    """Exponent e with v * 2^e an integer (floats are dyadic rationals)."""
-    den = float(v).as_integer_ratio()[1]
-    return den.bit_length() - 1
-
-
-def _scaled(v: float, scale: int) -> int:
-    num, den = float(v).as_integer_ratio()
-    return num * (2**scale // den)
-
-
 def required_max_level(I: Cube, x: tuple[float, ...], y: tuple[float, ...], m: float) -> int:
     """Smallest tree depth guaranteed to expose every minimal member."""
     d_inf = max(abs(a - b) for a, b in zip(x, y))
@@ -181,19 +171,12 @@ def _index_dtype(level: int):
 
 
 def _exact_bound(p: float, a: float, e: float, m: float, k: int, upper: int) -> int:
-    """First (upper 0) or last (upper 1) level-k index on one axis whose mJ holds p.
-
-    With P, A and E the point, root corner and level-k edge scaled to
-    integers and m = m_num/m_den, i qualifies iff |2(P - A) - (2i+1)E| * m_den
-    <= m_num * E: one ceiling and one floor division.
-    """
-    scale = max(_dyadic_bits(p), _dyadic_bits(a), _dyadic_bits(e) + k)
-    E = _scaled(e, scale) >> k
-    m_num, m_den = float(m).as_integer_ratio()
-    d = 2 * (_scaled(p, scale) - _scaled(a, scale)) * m_den
+    """First (upper 0) or last (upper 1) level-k index on one axis whose mJ holds p,
+    from q = (p - a) * 2^k / e in exact rational arithmetic."""
+    q = (Fraction(p) - Fraction(a)) * 2**k / Fraction(e)
     if upper:
-        return (d + E * (m_num - m_den)) // (2 * E * m_den)
-    return -((E * (m_num + m_den) - d) // (2 * E * m_den))
+        return math.floor(q + (Fraction(m) - 1) / 2)
+    return math.ceil(q - (Fraction(m) + 1) / 2)
 
 
 def tree_sets(root: Cube, x, y, m: float) -> TreeSets:
@@ -439,21 +422,27 @@ def sample_pairs(
 ) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
     """Point pairs with log-uniform separation: x uniform in the root cube,
     y = x + r*u with uniform direction u, rejected until y lands in the root.
+
+    Each attempt takes n + 2 doubles of the seeded stream in this order: the
+    n coordinates of x, the log-radius, the direction (a sign for n = 1, else
+    an angle).  Reports are reproducible from the seed only by that order.
     """
     if _R_MAX > root.edge:
         raise ConfigError(f"pair separations up to {_R_MAX} exceed the root cube edge")
     n = root.n
     rng = np.random.default_rng(seed)
+    log_lo, log_hi = math.log(_R_MIN), math.log(_R_MAX)
     pairs = []
     while len(pairs) < count:
-        x = tuple(c + root.edge * rng.random() for c in root.corner)
-        r = math.exp(rng.uniform(math.log(_R_MIN), math.log(_R_MAX)))
-        if n == 1:
-            u = (1.0 if rng.random() < 0.5 else -1.0,)
-        else:
-            theta = rng.uniform(0.0, 2.0 * math.pi)
-            u = (math.cos(theta), math.sin(theta))
-        y = tuple(a + r * b for a, b in zip(x, u))
-        if root.contains(y):
-            pairs.append((x, y))
+        for row in rng.random((count - len(pairs), n + 2)).tolist():
+            x = tuple(c + root.edge * d for c, d in zip(root.corner, row))
+            r = math.exp(log_lo + (log_hi - log_lo) * row[n])
+            if n == 1:
+                u = (1.0 if row[n + 1] < 0.5 else -1.0,)
+            else:
+                theta = 2.0 * math.pi * row[n + 1]
+                u = (math.cos(theta), math.sin(theta))
+            y = tuple(a + r * b for a, b in zip(x, u))
+            if all(c <= b <= c + root.edge for c, b in zip(root.corner, y)):
+                pairs.append((x, y))
     return pairs

@@ -128,10 +128,6 @@ class Cube:
             raise ConfigError(f"dilation factor must be positive, got {m}")
         return Cube(tuple(c + self.edge * (1 - m) / 2 for c in self.corner), m * self.edge)
 
-    def contains(self, point: tuple[float, ...]) -> bool:
-        """Closed-cube membership of a point in the cube's own coordinates."""
-        return all(a <= x <= a + self.edge for a, x in zip(self.corner, point))
-
 
 @dataclass(frozen=True, eq=False)
 class CubeBlock:

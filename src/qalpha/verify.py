@@ -22,7 +22,7 @@ import numpy as np
 from .corpus import CorpusSpec, generate
 from .cubes import _check_dilation, _kernel_sums, ring_counts, sample_pairs, tree_sets
 from .errors import ConfigError
-from .filterbank import decompose
+from .filterbank import BandDecomposition, decompose
 from .grid import Cube, GridFunction, cube_blocks, cube_sums, enumerate_cubes, per_cube
 from .norms import (
     _centered,
@@ -149,12 +149,11 @@ def fubini_identity_check(
     alpha: float,
     I: Cube,
     K: int,
-    decomposition=None,
+    decomposition: BandDecomposition,
 ) -> float:
     """Relative discrepancy between the refinement sum and its exchanged form."""
-    dec = decomposition if decomposition is not None else decompose(f, j_min=0)
-    a = dyadic_lp(f, alpha, I, K, dec)
-    b = dyadic_lp_rearranged(f, alpha, I, K, dec)
+    a = dyadic_lp(f, alpha, I, K, decomposition)
+    b = dyadic_lp_rearranged(f, alpha, I, K, decomposition)
     return abs(a - b) / max(a, EPS_FLOOR)
 
 
@@ -190,7 +189,6 @@ def lemma23_check(
     m: float,
     I: Cube,
     K: int,
-    q_value: float | None = None,
 ) -> Lemma23Record:
     """Ratio of the dilated-cube oscillation sum to m^(2a+2n) * q_alpha^2:
 
@@ -211,8 +209,7 @@ def lemma23_check(
         ]
         layer = edge ** (-2 * f.n) * float(_oscillation_pair_sums(f, dilated).sum())
         total += 2.0 ** ((2 * alpha - f.n) * k) * layer
-    if q_value is None:
-        q_value = q_alpha(f, alpha, standard_cubes(f)).value
+    q_value = q_alpha(f, alpha, standard_cubes(f)).value
     denom = m ** (2 * alpha + 2 * f.n) * q_value**2
     ratio = 0.0 if total == 0.0 else total / max(denom, EPS_FLOOR)
     return Lemma23Record(alpha, m, K, total, q_value, ratio)

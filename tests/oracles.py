@@ -188,6 +188,26 @@ def exhaustive_gamma(root_corner, root_edge, x, y, m, max_level):
     return out
 
 
+def sequential_pairs(root_corner, root_edge, count, seed):
+    """Point pairs drawn one attempt at a time: per attempt the corner
+    coordinates, a log-uniform radius in [4e-3, 4e-1] and a direction (a sign
+    in 1-D, an angle in 2-D), kept when y lies in the closed root cube."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < count:
+        x = tuple(c + root_edge * rng.random() for c in root_corner)
+        r = math.exp(rng.uniform(math.log(4e-3), math.log(4e-1)))
+        if len(x) == 1:
+            u = (1.0 if rng.random() < 0.5 else -1.0,)
+        else:
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            u = (math.cos(theta), math.sin(theta))
+        y = tuple(a + r * b for a, b in zip(x, u))
+        if all(c <= b <= c + root_edge for c, b in zip(root_corner, y)):
+            pairs.append((x, y))
+    return pairs
+
+
 def brute_force_minimal(keys: set[tuple[int, tuple[int, ...]]]):
     """Minimality by testing every proper-descendant relation directly."""
 

@@ -274,9 +274,7 @@ def test_criterion_5_ratio_stability():
 def _lemma23_ratios(K: int, m: float) -> dict[str, float]:
     out = {}
     for spec in equivalence_corpus(128):
-        f = generate(spec)
-        qv = q_alpha(f, 0.5, enumerate_cubes(f.L, f.L - 3, n=1, shifted=True)).value
-        out[spec.ident] = lemma23_check(f, 0.5, m, UNIT1, K, q_value=qv).ratio
+        out[spec.ident] = lemma23_check(generate(spec), 0.5, m, UNIT1, K).ratio
     return out
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -129,6 +130,36 @@ def record_exact_bounds(monkeypatch, key) -> set:
 
     monkeypatch.setattr(cubes_module, "_exact_bound", recording)
     return seen
+
+
+def in_dilated(p, a, e, m, k, i) -> bool:
+    """Exact test of p in mJ for J the level-k cube i of the root [a, a + e]:
+    |p - center(J)| <= m*l(J)/2, in Fractions."""
+    edge = Fraction(e) / 2**k
+    center = Fraction(a) + (i + Fraction(1, 2)) * edge
+    return abs(Fraction(p) - center) <= Fraction(m) * edge / 2
+
+
+@pytest.mark.parametrize("m", [2.0, 2.1, 7.3, 16.0])
+@pytest.mark.parametrize("a,e", [(-0.25, 1.0), (0.0, 0.3)])
+def test_exact_bound_is_first_and_last_dilated_member(a, e, m):
+    # random points, ties of either bound and their float neighbours, and
+    # subnormals: the first index has p in mJ_i but not in mJ_(i-1), the
+    # last has p in mJ_i but not in mJ_(i+1)
+    rnd = random.Random(11)
+    points = [(5e-324, 0), (5e-324, 90), (-2.0**-1070, 40)]
+    for _ in range(60):
+        k = rnd.randint(0, 90)
+        points.append((a + e * rnd.random(), k))
+        shift = (m - 1) / 2 if rnd.random() < 0.5 else -(m + 1) / 2
+        tie = a + e * (rnd.randint(0, 2 ** min(k, 50)) - shift) / 2**k
+        for t in (tie, math.nextafter(tie, -math.inf), math.nextafter(tie, math.inf)):
+            points.append((t, k))
+    for p, k in points:
+        first = cubes_module._exact_bound(p, a, e, m, k, 0)
+        assert in_dilated(p, a, e, m, k, first) and not in_dilated(p, a, e, m, k, first - 1)
+        last = cubes_module._exact_bound(p, a, e, m, k, 1)
+        assert in_dilated(p, a, e, m, k, last) and not in_dilated(p, a, e, m, k, last + 1)
 
 
 def tie_pairs(root, m, level):
@@ -378,7 +409,8 @@ def test_classification_matches_predicate_oracle():
         # the initial cube has edge sqrt(n)|x-y| and contains both points
         d = math.sqrt(sum((a - b) ** 2 for a, b in zip(x, y)))
         assert cls.I0.edge == pytest.approx(math.sqrt(2) * d)
-        assert cls.I0.contains(x) and cls.I0.contains(y)
+        for a, b, c in zip(x, y, cls.I0.corner):
+            assert c <= a <= c + cls.I0.edge and c <= b <= c + cls.I0.edge
 
 
 @pytest.mark.parametrize("n,step", [(1, 1), (2, 8)])
@@ -437,7 +469,18 @@ def test_sample_pairs_properties():
     pairs = sample_pairs(UNIT2, 40, seed=3)
     assert len(pairs) == 40
     for x, y in pairs:
-        assert UNIT2.contains(x) and UNIT2.contains(y)
+        assert all(0.0 <= c <= 1.0 for c in x + y)
         r = math.sqrt(sum((a - b) ** 2 for a, b in zip(x, y)))
         assert 4e-3 <= r <= 4e-1
     assert pairs == sample_pairs(UNIT2, 40, seed=3)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("corner,edge", [(0.0, 1.0), (0.25, 0.5), (-0.3, 0.75)])
+def test_sample_pairs_matches_sequential_draws(n, corner, edge):
+    # one block of n + 2 doubles per attempt reproduces the attempt-by-attempt
+    # draws (corner, log-radius, direction) bit for bit
+    root = Cube((corner,) * n, edge)
+    for seed, count in itertools.product((0, 1, 7919), (1, 3, 2000)):
+        want = oracles.sequential_pairs(root.corner, root.edge, count, seed)
+        assert repr(sample_pairs(root, count, seed)) == repr(want)

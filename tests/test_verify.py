@@ -67,7 +67,7 @@ def test_fubini_identity_check_small():
         assert fubini_identity_check(f, 0.5, UNIT1, 3, dec) < 1e-12
     # constant: 0 vs 0 counts as zero discrepancy
     f = generate(CorpusSpec("constant", 64, 1, (("value", 2.0),)))
-    assert fubini_identity_check(f, 0.5, UNIT1, 2) == 0.0
+    assert fubini_identity_check(f, 0.5, UNIT1, 2, decompose(f, 0)) == 0.0
 
 
 def test_lemma23_record_fields():
@@ -87,12 +87,12 @@ def test_lemma23_record_fields():
 def test_lemma23_rejects_non_dyadic_root():
     f = generate(CorpusSpec("spectral_noise", 64, 1, (("slope", 0.9),), seed=42))
     with pytest.raises(ConfigError, match="not dyadic"):
-        lemma23_check(f, 0.5, 2.0, Cube((0.0,), 0.75), 1, q_value=1.0)
+        lemma23_check(f, 0.5, 2.0, Cube((0.0,), 0.75), 1)
 
 
 def test_lemma23_constant_zero_ratio():
     f = generate(CorpusSpec("constant", 64, 1, (("value", 1.0),)))
-    rec = lemma23_check(f, 0.5, 2.0, UNIT1, 2, q_value=0.0)
+    rec = lemma23_check(f, 0.5, 2.0, UNIT1, 2)
     assert rec.lhs == 0.0 and rec.ratio == 0.0
 
 
