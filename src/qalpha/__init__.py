@@ -48,7 +48,6 @@ from .verify import (
     DecayRecord,
     EmbeddingReport,
     EquivalenceReport,
-    EquivalenceRow,
     Lemma23Record,
     embedding_check,
     equivalence_report,

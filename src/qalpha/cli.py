@@ -31,6 +31,14 @@ def _resolve_out(cfg: argparse.Namespace, default_name: str) -> Path:
     return _out_dir() / default_name
 
 
+def _write_report(cfg: argparse.Namespace, report, table) -> None:
+    """With --out, the report as JSON, or its table as CSV under --format csv."""
+    if cfg.out and getattr(cfg, "format", "json") == "csv":
+        verify_mod.write_csv(table, cfg.out)
+    elif cfg.out:
+        verify_mod.write_json(report, cfg.out)
+
+
 def _load_corpus(cfg: argparse.Namespace, N: int) -> list[corpus_mod.CorpusSpec]:
     if cfg.corpus:
         specs = corpus_mod.load_corpus_file(cfg.corpus)
@@ -88,15 +96,10 @@ def _cmd_norm(cfg: argparse.Namespace) -> int:
         dec = decompose(f, j_min=0)
         report = morrey_besov(f, cfg.alpha, f.n - 2 * cfg.alpha, 2, 2, cubes, dec)
         print(f"mb alpha={cfg.alpha} value={report.value!r}")
-        if cfg.out:
-            verify_mod.write_json(report, cfg.out)
+        _write_report(cfg, report, report.rows)
         return 0
     print(f"{cfg.kind} value={report.value!r} argmax={report.argmax_cube}")
-    if cfg.out:
-        if cfg.format == "json":
-            verify_mod.write_json(report, cfg.out)
-        else:
-            verify_mod.write_csv(report.table, cfg.out)
+    _write_report(cfg, report, report.table)
     return 0
 
 
@@ -142,8 +145,7 @@ def _cmd_verify(cfg: argparse.Namespace) -> int:
             f"max ring counts kind1/m^n={record.max_kind1_over_mn:.4g} "
             f"kind2={record.max_kind2}"
         )
-        if cfg.out:
-            verify_mod.write_json(record, cfg.out)
+        _write_report(cfg, record, record.rows)
         return 0
     N = cfg.sizes[0]  # the other checks read grid sizes
     if cfg.check == "fubini":
@@ -168,11 +170,7 @@ def _cmd_verify(cfg: argparse.Namespace) -> int:
             f"equivalence alpha={cfg.alpha}: c_low={report.c_low:.6g} "
             f"c_high={report.c_high:.6g} spread={report.spread:.6g}"
         )
-        if cfg.out:
-            if cfg.format == "json":
-                verify_mod.write_json(report, cfg.out)
-            else:
-                verify_mod.write_csv(report.rows, cfg.out)
+        _write_report(cfg, report, report.rows)
         return 0
     if cfg.check == "lemma23":
         for spec in _load_corpus(cfg, N):
@@ -186,8 +184,7 @@ def _cmd_verify(cfg: argparse.Namespace) -> int:
     print(f"embedding max ratio q/mb = {report.max_ratio:.6g}")
     if report.violations:
         raise InvariantViolation(f"embedding violated for {report.violations}")
-    if cfg.out:
-        verify_mod.write_json(report, cfg.out)
+    _write_report(cfg, report, report.rows)
     return 0
 
 
@@ -280,6 +277,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an output path that cannot be written
+        where = exc.filename or "an output file"
+        print(f"error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -73,20 +73,16 @@ class CorpusSpec:
         return replace(self, N=N)
 
 
-def _positions(N: int, n: int) -> list[np.ndarray]:
+def _positions(N: int, n: int) -> tuple[np.ndarray, ...]:
     x = np.arange(N) / N
-    if n == 1:
-        return [x]
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    return [X, Y]
+    return np.meshgrid(*(x,) * n, indexing="ij")
 
 
 def _freqs(N: int, n: int):
+    """Per-axis integer frequencies in FFT order, and the Euclidean |xi|."""
     q = np.fft.fftfreq(N, d=1.0 / N).astype(int)
-    if n == 1:
-        return q, np.abs(q).astype(float)
-    qx, qy = np.meshgrid(q, q, indexing="ij")
-    return (qx, qy), np.sqrt(qx.astype(float) ** 2 + qy.astype(float) ** 2)
+    freq = np.meshgrid(*(q,) * n, indexing="ij")
+    return freq, np.sqrt(sum(a.astype(float) ** 2 for a in freq))
 
 
 def _from_spectrum(coeffs: np.ndarray, N: int, n: int) -> GridFunction:
@@ -94,30 +90,26 @@ def _from_spectrum(coeffs: np.ndarray, N: int, n: int) -> GridFunction:
     return GridFunction(v.real)
 
 
-def _phase_shift(freq, n: int, center: float = 0.5) -> np.ndarray:
-    if n == 1:
-        return np.exp(-2j * np.pi * freq * center)
-    return np.exp(-2j * np.pi * (freq[0] + freq[1]) * center)
+def _centred_bump(spec: CorpusSpec, envelope) -> GridFunction:
+    """Coefficients envelope(|xi|) with zero mean, translated to the centre x = 1/2."""
+    freq, mag = _freqs(spec.N, spec.n)
+    coeffs = envelope(mag) * np.exp(-2j * np.pi * sum(freq) * 0.5)
+    coeffs[(0,) * spec.n] = 0.0
+    return _from_spectrum(coeffs, spec.N, spec.n)
 
 
 def _gaussian_bump(spec: CorpusSpec) -> GridFunction:
     width = spec.param("width")
     if not 0 < width <= 1:
         raise ConfigError(f"bump width must lie in (0, 1], the unit torus, got {width}")
-    freq, mag = _freqs(spec.N, spec.n)
-    coeffs = np.exp(-2.0 * np.pi**2 * width**2 * mag**2) * _phase_shift(freq, spec.n)
-    coeffs[(0,) * spec.n] = 0.0
-    return _from_spectrum(coeffs, spec.N, spec.n)
+    return _centred_bump(spec, lambda mag: np.exp(-2.0 * np.pi**2 * width**2 * mag**2))
 
 
 def _schwartz_like(spec: CorpusSpec) -> GridFunction:
     rate = spec.param("rate", 1.0)
     if not rate > 0:
         raise ConfigError(f"decay rate must be positive, got {rate}")
-    freq, mag = _freqs(spec.N, spec.n)
-    coeffs = np.exp(-rate * mag) * _phase_shift(freq, spec.n)
-    coeffs[(0,) * spec.n] = 0.0
-    return _from_spectrum(coeffs, spec.N, spec.n)
+    return _centred_bump(spec, lambda mag: np.exp(-rate * mag))
 
 
 def _harmonic(spec: CorpusSpec) -> GridFunction:

@@ -430,6 +430,8 @@ def sample_pairs(
     if _R_MAX > root.edge:
         raise ConfigError(f"pair separations up to {_R_MAX} exceed the root cube edge")
     n = root.n
+    if n not in (1, 2):
+        raise ConfigError(f"pairs are sampled in dimension 1 or 2, got {n}")
     rng = np.random.default_rng(seed)
     log_lo, log_hi = math.log(_R_MIN), math.log(_R_MAX)
     pairs = []

@@ -20,7 +20,7 @@ Two membership rules coexist:
   their parent exactly, grid-aligned cubes carry their exact measure, and a
   cube wider than the torus sees points with multiplicity;
 * closed intervals with each lattice index counted once (`closed=True`, for
-  `cube_mean`), i.e. boundary points are included in the average.
+  `cube_mean` and `campanato`'s mean f_I): boundary points are averaged too.
 
 All comparisons act on exactly representable dyadic rationals, so boundary
 ties are deterministic.

@@ -240,7 +240,9 @@ def _refinement_level(f: GridFunction, I: Cube, K: int) -> int:
     """Level of the dyadic cube I, after checking that K generations below it
     stay at least 3 levels above the grid."""
     level = _dyadic_level(I)
-    if K < 0 or K > f.L - level - 3:
+    if K < 0:
+        raise ConfigError(f"K must be >= 0, got {K}")
+    if K > f.L - level - 3:
         raise ConfigError(
             f"K={K} too deep for a level-{level} cube on an N={f.N} grid "
             f"(maximum {f.L - level - 3})"

@@ -2,8 +2,8 @@
 
 Every check returns a report dataclass whose fields are exactly the keys of
 its JSON file.  `write_json` writes any report, and `write_csv` any sequence
-of table rows (dicts or dataclasses), with one cell rule; the norm reports of
-`norms` go through the same two writers.
+of dict table rows, with one cell rule; the norm reports of `norms` go
+through the same two writers.
 "Verified" for a comparison statement means: the relevant ratio stays
 bounded over the test population and stable under refinement of the
 truncation parameter; no continuum constants are certified.  Reports are
@@ -37,7 +37,6 @@ from .norms import (
 
 __all__ = [
     "EquivalenceReport",
-    "EquivalenceRow",
     "Lemma23Record",
     "DecayRecord",
     "EmbeddingReport",
@@ -63,21 +62,11 @@ def standard_cubes(f: GridFunction, shifted: bool = True):
 # norm equivalence
 
 
-@dataclass(frozen=True)
-class EquivalenceRow:
-    spec_id: str
-    N: int
-    q_alpha: float
-    lp_morrey: float
-    ratio: float | None
-    excluded: bool = False
-
-
 @dataclass(frozen=True, eq=False)
 class EquivalenceReport:
     alpha: float
     sizes: tuple[int, ...]
-    rows: tuple[EquivalenceRow, ...]
+    rows: tuple[dict, ...]  # spec_id, N, q_alpha, lp_morrey, ratio, excluded
     per_doubling_ratio_change: dict[str, tuple[float, ...]]
     drift_flags: dict[str, bool]
     c_low: float
@@ -89,15 +78,15 @@ class EquivalenceReport:
         object.__setattr__(self, "spread", spread)
 
 
-def _one_equivalence_row(spec: CorpusSpec, N: int, alpha: float) -> EquivalenceRow:
+def _one_equivalence_row(spec: CorpusSpec, N: int, alpha: float) -> dict:
     f = generate(spec.with_size(N))
     cubes = standard_cubes(f)
-    dec = decompose(f, j_min=0)
-    qr = q_alpha(f, alpha, cubes)
-    lr = lp_morrey(f, alpha, cubes, dec)
-    if qr.value < ZERO_NORM and lr.value < ZERO_NORM:
-        return EquivalenceRow(spec.ident, N, qr.value, lr.value, None, excluded=True)
-    return EquivalenceRow(spec.ident, N, qr.value, lr.value, lr.value / qr.value)
+    qv = q_alpha(f, alpha, cubes).value
+    lv = lp_morrey(f, alpha, cubes, decompose(f, j_min=0)).value
+    excluded = qv < ZERO_NORM and lv < ZERO_NORM
+    ratio = None if excluded else lv / qv
+    return {"spec_id": spec.ident, "N": N, "q_alpha": qv, "lp_morrey": lv, "ratio": ratio,
+            "excluded": excluded}
 
 
 def equivalence_report(
@@ -123,7 +112,7 @@ def equivalence_report(
     trends: dict[str, tuple[float, ...]] = {}
     drift_flags: dict[str, bool] = {}
     for spec in corpus:
-        ratios = [r.ratio for r in rows if r.spec_id == spec.ident and r.ratio is not None]
+        ratios = [r["ratio"] for r in rows if r["spec_id"] == spec.ident and not r["excluded"]]
         if len(ratios) < 2:
             continue
         changes = tuple(b / a - 1.0 for a, b in zip(ratios, ratios[1:]))
@@ -132,7 +121,7 @@ def equivalence_report(
         drift_flags[spec.ident] = monotone and any(abs(c) > 0.20 for c in changes)
 
     max_n = max(sizes)
-    final = [r.ratio for r in rows if r.N == max_n and r.ratio is not None]
+    final = [r["ratio"] for r in rows if r["N"] == max_n and not r["excluded"]]
     c_low = min(final) if final else 0.0
     c_high = max(final) if final else 0.0
     return EquivalenceReport(
@@ -350,11 +339,10 @@ def _cell(value) -> str:
 
 
 def write_csv(rows, path) -> None:
-    """Table rows (dicts or dataclasses) as CSV under a header of the first
-    row's keys, where a Cube cell heads its corner and edge columns."""
+    """Dict table rows as CSV under a header of the first row's keys, where a
+    Cube cell heads its corner and edge columns."""
     with open(path, "w") as fh:
         for i, row in enumerate(rows):
-            row = row if isinstance(row, dict) else _fields(row)
             if i == 0:
                 header = ("corner,edge" if isinstance(v, Cube) else k for k, v in row.items())
                 fh.write(",".join(header) + "\n")

@@ -146,6 +146,29 @@ BAD_INPUTS = {
                             "--format csv writes a table and needs --out"),
     "equivalence_csv_no_out": (["verify", "equivalence", "--corpus", "{corpus}", "--sizes", "16",
                                 "--format", "csv"], "--format csv writes a table and needs --out"),
+    "dyadiclp_K_negative": (["norm", "dyadiclp", "--input", "{grid}", "--K", "-1"],
+                            "K must be >= 0, got -1"),
+    # an output path that cannot be written names the path; {missing} is no directory
+    "norm_json_unwritable": (["norm", "qalpha", "--input", "{grid}", "--out", "{missing}/x.json"],
+                             "cannot write {missing}/x.json"),
+    "norm_csv_unwritable": (["norm", "campanato", "--input", "{grid}", "--format", "csv",
+                             "--out", "{missing}/x.csv"], "cannot write {missing}/x.csv"),
+    "mb_unwritable": (["norm", "mb", "--input", "{grid}", "--out", "{missing}/x.json"],
+                      "cannot write {missing}/x.json"),
+    "dyadiclp_unwritable": (["norm", "dyadiclp", "--input", "{grid}", "--K", "1",
+                             "--out", "{missing}/x.txt"], "cannot write {missing}/x.txt"),
+    "decompose_unwritable": (["decompose", "--input", "{grid}", "--out", "{missing}/b.csv"],
+                             "cannot write {missing}/b.csv"),
+    "kernel_unwritable": (["kernel", "--pairs", "10", "--out", "{missing}/k.csv"],
+                          "cannot write {missing}/k.csv"),
+    "decay_unwritable": (["verify", "decay", "--pairs", "10", "--out", "{missing}/d.json"],
+                         "cannot write {missing}/d.json"),
+    "equivalence_unwritable": (["verify", "equivalence", "--corpus", "{corpus}", "--sizes", "16",
+                                "--format", "csv", "--out", "{missing}/e.csv"],
+                               "cannot write {missing}/e.csv"),
+    "embedding_unwritable": (["verify", "embedding", "--corpus", "{corpus}", "--sizes", "16",
+                              "--out", "{missing}/e.json"], "cannot write {missing}/e.json"),
+    "gen_onto_file": (["gen", "--size", "16", "--out", "{grid}"], "cannot write {grid}: "),
 }
 
 
@@ -176,7 +199,7 @@ def test_bad_input_exits_two(argv, message, tmp_path, capsys):
     (tmp_path / "bad_corpus").write_text(json.dumps([{**record, "params": {"xi0": "x"}}]))
     code, out, err = run([a.format(**paths) for a in argv], capsys)
     assert code == 2
-    assert err.startswith("error: ") and message in err
+    assert err.startswith("error: ") and message.format(**paths) in err
     assert err.count("\n") == 1
     assert "Traceback" not in err
 

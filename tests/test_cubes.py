@@ -15,6 +15,7 @@ from qalpha import (
     classify_allowed,
     count_summary,
     gamma_set,
+    kernel_decay_check,
     kernel_sum,
     required_max_level,
     sample_pairs,
@@ -473,6 +474,14 @@ def test_sample_pairs_properties():
         r = math.sqrt(sum((a - b) ** 2 for a, b in zip(x, y)))
         assert 4e-3 <= r <= 4e-1
     assert pairs == sample_pairs(UNIT2, 40, seed=3)
+
+
+def test_sample_pairs_rejects_dimension_three():
+    # the direction is a sign (n = 1) or an angle (n = 2); nothing samples a sphere
+    with pytest.raises(ConfigError, match="dimension 1 or 2, got 3"):
+        sample_pairs(Cube((0.0,) * 3, 1.0), 1, 0)
+    with pytest.raises(ConfigError, match="dimension 1 or 2, got 3"):
+        kernel_decay_check(0.5, 2.0, 3, 10, 7)
 
 
 @pytest.mark.parametrize("n", [1, 2])

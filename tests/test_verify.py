@@ -36,10 +36,10 @@ def mini_corpus(N=64):
 def test_equivalence_report_basic():
     rep = equivalence_report(mini_corpus(), 0.5, [64, 128])
     assert len(rep.rows) == 6
-    const_rows = [r for r in rep.rows if r.spec_id.startswith("constant")]
-    assert all(r.excluded and r.ratio is None for r in const_rows)
-    live = [r for r in rep.rows if r.ratio is not None]
-    assert all(r.ratio > 0 for r in live)
+    const_rows = [r for r in rep.rows if r["spec_id"].startswith("constant")]
+    assert all(r["excluded"] and r["ratio"] is None for r in const_rows)
+    live = [r for r in rep.rows if r["ratio"] is not None]
+    assert all(r["ratio"] > 0 for r in live)
     assert rep.c_low <= rep.c_high
     assert not any(rep.drift_flags.values())
     # deterministic reproduction
@@ -251,9 +251,9 @@ def test_equivalence_alpha_above_one_diagnostic():
     # the degeneracy regime still produces a report (ratios may drift)
     specs = [CorpusSpec("schwartz_like", 64, 1, (("rate", 1.0),))]
     rep = equivalence_report(specs, 1.2, [64, 128])
-    rows = [r for r in rep.rows if r.ratio is not None]
+    rows = [r for r in rep.rows if r["ratio"] is not None]
     assert len(rows) == 2
-    assert all(math.isfinite(r.lp_morrey) for r in rows)
+    assert all(math.isfinite(r["lp_morrey"]) for r in rows)
 
 
 def test_drift_flag_fires_when_one_side_diverges():
