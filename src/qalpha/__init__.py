@@ -35,6 +35,7 @@ from .grid import (
     write_grid,
 )
 from .norms import (
+    CubeTable,
     MorreyBesovReport,
     NormReport,
     campanato,

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 from pathlib import Path
@@ -153,8 +152,8 @@ def _cmd_verify(cfg: argparse.Namespace) -> int:
         for spec in _load_corpus(cfg, N):
             f = corpus_mod.generate(spec)
             dec = decompose(f, j_min=0)
-            for cube in enumerate_cubes(f.L, min(2, f.L - 3), n=f.n):
-                level = round(-math.log2(cube.edge))
+            family = enumerate_cubes(f.L, min(2, f.L - 3), n=f.n)
+            for cube, level in zip(family, family.level.tolist()):
                 K = min(cfg.K, f.L - level - 3)  # identity holds at any depth
                 d = verify_mod.fubini_identity_check(f, cfg.alpha, cube, K, dec)
                 worst = max(worst, d)

@@ -9,7 +9,8 @@ while positions stay in the cube's own (unwrapped) coordinates.
 Cube lists are read through `cube_blocks`: it finds each cube's first
 lattice integer and point count per axis, groups cubes with equal counts,
 and reads a group as one stacked block (cubes, M1, ..., Mn), in position
-order, with a single periodic-index gather.  Energies on a `CubeFamily`
+order, with a single periodic-index gather; a `CubeFamily`, which holds its
+cubes as arrays, is read without a `Cube` per cube.  Energies on a family
 also have an O(N^n) route, `family_energies`: an aligned cube is the union
 of its 2^n children, and the half-shifted level-k cube i is the union of
 the aligned level-(k+1) cubes 2i+1 and 2i+2 per axis, read periodically.
@@ -28,7 +29,6 @@ ties are deterministic.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -153,10 +153,8 @@ def cube_blocks(f: GridFunction, cubes, closed: bool = False) -> list[CubeBlock]
     """Group the cubes by per-axis lattice count, half-open or closed
     membership as in the module docstring.  Raises on a cube with no point
     or of another dimension than f."""
-    if any(I.n != f.n for I in cubes):
-        raise ConfigError(f"cube dimension differs from the grid's n={f.n}")
-    corner = np.array([I.corner for I in cubes], dtype=float).reshape(-1, f.n)
-    end = corner + np.array([I.edge for I in cubes])[:, None]
+    corner, edge = _corners_edges(cubes, f.n)
+    end = corner + edge[:, None]
     start = np.ceil(corner * f.N)
     if closed:
         count = np.minimum(np.floor(end * f.N) - start + 1, f.N)
@@ -219,13 +217,16 @@ class CubeFamily(Sequence):
     """Grid-aligned dyadic subcubes of [0,1)^n, levels 0..level_max, for an
     N = 2^L grid, level by level and row-major within a level; with `shifted`,
     the same family translated by half an edge per axis follows (membership
-    wraps periodically).  An immutable sequence of `Cube`; slices are tuples."""
+    wraps periodically).  Held as a `level` array and a (cubes, n) `corner`
+    array of (i + shift) * 2^-k; an immutable sequence of `Cube`, each built
+    when indexed or iterated; slices are tuples."""
 
     L: int
     level_max: int
     n: int = 1
     shifted: bool = False
-    cubes: tuple[Cube, ...] = field(init=False, repr=False, compare=False)
+    level: np.ndarray = field(init=False, repr=False, compare=False)
+    corner: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n not in (1, 2):
@@ -237,22 +238,36 @@ class CubeFamily(Sequence):
                 f"level_max {self.level_max} leaves fewer than 8 lattice points per edge "
                 f"(maximum for L={self.L} is {self.L - 3})"
             )
-        cubes = (
-            Cube(tuple((i + shift) * 2.0**-k for i in idx), 2.0**-k)
-            for shift in ((0.0, 0.5) if self.shifted else (0.0,))
-            for k in range(self.level_max + 1)
-            for idx in itertools.product(range(2**k), repeat=self.n)
-        )
-        object.__setattr__(self, "cubes", tuple(cubes))
+        shifts = (0.0, 0.5) if self.shifted else (0.0,)
+        index = [np.indices((2**k,) * self.n).reshape(self.n, -1).T
+                 for k in range(self.level_max + 1)]
+        level = np.concatenate([np.full(len(i), k) for _ in shifts for k, i in enumerate(index)])
+        corner = np.concatenate([(i + s) * 2.0**-k for s in shifts for k, i in enumerate(index)])
+        for name, array in (("level", level), ("corner", corner)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     def __len__(self) -> int:
-        return len(self.cubes)
+        return len(self.level)
 
     def __getitem__(self, i):
-        return self.cubes[i]
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        return Cube(tuple(self.corner[i].tolist()), 2.0 ** -int(self.level[i]))
 
     def __iter__(self):
-        return iter(self.cubes)
+        return map(Cube, map(tuple, self.corner.tolist()), np.ldexp(1.0, -self.level).tolist())
+
+
+def _corners_edges(cubes, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Corners (cubes, n) and edges of a cube list, a `CubeFamily`'s from its
+    arrays.  Raises on a cube of another dimension than n."""
+    if isinstance(cubes, CubeFamily) and cubes.n == n:
+        return cubes.corner, np.ldexp(1.0, -cubes.level)
+    if any(I.n != n for I in cubes):
+        raise ConfigError(f"cube dimension differs from the grid's n={n}")
+    corner = np.array([I.corner for I in cubes], dtype=float).reshape(-1, n)
+    return corner, np.array([I.edge for I in cubes], dtype=float)
 
 
 def enumerate_cubes(L: int, level_max: int, n: int = 1, shifted: bool = False) -> CubeFamily:

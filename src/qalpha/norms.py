@@ -9,7 +9,8 @@ exchange), and the band-supremum combination (`morrey_besov`).
 Sup-type functionals report the square root of the per-cube maximum with
 the first attaining cube in cube-list order, so users can judge how saturated
 the finite cube family is.  A report's fields are the keys of its JSON file,
-and its table rows are plain dicts; `verify.write_json` and `write_csv` write them.
+and its table builds each plain-dict row when read; `verify.write_json` and
+`write_csv` write them.  Edge weights are evaluated once per distinct edge.
 
 Every functional reduces the stacked lattice blocks of `grid.cube_blocks`,
 one band at a time; `lp_morrey` and `morrey_besov` take the dyadic pyramid
@@ -22,6 +23,7 @@ convolutions taken by one zero-padded batched FFT on (2M)^n.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +35,7 @@ from .grid import (
     Cube,
     CubeFamily,
     GridFunction,
+    _corners_edges,
     block_sums,
     cube_blocks,
     cube_energies,
@@ -43,6 +46,7 @@ from .grid import (
 
 __all__ = [
     "NormReport",
+    "CubeTable",
     "MorreyBesovReport",
     "q_alpha",
     "campanato",
@@ -116,6 +120,26 @@ def _increment_sums(block: np.ndarray, h: float, exponent: float) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class CubeTable(Sequence):
+    """Read-only {"cube", "value"} rows over a cube list and its values, each
+    built when read; slices are tuples."""
+
+    cubes: Sequence[Cube]
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        return {"cube": self.cubes[i], "value": float(self.values[i])}
+
+    def __iter__(self):
+        return ({"cube": I, "value": v} for I, v in zip(self.cubes, self.values.tolist()))
+
+
+@dataclass(frozen=True, eq=False)
 class NormReport:
     """Value of a sup-type functional with its per-cube table of
     {"cube", "value"} rows."""
@@ -124,7 +148,7 @@ class NormReport:
     alpha: float
     value: float
     argmax_cube: Cube | None
-    table: tuple[dict, ...]
+    table: CubeTable
     flags: tuple[str, ...] = ()
 
 
@@ -136,15 +160,25 @@ def _finish(kind, alpha, cubes, values: np.ndarray, flags) -> NormReport:
     if bad.size:
         raise InvariantViolation(f"{kind}: non-finite value on cube {cubes[bad[0]]}")
     best = int(np.argmax(values))
-    values = values.tolist()
+    values.setflags(write=False)
     return NormReport(
         kind=kind,
         alpha=alpha,
-        value=values[best],
+        value=float(values[best]),
         argmax_cube=cubes[best],
-        table=tuple({"cube": I, "value": v} for I, v in zip(cubes, values)),
+        table=CubeTable(cubes if isinstance(cubes, CubeFamily) else tuple(cubes), values),
         flags=tuple(flags),
     )
+
+
+def _per_edge(f: GridFunction, cubes, value) -> np.ndarray:
+    """value(edge) per cube in Python floats (numpy's power can differ in the
+    last bit), called once per distinct edge in the order edges first appear."""
+    edge = _corners_edges(cubes, f.n)[1]
+    distinct, first, inverse = np.unique(edge, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    values = np.array([value(float(e)) for e in distinct[order]])
+    return values[np.argsort(order)][inverse]  # back to sorted edges, then to cubes
 
 
 def q_alpha(f: GridFunction, alpha: float, cubes: list[Cube]) -> NormReport:
@@ -164,7 +198,7 @@ def q_alpha(f: GridFunction, alpha: float, cubes: list[Cube]) -> NormReport:
         )
     blocks = cube_blocks(f, cubes)
     sums = per_cube(f, blocks, lambda v, b: _increment_sums(v, f.h, 2.0 * alpha + f.n))
-    weight = np.array([I.edge ** (2.0 * alpha - f.n) * f.h ** (2 * f.n) for I in cubes])
+    weight = _per_edge(f, cubes, lambda e: e ** (2.0 * alpha - f.n) * f.h ** (2 * f.n))
     # a sum within rounding of 0 may come out slightly negative
     return _finish("q_alpha", alpha, cubes, np.sqrt(weight * np.maximum(sums, 0.0)), flags)
 
@@ -184,7 +218,7 @@ def campanato(f: GridFunction, lam: float, cubes: list[Cube]) -> NormReport:
         cube_blocks(f, cubes),
         lambda v, b: cube_sums((v - means[b.index].reshape((-1,) + (1,) * f.n)) ** 2),
     )
-    weight = np.array([I.edge**-lam * f.h**f.n for I in cubes])
+    weight = _per_edge(f, cubes, lambda e: e**-lam * f.h**f.n)
     return _finish("campanato", lam, cubes, np.sqrt(weight * osc), [])
 
 
@@ -213,8 +247,8 @@ def lp_morrey(
     flags: list[str] = []
     if not 0 < alpha < 1:
         flags.append(f"alpha={alpha} outside (0,1): two-sided comparison not expected")
-    j0 = [_dyadic_level(I) for I in cubes]
-    j_lo = min(j0, default=decomposition.j_max + 1)
+    j0 = _per_edge(f, cubes, _dyadic_level)
+    j_lo = int(j0.min()) if j0.size else decomposition.j_max + 1
     if j_lo < decomposition.j_min:
         raise ConfigError(
             f"cube of level {j_lo} needs bands from j={j_lo}, but the decomposition "
@@ -225,21 +259,21 @@ def lp_morrey(
     for j in range(j_lo, decomposition.j_max + 1):
         e = 2.0 ** (2 * alpha * j) * energies(decomposition.band(j))
         acc += np.where(np.less_equal(j0, j), e, 0.0)
-    weight = np.array([(I.edge**f.n) ** -(1.0 - 2.0 * alpha / f.n) for I in cubes])
+    weight = _per_edge(f, cubes, lambda e: (e**f.n) ** -(1.0 - 2.0 * alpha / f.n))
     return _finish("lp_morrey", alpha, cubes, np.sqrt(weight * acc), flags)
 
 
-def _dyadic_level(I: Cube) -> int:
-    level = -math.log2(I.edge)
+def _dyadic_level(edge: float) -> int:
+    level = -math.log2(edge)
     if level != int(level) or level < 0:
-        raise ConfigError(f"cube edge {I.edge} is not dyadic")
+        raise ConfigError(f"cube edge {edge} is not dyadic")
     return int(level)
 
 
 def _refinement_level(f: GridFunction, I: Cube, K: int) -> int:
     """Level of the dyadic cube I, after checking that K generations below it
     stay at least 3 levels above the grid."""
-    level = _dyadic_level(I)
+    level = _dyadic_level(I.edge)
     if K < 0:
         raise ConfigError(f"K must be >= 0, got {K}")
     if K > f.L - level - 3:
@@ -341,7 +375,7 @@ def morrey_besov(
     if not cubes:
         raise ConfigError("morrey_besov: no cube in the family")
     energies = _band_energies(f, cubes)
-    scale = np.array([(I.edge**f.n) ** (-sigma / f.n) for I in cubes])
+    scale = _per_edge(f, cubes, lambda e: (e**f.n) ** (-sigma / f.n))
     rows = []
     total = 0.0
     for j in decomposition.js:

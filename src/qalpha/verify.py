@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -232,6 +233,7 @@ def kernel_decay_check(
     seed: int,
 ) -> DecayRecord:
     """Sample pairs in the unit cube, enumerate tree sets, and regress log k on log |x-y|."""
+    _check_alpha(alpha)
     if pair_count < 2:
         raise ConfigError(f"the decay slope fit needs at least 2 pairs, got {pair_count}")
     root = Cube((0.0,) * n, 1.0)
@@ -310,14 +312,17 @@ def embedding_check(
 # serialization helpers
 
 
-def _fields(obj) -> dict:
-    """A dataclass as {field name: value}; nested values are left as they are."""
+def _fields(obj):
+    """A sequence (a norm report's `CubeTable`) as a list, and a dataclass as
+    {field name: value}; nested values are left as they are."""
+    if isinstance(obj, Sequence):
+        return list(obj)
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 def write_json(report, path) -> None:
     """Any report as JSON: each dataclass in it, nested rows and cubes too, as
-    {field name: value}."""
+    {field name: value}, and a norm report's table as a list of rows."""
     with open(path, "w") as fh:
         json.dump(report, fh, default=_fields, indent=2, sort_keys=True)
         fh.write("\n")

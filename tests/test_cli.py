@@ -106,6 +106,10 @@ BAD_INPUTS = {
     "mb_alpha_huge": (["norm", "mb", "--alpha", "1e308", "--input", "{grid}"], "overflow"),
     "equivalence_alpha_huge": (["verify", "equivalence", "--alpha", "1e308", "--corpus",
                                 "{corpus}", "--sizes", "16"], "overflow"),
+    "decay_alpha_nan": (["verify", "decay", "--alpha", "nan", "--pairs", "10"],
+                        "alpha must be finite, got nan"),
+    "kernel_alpha_inf": (["kernel", "--alpha", "inf", "--pairs", "10"],
+                         "alpha must be finite, got inf"),
     "decay_alpha_huge": (["verify", "decay", "--alpha", "1e308", "--pairs", "10"], "overflow"),
     "qalpha_values_huge": (["norm", "qalpha", "--input", "{big_grid}"], "overflow the squared"),
     "lpmorrey_values_huge": (["norm", "lpmorrey", "--input", "{big_grid}"], "overflow the squared"),

@@ -359,6 +359,42 @@ def test_report_serialization_round_trip(tmp_path):
     assert len(rows) == 1 + len(rep.table)
 
 
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("n,N", [(1, 256), (2, 32)])
+def test_family_arrays_match_cube_list(n, N, shifted, tmp_path):
+    from qalpha.verify import write_csv, write_json
+
+    f = generate(CorpusSpec("spectral_noise", N, n, (("slope", 0.9),), seed=42))
+    dec = decompose(f, j_min=0)
+    family = enumerate_cubes(f.L, f.L - 3, n=n, shifted=shifted)
+    cubes = list(family)
+    for norm in (lambda c: q_alpha(f, 0.5, c), lambda c: campanato(f, n - 1.0, c)):
+        got, want = norm(family), norm(cubes)
+        assert (got.value, got.argmax_cube) == (want.value, want.argmax_cube)
+        assert list(got.table) == list(want.table)
+        assert [got.table[i] for i in (0, -1, np.int64(2))] == [want.table[i] for i in (0, -1, 2)]
+        for write, part in ((write_json, lambda r: r), (write_csv, lambda r: r.table)):
+            write(part(got), tmp_path / "got")
+            write(part(want), tmp_path / "want")
+            assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
+    # the family takes the pyramid, the list the blocks: within the pyramid bound
+    got, want = lp_morrey(f, 0.5, family, dec), lp_morrey(f, 0.5, cubes, dec)
+    a, b = np.array([r["value"] for r in got.table]), np.array([r["value"] for r in want.table])
+    assert np.all(np.abs(a - b) <= 1e-13 * b)
+    mb_got = morrey_besov(f, 0.5, n - 1.0, 2, 2, family, dec)
+    mb_want = morrey_besov(f, 0.5, n - 1.0, 2, 2, cubes, dec)
+    assert mb_got.value == pytest.approx(mb_want.value, rel=1e-13, abs=0.0)
+    for r, w in zip(mb_got.rows, mb_want.rows):
+        assert r["sup"] == pytest.approx(w["sup"], rel=1e-13, abs=0.0)
+    # the indexing contract of a sequence of cubes
+    assert family[-1] == cubes[-1] and family[np.int64(2)] == cubes[2]
+    assert family[1:4] == tuple(cubes[1:4]) and family[::-3] == tuple(cubes[::-3])
+    with pytest.raises(IndexError):
+        family[len(cubes)]
+    with pytest.raises(IndexError):
+        got.table[len(cubes)]
+
+
 @pytest.mark.parametrize("n,N", [(1, 65536), (2, 512)])
 def test_pyramid_energies_match_cube_blocks(n, N, monkeypatch):
     f = generate(CorpusSpec("spectral_noise", N, n, (("slope", 0.9),), seed=42))

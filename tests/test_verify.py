@@ -9,6 +9,7 @@ from qalpha import (
     CorpusSpec,
     Cube,
     decompose,
+    default_corpus,
     embedding_check,
     equivalence_report,
     fubini_identity_check,
@@ -45,6 +46,17 @@ def test_equivalence_report_basic():
     # deterministic reproduction
     rep2 = equivalence_report(mini_corpus(), 0.5, [64, 128])
     assert rep2.c_low == rep.c_low and rep2.c_high == rep.c_high
+
+
+def test_equivalence_report_builds_no_cube_per_cube(monkeypatch):
+    built = []
+    post_init = Cube.__post_init__
+    monkeypatch.setattr(Cube, "__post_init__", lambda self: built.append(1) or post_init(self))
+    corpus = default_corpus(1, 1024)
+    rep = equivalence_report(corpus, 0.5, [1024, 2048])
+    assert len(rep.rows) == 2 * len(corpus)
+    # the argmax cubes of q_alpha and lp_morrey, per function and size
+    assert len(built) <= 2 * len(rep.rows)
 
 
 def test_equivalence_report_validation():
