@@ -88,6 +88,9 @@ def _cmd_norm(cfg: argparse.Namespace) -> int:
         report = q_alpha(f, cfg.alpha, cubes)
     elif cfg.kind == "campanato":
         lam = cfg.lam if cfg.lam is not None else f.n - 2 * cfg.alpha
+        if cfg.lam is None and not 0 <= lam <= f.n:
+            raise ConfigError(f"default lambda = n - 2*alpha = {lam} from --alpha {cfg.alpha} "
+                              f"lies outside [0, n]=[0, {f.n}]; pass --lam")
         report = campanato(f, lam, cubes)
     elif cfg.kind == "lpmorrey":
         report = lp_morrey(f, cfg.alpha, cubes, decompose(f, j_min=0))

@@ -11,9 +11,10 @@ lattice integer and point count per axis, groups cubes with equal counts,
 and reads a group as one stacked block (cubes, M1, ..., Mn), in position
 order, with a single periodic-index gather; a `CubeFamily`, which holds its
 cubes as arrays, is read without a `Cube` per cube.  Energies on a family
-also have an O(N^n) route, `family_energies`: an aligned cube is the union
-of its 2^n children, and the half-shifted level-k cube i is the union of
-the aligned level-(k+1) cubes 2i+1 and 2i+2 per axis, read periodically.
+also have an O(N^n) route, `family_energies`, one pyramid for a stack of
+functions: an aligned cube is the union of its 2^n children, and the
+half-shifted level-k cube i is the union of the aligned level-(k+1) cubes
+2i+1 and 2i+2 per axis, read periodically.
 Two membership rules coexist:
 
 * half-open intervals [corner, corner+edge) per axis (the default, for all
@@ -276,23 +277,25 @@ def enumerate_cubes(L: int, level_max: int, n: int = 1, shifted: bool = False) -
     return CubeFamily(L, level_max, n, shifted)
 
 
-def block_sums(e: np.ndarray, width: int) -> np.ndarray:
-    """Sums of an array over its blocks of `width` entries along every axis."""
-    split = [s for m in e.shape for s in (m // width, width)]
-    return e.reshape(split).sum(axis=tuple(range(1, 2 * e.ndim, 2)))
+def block_sums(e: np.ndarray, width: int, n: int | None = None) -> np.ndarray:
+    """Sums of an array over its blocks of `width` entries along each of its
+    last n axes (every axis by default)."""
+    lead = 0 if n is None else e.ndim - n
+    split = tuple(s for m in e.shape[lead:] for s in (m // width, width))
+    return e.reshape(e.shape[:lead] + split).sum(axis=tuple(range(lead + 1, len(split) + lead, 2)))
 
 
-def family_energies(f: GridFunction, family: CubeFamily) -> np.ndarray:
-    """`cube_energies` of f on every cube of a family of f's grid, in family
-    order, from one dyadic pyramid of f^2 (module docstring)."""
-    levels = [block_sums(f.values**2, f.N >> (family.level_max + 1))]
-    while levels[-1].size > 1:
-        levels.append(block_sums(levels[-1], 2))  # levels[i] is level level_max+1-i
-    out = [e.ravel() for e in levels[:0:-1]]
+def family_energies(fs: Sequence[GridFunction], family: CubeFamily) -> np.ndarray:
+    """`cube_energies` of each function of fs on every cube of a family of
+    their grid, (functions, cubes), from one dyadic pyramid of the stacked f^2."""
+    levels = [np.stack([block_sums(f.values**2, f.N >> (family.level_max + 1)) for f in fs])]
+    while levels[-1].shape[-1] > 1:  # levels[i] is level level_max+1-i
+        levels.append(block_sums(levels[-1], 2, family.n))
+    out = [e.reshape(len(fs), -1) for e in levels[:0:-1]]
     if family.shifted:  # level k from level k+1 moved by one cell per axis
-        axes = tuple(range(f.n))
-        out += [block_sums(np.roll(e, -1, axis=axes), 2).ravel() for e in levels[-2::-1]]
-    return f.h**f.n * np.concatenate(out)
+        rolled = (np.roll(e, -1, axis=tuple(range(1, family.n + 1))) for e in levels[-2::-1])
+        out += [block_sums(e, 2, family.n).reshape(len(fs), -1) for e in rolled]
+    return fs[0].h**family.n * np.concatenate(out, axis=1)
 
 
 def write_grid(f: GridFunction, path) -> None:

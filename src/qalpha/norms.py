@@ -15,7 +15,8 @@ and its table builds each plain-dict row when read; `verify.write_json` and
 Every functional reduces the stacked lattice blocks of `grid.cube_blocks`,
 one band at a time; `lp_morrey` and `morrey_besov` take the dyadic pyramid
 of `grid.family_energies` instead when the cubes are a `CubeFamily` of f's
-grid (`_band_energies`).  The pair sum of a block B with its mean removed is
+grid, one pyramid per batch of at most `_BATCH_FLOATS` energies
+(`_band_energies`).  The pair sum of a block B with its mean removed is
 S = 2(<B^2, w*1> - <B, w*B>), w(d) = |h d|^-(2a+n), w(0) = 0, with both
 convolutions taken by one zero-padded batched FFT on (2M)^n.
 """
@@ -222,12 +223,18 @@ def campanato(f: GridFunction, lam: float, cubes: list[Cube]) -> NormReport:
     return _finish("campanato", lam, cubes, np.sqrt(weight * osc), [])
 
 
-def _band_energies(f: GridFunction, cubes):
-    """band -> `cube_energies` of the band on every cube, in cube-list order."""
+_BATCH_FLOATS = 2**20  # band energies per pyramid of a family (8 MiB), bounding its memory
+
+
+def _band_energies(f: GridFunction, cubes, bands: Sequence[GridFunction]):
+    """`cube_energies` of each band on every cube, in cube-list order, yielded
+    band by band; on a family of f's grid from one pyramid per batch of bands."""
     if isinstance(cubes, CubeFamily) and (cubes.L, cubes.n) == (f.L, f.n):
-        return lambda band: family_energies(band, cubes)
+        step = max(1, _BATCH_FLOATS // len(cubes))
+        return (e for i in range(0, len(bands), step)
+                for e in family_energies(bands[i:i + step], cubes))
     blocks = cube_blocks(f, cubes)
-    return lambda band: cube_energies(band, blocks)
+    return (cube_energies(band, blocks) for band in bands)
 
 
 def lp_morrey(
@@ -254,11 +261,10 @@ def lp_morrey(
             f"cube of level {j_lo} needs bands from j={j_lo}, but the decomposition "
             f"starts at j_min={decomposition.j_min}"
         )
-    energies = _band_energies(f, cubes)
+    js = range(j_lo, decomposition.j_max + 1)
     acc = np.zeros(len(cubes))
-    for j in range(j_lo, decomposition.j_max + 1):
-        e = 2.0 ** (2 * alpha * j) * energies(decomposition.band(j))
-        acc += np.where(np.less_equal(j0, j), e, 0.0)
+    for j, e in zip(js, _band_energies(f, cubes, [decomposition.band(j) for j in js])):
+        acc += np.where(np.less_equal(j0, j), 2.0 ** (2 * alpha * j) * e, 0.0)
     weight = _per_edge(f, cubes, lambda e: (e**f.n) ** -(1.0 - 2.0 * alpha / f.n))
     return _finish("lp_morrey", alpha, cubes, np.sqrt(weight * acc), flags)
 
@@ -374,12 +380,12 @@ def morrey_besov(
         )
     if not cubes:
         raise ConfigError("morrey_besov: no cube in the family")
-    energies = _band_energies(f, cubes)
+    energies = _band_energies(f, cubes, decomposition.bands)
     scale = _per_edge(f, cubes, lambda e: (e**f.n) ** (-sigma / f.n))
     rows = []
     total = 0.0
-    for j in decomposition.js:
-        vals = scale * 2.0 ** (2 * alpha * j) * energies(decomposition.band(j))
+    for j, e in zip(decomposition.js, energies):
+        vals = scale * 2.0 ** (2 * alpha * j) * e
         if not np.all(np.isfinite(vals)):
             raise InvariantViolation(f"morrey_besov: non-finite value in band {j}")
         best = int(np.argmax(vals))  # the first attaining cube; none if every value is 0

@@ -24,8 +24,18 @@ from .corpus import CorpusSpec, generate
 from .cubes import _check_dilation, _kernel_sums, ring_counts, sample_pairs, tree_sets
 from .errors import ConfigError
 from .filterbank import BandDecomposition, decompose
-from .grid import Cube, GridFunction, cube_blocks, cube_sums, enumerate_cubes, per_cube
+from .grid import (
+    Cube,
+    CubeFamily,
+    GridFunction,
+    _corners_edges,
+    cube_blocks,
+    cube_sums,
+    enumerate_cubes,
+    per_cube,
+)
 from .norms import (
+    CubeTable,
     _centered,
     _check_alpha,
     _refinement_level,
@@ -345,8 +355,16 @@ def _cell(value) -> str:
 
 def write_csv(rows, path) -> None:
     """Dict table rows as CSV under a header of the first row's keys, where a
-    Cube cell heads its corner and edge columns."""
+    Cube cell heads its corner and edge columns; a norm report's `CubeTable`
+    is written from its arrays, under the same cell rule."""
     with open(path, "w") as fh:
+        if isinstance(rows, CubeTable) and len(rows):
+            n = rows.cubes.n if isinstance(rows.cubes, CubeFamily) else rows.cubes[0].n
+            corner, edge = _corners_edges(rows.cubes, n)
+            fh.write("corner,edge,value\n")
+            for c, e, v in zip(corner.tolist(), edge.tolist(), rows.values.tolist()):
+                fh.write(f"{_cell(c)},{e!r},{v!r}\n")
+            return
         for i, row in enumerate(rows):
             if i == 0:
                 header = ("corner,edge" if isinstance(v, Cube) else k for k, v in row.items())

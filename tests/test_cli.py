@@ -94,6 +94,9 @@ BAD_INPUTS = {
                            "alpha must be"),
     "equivalence_alpha_inf": (["verify", "equivalence", "--alpha", "inf", "--corpus", "{corpus}",
                                "--sizes", "16"], "alpha must be"),
+    # with --lam left out, lambda = n - 2*alpha = -0.5 on a 1-D grid
+    "campanato_default_lambda": (["norm", "campanato", "--alpha", "0.75", "--input", "{grid}"],
+                                 "default lambda = n - 2*alpha = -0.5 from --alpha 0.75"),
     "grid_value_abc": (["norm", "campanato", "--input", "{bad_grid}"], "malformed grid value"),
     "missing_input": (["norm", "campanato", "--input", "{missing}"], "cannot read grid file"),
     "corpus_xi0_x": (["gen", "--corpus", "{bad_corpus}", "--size", "16", "--out", "{out}"],

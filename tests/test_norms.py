@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from qalpha import (
     q_alpha,
 )
 from qalpha import norms
-from qalpha.grid import cube_blocks, cube_energies
+from qalpha.grid import block_sums, cube_blocks, cube_energies, family_energies
 
 import oracles
 
@@ -413,10 +414,11 @@ def test_pyramid_energies_match_cube_blocks(n, N, monkeypatch):
         assert [family[i] for i in range(len(old))] == old
         assert family[-1] == old[-1] and family[3:9] == tuple(old[3:9])
         blocks = cube_blocks(f, old)
-        pyramid = norms._band_energies(f, family)
-        for band in (dec.lowpass,) + dec.bands:
+        bands = (dec.lowpass,) + dec.bands
+        pyramid = list(norms._band_energies(f, family, bands))
+        assert len(pyramid) == len(bands)
+        for band, got in zip(bands, pyramid):
             want = cube_energies(band, blocks)
-            got = pyramid(band)
             assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
         # anything but a family of f's own grid takes the block path
         monkeypatch.setattr(norms, "family_energies", None)
@@ -424,6 +426,69 @@ def test_pyramid_energies_match_cube_blocks(n, N, monkeypatch):
         want = cube_energies(band, blocks)
         other_L = enumerate_cubes(f.L + 1, f.L - 3, n=n, shifted=shifted)
         for cubes in (family[:], list(family), other_L):
-            assert np.array_equal(norms._band_energies(f, cubes)(band), want)
-        assert np.array_equal(norms._band_energies(f, family[5:])(band), want[5:])
+            (got,) = norms._band_energies(f, cubes, [band])
+            assert np.array_equal(got, want)
+        (got,) = norms._band_energies(f, family[5:], [band])
+        assert np.array_equal(got, want[5:])
         monkeypatch.undo()
+
+
+def one_band_pyramid(band, family):
+    """The pyramid of one band, level by level, as `family_energies` builds it."""
+    levels = [block_sums(band.values**2, band.N >> (family.level_max + 1))]
+    while levels[-1].size > 1:
+        levels.append(block_sums(levels[-1], 2))
+    out = [e.ravel() for e in levels[:0:-1]]
+    if family.shifted:
+        axes = tuple(range(band.n))
+        out += [block_sums(np.roll(e, -1, axis=axes), 2).ravel() for e in levels[-2::-1]]
+    return band.h**band.n * np.concatenate(out)
+
+
+@pytest.mark.parametrize("n,N", [(1, 1024), (2, 64)])
+@pytest.mark.parametrize("shifted", [False, True])
+def test_batched_pyramid_rows_are_bit_exact(n, N, shifted):
+    f = generate(CorpusSpec("spectral_noise", N, n, (("slope", 0.9),), seed=42))
+    dec = decompose(f, j_min=0)
+    bands = (dec.lowpass,) + dec.bands
+    for level_max in (0, f.L - 4, f.L - 3):
+        family = enumerate_cubes(f.L, level_max, n=n, shifted=shifted)
+        batched = family_energies(bands, family)
+        assert batched.shape == (len(bands), len(family))
+        for band, row in zip(bands, batched):
+            assert np.array_equal(row, family_energies([band], family)[0])
+            assert np.array_equal(row, one_band_pyramid(band, family))
+
+
+@pytest.mark.parametrize("n,N", [(1, 1024), (2, 64)])
+def test_batch_cap_leaves_band_norms_unchanged(n, N, monkeypatch):
+    def reports():
+        out = []
+        for f in small_corpus(n, N):
+            dec = decompose(f, j_min=0)
+            for shifted in (False, True):
+                family = enumerate_cubes(f.L, f.L - 3, n=n, shifted=shifted)
+                lp = lp_morrey(f, 0.5, family, dec)
+                mb = morrey_besov(f, 0.5, n - 1.0, 2, 2, family, dec)
+                out.append((lp.value, lp.argmax_cube, lp.table.values.tobytes(), mb.value, mb.rows))
+        return out
+
+    default = reports()
+    monkeypatch.setattr(norms, "_BATCH_FLOATS", 1)  # one band per pyramid
+    assert reports() == default
+
+
+def test_band_norm_memory_bounded():
+    f = generate(CorpusSpec("spectral_noise", 2**18, 1, (("slope", 0.9),), seed=42))
+    dec = decompose(f, j_min=0)
+    family = enumerate_cubes(f.L, f.L - 3, n=1, shifted=True)
+    for norm in (lambda: lp_morrey(f, 0.5, family, dec),
+                 lambda: morrey_besov(f, 0.5, 0.0, 2, 2, family, dec)):
+        tracemalloc.start()
+        try:
+            norm()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # each pyramid holds at most norms._BATCH_FLOATS energies, 8 MiB
+        assert peak < 40 * 2**20

@@ -8,18 +8,22 @@ from qalpha import (
     ConfigError,
     CorpusSpec,
     Cube,
+    campanato,
     decompose,
     default_corpus,
     embedding_check,
+    enumerate_cubes,
     equivalence_report,
     fubini_identity_check,
     gamma_set,
     generate,
     kernel_decay_check,
     lemma23_check,
+    write_grid,
 )
 from qalpha import cubes
-from qalpha.verify import write_json, write_kernel_csv
+from qalpha.cli import main
+from qalpha.verify import write_csv, write_json, write_kernel_csv
 
 import oracles
 
@@ -58,6 +62,33 @@ def test_equivalence_report_builds_no_cube_per_cube(monkeypatch):
     # the argmax cubes of q_alpha and lp_morrey, per function and size
     assert len(built) <= 2 * len(rep.rows)
 
+
+
+@pytest.mark.parametrize("n,N", [(1, 256), (2, 32)])
+@pytest.mark.parametrize("shifted", [False, True])
+def test_norm_table_csv_from_arrays_matches_dict_rows(n, N, shifted, tmp_path):
+    f = generate(CorpusSpec("spectral_noise", N, n, (("slope", 0.9),), seed=42))
+    family = enumerate_cubes(f.L, f.L - 3, n=n, shifted=shifted)
+    for cubes in (family, family[1:]):
+        table = campanato(f, n - 1.0, cubes).table
+        write_csv(table, tmp_path / "arrays.csv")
+        write_csv(list(table), tmp_path / "rows.csv")
+        written = (tmp_path / "arrays.csv").read_bytes()
+        assert written.startswith(b"corner,edge,value\n")
+        assert written == (tmp_path / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["campanato"], ["lpmorrey", "--shifted"]])
+def test_norm_csv_builds_no_cube_per_row(argv, tmp_path, monkeypatch, capsys):
+    grid, out = tmp_path / "f.grid", tmp_path / "table.csv"
+    write_grid(generate(CorpusSpec("spectral_noise", 64, 2, (("slope", 0.9),), seed=42)), grid)
+    built = []
+    post_init = Cube.__post_init__
+    monkeypatch.setattr(Cube, "__post_init__", lambda self: built.append(1) or post_init(self))
+    code = main(["norm", *argv, "--input", str(grid), "--format", "csv", "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0 and len(out.read_text().splitlines()) > 85
+    assert len(built) <= 1  # the argmax cube
 
 def test_equivalence_report_validation():
     with pytest.raises(ConfigError, match="ascending"):
