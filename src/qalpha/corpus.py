@@ -151,9 +151,9 @@ def _spectral_noise(spec: CorpusSpec) -> GridFunction:
     keep = np.any(xi != 0, axis=1) & (self_conj | at_least_neg)
     xi, self_conj = xi[keep], self_conj[keep]
     u = np.random.default_rng(spec.seed).random(len(xi))
-    # Python float powers: np.power differs from them in the last bit
-    radius = np.sqrt((xi.astype(float) ** 2).sum(axis=1))
-    mag = np.array([r ** (-slope - n / 2) for r in radius.tolist()])
+    # Python float powers, once per distinct radius: np.power differs from them in the last bit
+    radius, inverse = np.unique(np.sqrt((xi.astype(float) ** 2).sum(axis=1)), return_inverse=True)
+    mag = np.array([r ** (-slope - n / 2) for r in radius.tolist()])[inverse]
     sign = np.where(u < 0.5, 1.0, -1.0)
     c = np.where(self_conj, mag * sign, mag * np.exp(1j * (2.0 * np.pi * u)))
     coeffs = np.zeros((N,) * n, dtype=complex)

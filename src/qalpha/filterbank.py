@@ -17,6 +17,11 @@ beyond the largest grid frequency (N/2) sqrt(n).  It is kept because the
 and the oracle checks of the benchmark in `bench/` read exactly that range.
 Its zero energies add +0.0 to every band sum, so no norm value changes.
 
+`decompose` takes one real FFT of f and streams the multipliers from
+`_profiles`: each is checked, applied to the half spectrum by one inverse
+real FFT and dropped, so one full-grid multiplier is alive at a time beside
+the bands.  `build_profiles` lists them all, for the profile tables.
+
 Two cutoff families are available: "exp" (default, the smooth
 exp(-1/t)-quotient ramp) and "cosine" (raised-cosine ramp) for probing that
 results do not depend on the profile shape.
@@ -85,12 +90,8 @@ class BandProfile:
         return f"band{self.j}"
 
 
-def build_profiles(L: int, j_min: int, n: int = 1, family: str = "exp") -> list[BandProfile]:
-    """Standard profiles for j = j_min..L+1 plus the matching lowpass block.
-
-    The lowpass multiplier is chi(|xi| / 2^(j_min-1)), i.e. the telescoped sum
-    of all bands below j_min, so lowpass + sum of bands == 1 identically.
-    """
+def _profiles(L: int, j_min: int, n: int, family: str):
+    """The lowpass block, then each band j = j_min..L+1, one at a time."""
     if family not in _FAMILIES:
         raise ConfigError(f"unknown profile family {family!r}, expected one of {sorted(_FAMILIES)}")
     if not 0 <= j_min <= L:
@@ -99,12 +100,20 @@ def build_profiles(L: int, j_min: int, n: int = 1, family: str = "exp") -> list[
     N = 2**L
     mag = _freqs(N, n)[1]  # Euclidean |xi| over the integer frequencies, FFT order
     below = chi(mag / 2.0 ** (j_min - 1))  # chi at scale j-1, carried over
-    profiles = [BandProfile(j_min, below, kind="lowpass")]
+    yield BandProfile(j_min, below, kind="lowpass")
     for j in range(j_min, L + 2):
         cut = chi(mag / 2.0**j)
-        profiles.append(BandProfile(j, cut - below, kind="standard"))
+        yield BandProfile(j, cut - below, kind="standard")
         below = cut
-    return profiles
+
+
+def build_profiles(L: int, j_min: int, n: int = 1, family: str = "exp") -> list[BandProfile]:
+    """Standard profiles for j = j_min..L+1 plus the matching lowpass block.
+
+    The lowpass multiplier is chi(|xi| / 2^(j_min-1)), i.e. the telescoped sum
+    of all bands below j_min, so lowpass + sum of bands == 1 identically.
+    """
+    return list(_profiles(L, j_min, n, family))
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,12 +143,12 @@ class BandDecomposition:
 
 def decompose(f: GridFunction, j_min: int = 0, family: str = "exp") -> BandDecomposition:
     """Split f into lowpass + bands j_min..L+1 (exact telescoping), each from
-    the half spectrum of one real FFT: exact for even multipliers, checked."""
-    profiles = build_profiles(f.L, j_min, n=f.n, family=family)
+    the half spectrum of one real FFT: exact for even multipliers, checked.
+    The multipliers are built one at a time, as they are applied."""
     f_hat = np.fft.rfftn(f.values)
     axes = tuple(range(f.n))
     fields = []
-    for p in profiles:
+    for p in _profiles(f.L, j_min, f.n, family):
         if not np.array_equal(p.values, np.roll(np.flip(p.values), 1, axis=axes)):
             raise InvariantViolation(f"{p.label} multiplier is not even: projection not real")
         half = p.values[..., : f.N // 2 + 1]

@@ -18,7 +18,8 @@ of `grid.family_energies` instead when the cubes are a `CubeFamily` of f's
 grid, one pyramid per batch of at most `_BATCH_FLOATS` energies
 (`_band_energies`).  The pair sum of a block B with its mean removed is
 S = 2(<B^2, w*1> - <B, w*B>), w(d) = |h d|^-(2a+n), w(0) = 0, with both
-convolutions taken by one zero-padded batched FFT on (2M)^n.
+convolutions taken by zero-padded FFTs on (2M)^n, batched over chunks of
+cubes whose spectra take at most `_FFT_BYTES`.
 """
 
 from __future__ import annotations
@@ -94,8 +95,13 @@ def _centered(block: np.ndarray) -> np.ndarray:
     return (flat - flat.mean(axis=1, keepdims=True)).reshape(block.shape)
 
 
+_FFT_BYTES = 2**26  # padded spectra per chunk of cubes (64 MiB), bounding the pair-sum memory
+
+
 def _increment_sums(block: np.ndarray, h: float, exponent: float) -> np.ndarray:
-    """Per cube the sum over ordered pairs x != y of (f(x)-f(y))^2 / |x-y|^exponent."""
+    """Per cube the sum over ordered pairs x != y of (f(x)-f(y))^2 / |x-y|^exponent.
+    W is built once; the cubes take the padded FFTs in chunks of at most
+    `_FFT_BYTES` of spectra, which changes no bit since every sum is per cube."""
     shape = block.shape[1:]
     n = len(shape)
     pad = tuple(2 * M for M in shape)
@@ -111,13 +117,18 @@ def _increment_sums(block: np.ndarray, h: float, exponent: float) -> np.ndarray:
     w = d2 ** (-exponent / 2)
     w[origin] = 0.0
     W = np.fft.rfftn(w)
+    del d2, w
 
     def conv(g):
         return np.fft.irfftn(np.fft.rfftn(g, s=pad, axes=axes) * W, s=pad, axes=axes)[crop]
 
-    B = _centered(block)
-    w_ones = conv(np.ones((1,) + shape))
-    return 2.0 * (cube_sums(B**2 * w_ones) - cube_sums(B * conv(B)))
+    w_ones = conv(np.ones((1,) + shape)).copy()  # frees the padded transform
+    step = max(1, _FFT_BYTES // W.nbytes)
+    sums = []
+    for i in range(0, len(block), step):
+        B = _centered(block[i:i + step])
+        sums.append(2.0 * (cube_sums(B**2 * w_ones) - cube_sums(B * conv(B))))
+    return np.concatenate(sums)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,7 +185,11 @@ def _finish(kind, alpha, cubes, values: np.ndarray, flags) -> NormReport:
 
 def _per_edge(f: GridFunction, cubes, value) -> np.ndarray:
     """value(edge) per cube in Python floats (numpy's power can differ in the
-    last bit), called once per distinct edge in the order edges first appear."""
+    last bit), called once per distinct edge in the order edges first appear;
+    on a `CubeFamily` once per level, the order of its cubes."""
+    if isinstance(cubes, CubeFamily) and cubes.n == f.n:
+        values = np.array([value(math.ldexp(1.0, -k)) for k in range(cubes.level_max + 1)])
+        return values[cubes.level]
     edge = _corners_edges(cubes, f.n)[1]
     distinct, first, inverse = np.unique(edge, return_index=True, return_inverse=True)
     order = np.argsort(first)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -56,6 +57,36 @@ def test_spectral_noise_prescribed_magnitudes():
         assert abs(F[xi]) == pytest.approx(
             float(xi) ** (-0.8 - 0.5), rel=1e-10
         )
+
+
+def spectral_noise_reference(N, n, slope, seed):
+    """The spectral_noise grid, frequency by frequency in lexicographic order."""
+    half = N // 2
+    kept = []
+    for xi in itertools.product(range(-half, half), repeat=n):
+        neg = tuple(-half if x == -half else -x for x in xi)
+        self_conj = all(x in (0, -half) for x in xi)
+        if any(xi) and (self_conj or xi >= neg):
+            kept.append((xi, neg, self_conj))
+    u = np.random.default_rng(seed).random(len(kept))
+    coeffs = np.zeros((N,) * n, dtype=complex)
+    for (xi, neg, self_conj), ui in zip(kept, u.tolist()):
+        mag = math.sqrt(sum(float(x) ** 2 for x in xi)) ** (-slope - n / 2)
+        if self_conj:
+            coeffs[tuple(x % N for x in xi)] = mag * (1.0 if ui < 0.5 else -1.0)
+        else:
+            c = mag * np.exp(1j * (2.0 * np.pi * np.float64(ui)))
+            coeffs[tuple(x % N for x in xi)] = c
+            coeffs[tuple(x % N for x in neg)] = np.conj(c)
+    return (np.fft.ifftn(coeffs) * N**n).real
+
+
+@pytest.mark.parametrize("slope", [0.3, 0.9])
+@pytest.mark.parametrize("n,sizes", [(1, (64, 1024)), (2, (16, 64))])
+def test_spectral_noise_matches_per_frequency_formula(n, sizes, slope):
+    for N in sizes:
+        got = generate(CorpusSpec("spectral_noise", N, n, (("slope", slope),), seed=42)).values
+        assert np.array_equal(got, spectral_noise_reference(N, n, slope, 42))
 
 
 @pytest.mark.parametrize("n,N", [(1, 256), (2, 64)])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,13 +197,31 @@ def test_profiles_equal_two_evaluation_formula(family, chi, n, L):
 def test_decompose_rejects_odd_multiplier(n, monkeypatch):
     # an odd part in a multiplier makes its projection complex; the real
     # inverse transform would drop it silently, so decompose refuses it
-    def lopsided(*args, **kwargs):
-        profiles = build_profiles(*args, **kwargs)
-        values = profiles[2].values.copy()
-        values[(1,) * n] += 0.25  # xi = (1, ..., 1) but not -xi
-        return profiles[:2] + [BandProfile(profiles[2].j, values)] + profiles[3:]
+    profiles = filterbank._profiles
 
-    monkeypatch.setattr(filterbank, "build_profiles", lopsided)
+    def lopsided(*args):
+        for i, p in enumerate(profiles(*args)):
+            if i == 2:
+                values = p.values.copy()
+                values[(1,) * n] += 0.25  # xi = (1, ..., 1) but not -xi
+                p = BandProfile(p.j, values)
+            yield p
+
+    monkeypatch.setattr(filterbank, "_profiles", lopsided)
     f = GridFunction(np.random.default_rng(4).standard_normal((16,) * n))
     with pytest.raises(InvariantViolation, match="band1 multiplier is not even"):
         decompose(f, j_min=0)
+
+
+def test_decompose_memory_bounded():
+    f = GridFunction(np.random.default_rng(0).standard_normal(2**18))
+    tracemalloc.start()
+    try:
+        decompose(f, j_min=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the lowpass block and L+2 = 20 bands, 21 grids, are returned; one
+    # multiplier at a time beside them keeps the peak at 27 grids, against 44
+    # with every multiplier alive
+    assert peak < 32 * f.values.nbytes

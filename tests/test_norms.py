@@ -492,3 +492,38 @@ def test_band_norm_memory_bounded():
             tracemalloc.stop()
         # each pyramid holds at most norms._BATCH_FLOATS energies, 8 MiB
         assert peak < 40 * 2**20
+
+
+@pytest.mark.parametrize("n,N", [(1, 1024), (2, 64)])
+@pytest.mark.parametrize("shifted", [False, True])
+def test_fft_chunk_cap_leaves_q_alpha_unchanged(n, N, shifted, tmp_path, monkeypatch):
+    from qalpha.verify import write_csv, write_json
+
+    def reports(tag):
+        out = []
+        for i, f in enumerate(small_corpus(n, N)):
+            rep = q_alpha(f, 0.5, enumerate_cubes(f.L, f.L - 3, n=n, shifted=shifted))
+            write_json(rep, tmp_path / f"{tag}{i}.json")
+            write_csv(rep.table, tmp_path / f"{tag}{i}.csv")
+            out.append((rep.value, rep.argmax_cube, rep.table.values.tobytes(),
+                        (tmp_path / f"{tag}{i}.json").read_bytes(),
+                        (tmp_path / f"{tag}{i}.csv").read_bytes()))
+        return out
+
+    default = reports("default")
+    monkeypatch.setattr(norms, "_FFT_BYTES", 1)  # one cube per chunk
+    assert reports("chunked") == default
+
+
+def test_q_alpha_memory_bounded():
+    f = generate(CorpusSpec("spectral_noise", 512, 2, (("slope", 0.9),), seed=42))
+    family = enumerate_cubes(f.L, f.L - 3, n=2, shifted=True)
+    tracemalloc.start()
+    try:
+        q_alpha(f, 0.5, family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the two level-0 cubes in one chunk: their padded spectra and products,
+    # 33 grids, against 44 while the padded kernel and w*1 stayed alive
+    assert peak < 38 * f.values.nbytes
