@@ -10,6 +10,7 @@ import argparse
 import functools
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -109,16 +110,13 @@ def _cmd_decompose(cfg: argparse.Namespace) -> int:
     f = read_grid(cfg.input)
     _check_values(f)  # the energies below square the bands
     dec = decompose(f, j_min=cfg.jmin, family=cfg.family)
-    residual = float(
-        abs(dec.reconstruction() - f.values).max()
-        / max(abs(f.values).max(), 1e-300)
-    )
+    energies = []  # of each block, as the reconstruction adds it
+    recon = dec.reconstruction(lambda b: energies.append(f.h**f.n * float((b.values**2).sum())))
+    residual = float(abs(recon - f.values).max() / max(abs(f.values).max(), 1e-300))
     print(f"bands j={dec.j_min}..{dec.j_max}, reconstruction residual {residual:.3e}")
     out = _resolve_out(cfg, "bands.csv")
-    bands = [("lowpass", dec.lowpass)] + [(j, dec.band(j)) for j in dec.js]
-    verify_mod.write_csv(
-        [{"band": j, "l2_energy": f.h**f.n * float((b.values**2).sum())} for j, b in bands], out
-    )
+    rows = zip(("lowpass", *dec.js), energies)
+    verify_mod.write_csv([{"band": j, "l2_energy": e} for j, e in rows], out)
     print(f"wrote {out}")
     if cfg.format == "csv":
         profiles = build_profiles(f.L, cfg.jmin, n=f.n, family=cfg.family)
@@ -155,6 +153,7 @@ def _cmd_verify(cfg: argparse.Namespace) -> int:
         for spec in _load_corpus(cfg, N):
             f = corpus_mod.generate(spec)
             dec = decompose(f, j_min=0)
+            dec = replace(dec, bands=tuple(dec.bands))  # each cube reads every band
             family = enumerate_cubes(f.L, min(2, f.L - 3), n=f.n)
             for cube, level in zip(family, family.level.tolist()):
                 K = min(cfg.K, f.L - level - 3)  # identity holds at any depth

@@ -86,7 +86,8 @@ def _freqs(N: int, n: int):
 
 
 def _from_spectrum(coeffs: np.ndarray, N: int, n: int) -> GridFunction:
-    v = np.fft.ifftn(coeffs) * N**n
+    v = np.fft.ifftn(coeffs)
+    v *= N**n
     return GridFunction(v.real)
 
 
@@ -140,26 +141,27 @@ def _spectral_noise(spec: CorpusSpec) -> GridFunction:
     if not slope > 0:
         raise ConfigError(f"spectral slope must be positive, got {slope}")
     N, n = spec.N, spec.n
-    half = N // 2
-    axis = np.arange(-half, half)
-    xi = np.stack(np.meshgrid(*(axis,) * n, indexing="ij"), axis=-1).reshape(-1, n)
-    neg = np.where(xi == -half, -half, -xi)
-    self_conj = np.all((xi == 0) | (xi == -half), axis=1)
-    at_least_neg = xi[:, -1] >= neg[:, -1]  # xi >= neg, lexicographically
-    for d in range(n - 2, -1, -1):
-        at_least_neg = (xi[:, d] > neg[:, d]) | ((xi[:, d] == neg[:, d]) & at_least_neg)
-    keep = np.any(xi != 0, axis=1) & (self_conj | at_least_neg)
-    xi, self_conj = xi[keep], self_conj[keep]
-    u = np.random.default_rng(spec.seed).random(len(xi))
-    # Python float powers, once per distinct radius: np.power differs from them in the last bit
-    radius, inverse = np.unique(np.sqrt((xi.astype(float) ** 2).sum(axis=1)), return_inverse=True)
-    mag = np.array([r ** (-slope - n / 2) for r in radius.tolist()])[inverse]
+    half, axes = N // 2, tuple(range(n))
+    a = np.arange(-half, half)  # the frequencies of one axis, centred
+    neg = np.where(a == -half, -half, -a)
+    xs, negs = np.ix_(*(a,) * n), np.ix_(*(neg,) * n)  # per axis, broadcastable
+    at_least_neg = xs[-1] >= negs[-1]  # xi >= -xi, lexicographically
+    for x, m in zip(xs[-2::-1], negs[-2::-1]):
+        at_least_neg = (x > m) | ((x == m) & at_least_neg)
+    self_conj = np.logical_and.reduce(np.broadcast_arrays(*((x == 0) | (x == -half) for x in xs)))
+    square = sum(x * x for x in xs)  # |xi|^2
+    keep = (square != 0) & (self_conj | at_least_neg)
+    u = np.random.default_rng(spec.seed).random(np.count_nonzero(keep))
+    # Python float powers, once per distinct |xi|^2: np.power differs from them in the last bit
+    square, inverse = np.unique(square[keep], return_inverse=True)
+    mag = np.array([math.sqrt(s) ** (-slope - n / 2) for s in square.tolist()])[inverse]
     sign = np.where(u < 0.5, 1.0, -1.0)
-    c = np.where(self_conj, mag * sign, mag * np.exp(1j * (2.0 * np.pi * u)))
+    c = np.where(self_conj[keep], mag * sign, mag * np.exp(1j * (2.0 * np.pi * u)))
     coeffs = np.zeros((N,) * n, dtype=complex)
-    coeffs[tuple((xi % N).T)] = c
-    coeffs[tuple((-xi[~self_conj] % N).T)] = np.conj(c[~self_conj])
-    return _from_spectrum(coeffs, N, n)
+    coeffs[keep] = c
+    partner = np.roll(np.flip(keep & ~self_conj), 1, axis=axes)  # -xi of each such xi
+    coeffs[partner] = np.conj(np.roll(np.flip(coeffs), 1, axis=axes)[partner])
+    return _from_spectrum(np.fft.ifftshift(coeffs), N, n)
 
 
 _BUILDERS = {

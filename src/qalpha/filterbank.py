@@ -17,10 +17,10 @@ beyond the largest grid frequency (N/2) sqrt(n).  It is kept because the
 and the oracle checks of the benchmark in `bench/` read exactly that range.
 Its zero energies add +0.0 to every band sum, so no norm value changes.
 
-`decompose` takes one real FFT of f and streams the multipliers from
-`_profiles`: each is checked, applied to the half spectrum by one inverse
-real FFT and dropped, so one full-grid multiplier is alive at a time beside
-the bands.  `build_profiles` lists them all, for the profile tables.
+`decompose` keeps the half spectrum of one real FFT of f, and its bands
+are a `LazyBands`: a band is filtered when read, by one multiplier from
+`_profiles`, checked even, and one inverse real FFT, and no one else keeps
+it.  `build_profiles` lists the multipliers, for the profile tables.
 
 Two cutoff families are available: "exp" (default, the smooth
 exp(-1/t)-quotient ramp) and "cosine" (raised-cosine ramp) for probing that
@@ -30,7 +30,8 @@ results do not depend on the profile shape.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .grid import GridFunction
 __all__ = [
     "BandProfile",
     "BandDecomposition",
+    "LazyBands",
     "build_profiles",
     "decompose",
     "profiles_to_csv",
@@ -90,21 +92,25 @@ class BandProfile:
         return f"band{self.j}"
 
 
-def _profiles(L: int, j_min: int, n: int, family: str):
-    """The lowpass block, then each band j = j_min..L+1, one at a time."""
+def _profiles(L: int, n: int, family: str, js: range):
+    """The lowpass block below js.start, then each band j of js, one at a
+    time; in steps of 1 each cutoff is evaluated once and carried over."""
+    chi = _FAMILIES[family]
+    mag = _freqs(2**L, n)[1]  # Euclidean |xi| over the integer frequencies, FFT order
+    below = chi(mag / 2.0 ** (js.start - 1))  # chi at scale j-1
+    yield BandProfile(js.start, below, kind="lowpass")
+    for j in js:
+        cut = chi(mag / 2.0**j)
+        yield BandProfile(j, cut - below, kind="standard")
+        below = cut if js.step == 1 else chi(mag / 2.0 ** (j + js.step - 1))
+
+
+def _band_range(L: int, j_min: int, family: str) -> range:
     if family not in _FAMILIES:
         raise ConfigError(f"unknown profile family {family!r}, expected one of {sorted(_FAMILIES)}")
     if not 0 <= j_min <= L:
         raise ConfigError(f"j_min must satisfy 0 <= j_min <= L, got j_min={j_min}, L={L}")
-    chi = _FAMILIES[family]
-    N = 2**L
-    mag = _freqs(N, n)[1]  # Euclidean |xi| over the integer frequencies, FFT order
-    below = chi(mag / 2.0 ** (j_min - 1))  # chi at scale j-1, carried over
-    yield BandProfile(j_min, below, kind="lowpass")
-    for j in range(j_min, L + 2):
-        cut = chi(mag / 2.0**j)
-        yield BandProfile(j, cut - below, kind="standard")
-        below = cut
+    return range(j_min, L + 2)
 
 
 def build_profiles(L: int, j_min: int, n: int = 1, family: str = "exp") -> list[BandProfile]:
@@ -113,47 +119,84 @@ def build_profiles(L: int, j_min: int, n: int = 1, family: str = "exp") -> list[
     The lowpass multiplier is chi(|xi| / 2^(j_min-1)), i.e. the telescoped sum
     of all bands below j_min, so lowpass + sum of bands == 1 identically.
     """
-    return list(_profiles(L, j_min, n, family))
+    return list(_profiles(L, n, family, _band_range(L, j_min, family)))
+
+
+@dataclass(frozen=True, eq=False)
+class LazyBands(Sequence):
+    """Read-only bands js of a function on the 2^L grid in n dimensions, each
+    filtered from the half spectrum `f_hat` of its real FFT when read; slices
+    are `LazyBands`, and a pass over one carries the cutoffs along."""
+
+    f_hat: np.ndarray
+    L: int
+    n: int
+    family: str
+    js: range
+
+    def __len__(self) -> int:
+        return len(self.js)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return replace(self, js=self.js[i])
+        j = self.js[i]
+        return next(iter(replace(self, js=range(j, j + 1))))
+
+    def __iter__(self):
+        profiles = _profiles(self.L, self.n, self.family, self.js)
+        return map(self._filter, itertools.islice(profiles, 1, None))
+
+    def _filter(self, p: BandProfile) -> GridFunction:  # exact for an even multiplier
+        axes = tuple(range(self.n))
+        if not np.array_equal(p.values, np.roll(np.flip(p.values), 1, axis=axes)):
+            raise InvariantViolation(f"{p.label} multiplier is not even: projection not real")
+        half = p.values[..., : 2 ** (self.L - 1) + 1]
+        return GridFunction(np.fft.irfftn(self.f_hat * half, s=(2**self.L,) * self.n, axes=axes))
 
 
 @dataclass(frozen=True, eq=False)
 class BandDecomposition:
-    """All band projections of one function plus its lowpass block."""
+    """The lowpass block and bands j_min..j_max of one function.  `source`
+    computes a band when it is read; `bands` is `source`, or the bands held
+    by `replace(dec, bands=tuple(dec.bands))` for a caller that rereads them."""
 
     j_min: int
     j_max: int
-    bands: tuple[GridFunction, ...]
-    lowpass: GridFunction
+    bands: Sequence[GridFunction]
+    source: LazyBands
 
     @property
     def js(self) -> range:
         return range(self.j_min, self.j_max + 1)
+
+    @property
+    def lowpass(self) -> GridFunction:
+        s = self.source
+        return s._filter(next(_profiles(s.L, s.n, s.family, s.js[:0])))
 
     def band(self, j: int) -> GridFunction:
         if not self.j_min <= j <= self.j_max:
             raise ConfigError(f"band {j} not in decomposition range {self.j_min}..{self.j_max}")
         return self.bands[j - self.j_min]
 
-    def reconstruction(self) -> np.ndarray:
-        out = self.lowpass.values.copy()
+    def reconstruction(self, visit=lambda block: None) -> np.ndarray:
+        """lowpass + bands, added in that order in one pass; `visit` sees each
+        block as it is added."""
+        low = self.lowpass
+        out = low.values.copy()
+        visit(low)
         for b in self.bands:
-            out = out + b.values
+            out += b.values
+            visit(b)
         return out
 
 
 def decompose(f: GridFunction, j_min: int = 0, family: str = "exp") -> BandDecomposition:
-    """Split f into lowpass + bands j_min..L+1 (exact telescoping), each from
-    the half spectrum of one real FFT: exact for even multipliers, checked.
-    The multipliers are built one at a time, as they are applied."""
-    f_hat = np.fft.rfftn(f.values)
-    axes = tuple(range(f.n))
-    fields = []
-    for p in _profiles(f.L, j_min, f.n, family):
-        if not np.array_equal(p.values, np.roll(np.flip(p.values), 1, axis=axes)):
-            raise InvariantViolation(f"{p.label} multiplier is not even: projection not real")
-        half = p.values[..., : f.N // 2 + 1]
-        fields.append(GridFunction(np.fft.irfftn(f_hat * half, s=f.values.shape, axes=axes)))
-    return BandDecomposition(j_min, f.L + 1, tuple(fields[1:]), fields[0])
+    """Split f into lowpass + bands j_min..L+1 (exact telescoping), each band
+    filtered from the half spectrum of one real FFT when it is read."""
+    bands = LazyBands(np.fft.rfftn(f.values), f.L, f.n, family, _band_range(f.L, j_min, family))
+    return BandDecomposition(j_min, f.L + 1, bands, bands)
 
 
 def profiles_to_csv(profiles: list[BandProfile], path) -> None:

@@ -30,7 +30,7 @@ ties are deterministic.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +46,7 @@ __all__ = [
     "per_cube",
     "cube_energies",
     "CubeFamily",
+    "dilate",
     "block_sums",
     "family_energies",
     "cube_mean",
@@ -123,12 +124,6 @@ class Cube:
     def n(self) -> int:
         return len(self.corner)
 
-    def dilate(self, m: float) -> "Cube":
-        """Cube with the same center and edge m*edge."""
-        if not (m > 0):
-            raise ConfigError(f"dilation factor must be positive, got {m}")
-        return Cube(tuple(c + self.edge * (1 - m) / 2 for c in self.corner), m * self.edge)
-
 
 @dataclass(frozen=True, eq=False)
 class CubeBlock:
@@ -154,8 +149,12 @@ def cube_blocks(f: GridFunction, cubes, closed: bool = False) -> list[CubeBlock]
     """Group the cubes by per-axis lattice count, half-open or closed
     membership as in the module docstring.  Raises on a cube with no point
     or of another dimension than f."""
-    corner, edge = _corners_edges(cubes, f.n)
-    end = corner + edge[:, None]
+    return _corner_blocks(f, *_corners_edges(cubes, f.n), closed)
+
+
+def _corner_blocks(f: GridFunction, corner, edge, closed: bool = False) -> list[CubeBlock]:
+    """`cube_blocks` of the cubes of corners (cubes, n) and edges (cubes,), or one edge."""
+    end = corner + np.reshape(edge, (-1, 1))
     start = np.ceil(corner * f.N)
     if closed:
         count = np.minimum(np.floor(end * f.N) - start + 1, f.N)
@@ -277,6 +276,11 @@ def enumerate_cubes(L: int, level_max: int, n: int = 1, shifted: bool = False) -
     return CubeFamily(L, level_max, n, shifted)
 
 
+def dilate(corner: np.ndarray, edge: float, m: float) -> tuple[np.ndarray, float]:
+    """Corners and edge of cubes of one edge, each dilated by m > 0 about its centre."""
+    return corner + edge * (1 - m) / 2, m * edge
+
+
 def block_sums(e: np.ndarray, width: int, n: int | None = None) -> np.ndarray:
     """Sums of an array over its blocks of `width` entries along each of its
     last n axes (every axis by default)."""
@@ -285,17 +289,19 @@ def block_sums(e: np.ndarray, width: int, n: int | None = None) -> np.ndarray:
     return e.reshape(e.shape[:lead] + split).sum(axis=tuple(range(lead + 1, len(split) + lead, 2)))
 
 
-def family_energies(fs: Sequence[GridFunction], family: CubeFamily) -> np.ndarray:
+def family_energies(fs: Iterable[GridFunction], family: CubeFamily) -> np.ndarray:
     """`cube_energies` of each function of fs on every cube of a family of
-    their grid, (functions, cubes), from one dyadic pyramid of the stacked f^2."""
-    levels = [np.stack([block_sums(f.values**2, f.N >> (family.level_max + 1)) for f in fs])]
+    their grid, (functions, cubes), from one dyadic pyramid of the stacked f^2;
+    each f is reduced to its finest block sums as soon as it is read."""
+    finest = map(lambda f: block_sums(f.values**2, f.N >> (family.level_max + 1)), fs)
+    levels = [np.stack(list(finest))]
     while levels[-1].shape[-1] > 1:  # levels[i] is level level_max+1-i
         levels.append(block_sums(levels[-1], 2, family.n))
-    out = [e.reshape(len(fs), -1) for e in levels[:0:-1]]
+    out = [e.reshape(len(e), -1) for e in levels[:0:-1]]
     if family.shifted:  # level k from level k+1 moved by one cell per axis
         rolled = (np.roll(e, -1, axis=tuple(range(1, family.n + 1))) for e in levels[-2::-1])
-        out += [block_sums(e, 2, family.n).reshape(len(fs), -1) for e in rolled]
-    return fs[0].h**family.n * np.concatenate(out, axis=1)
+        out += [block_sums(e, 2, family.n).reshape(len(e), -1) for e in rolled]
+    return (1.0 / 2**family.L) ** family.n * np.concatenate(out, axis=1)
 
 
 def write_grid(f: GridFunction, path) -> None:

@@ -16,14 +16,17 @@ Every functional reduces the stacked lattice blocks of `grid.cube_blocks`,
 one band at a time; `lp_morrey` and `morrey_besov` take the dyadic pyramid
 of `grid.family_energies` instead when the cubes are a `CubeFamily` of f's
 grid, one pyramid per batch of at most `_BATCH_FLOATS` energies
-(`_band_energies`).  The pair sum of a block B with its mean removed is
-S = 2(<B^2, w*1> - <B, w*B>), w(d) = |h d|^-(2a+n), w(0) = 0, with both
-convolutions taken by zero-padded FFTs on (2M)^n, batched over chunks of
-cubes whose spectra take at most `_FFT_BYTES`.
+(`_band_energies`).  Both read the decomposition's lazy bands in one pass,
+each reduced to its energies before the next is filtered.  The pair sum of
+a block B with its mean removed is S = 2(<B^2, w*1> - <B, w*B>),
+w(d) = |h d|^-(2a+n), w(0) = 0, with both convolutions taken by zero-padded
+FFTs on (2M)^n, batched over chunks of cubes whose spectra take at most
+`_FFT_BYTES`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -243,11 +246,12 @@ _BATCH_FLOATS = 2**20  # band energies per pyramid of a family (8 MiB), bounding
 
 def _band_energies(f: GridFunction, cubes, bands: Sequence[GridFunction]):
     """`cube_energies` of each band on every cube, in cube-list order, yielded
-    band by band; on a family of f's grid from one pyramid per batch of bands."""
+    band by band from one pass over the bands; on a family of f's grid from
+    one pyramid per batch of bands."""
     if isinstance(cubes, CubeFamily) and (cubes.L, cubes.n) == (f.L, f.n):
-        step = max(1, _BATCH_FLOATS // len(cubes))
-        return (e for i in range(0, len(bands), step)
-                for e in family_energies(bands[i:i + step], cubes))
+        step, pending = max(1, _BATCH_FLOATS // len(cubes)), iter(bands)
+        return (e for _ in range(0, len(bands), step)
+                for e in family_energies(itertools.islice(pending, step), cubes))
     blocks = cube_blocks(f, cubes)
     return (cube_energies(band, blocks) for band in bands)
 
@@ -278,7 +282,8 @@ def lp_morrey(
         )
     js = range(j_lo, decomposition.j_max + 1)
     acc = np.zeros(len(cubes))
-    for j, e in zip(js, _band_energies(f, cubes, [decomposition.band(j) for j in js])):
+    bands = decomposition.bands[j_lo - decomposition.j_min:]
+    for j, e in zip(js, _band_energies(f, cubes, bands)):
         acc += np.where(np.less_equal(j0, j), 2.0 ** (2 * alpha * j) * e, 0.0)
     weight = _per_edge(f, cubes, lambda e: (e**f.n) ** -(1.0 - 2.0 * alpha / f.n))
     return _finish("lp_morrey", alpha, cubes, np.sqrt(weight * acc), flags)

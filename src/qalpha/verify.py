@@ -28,9 +28,10 @@ from .grid import (
     Cube,
     CubeFamily,
     GridFunction,
+    _corner_blocks,
     _corners_edges,
-    cube_blocks,
     cube_sums,
+    dilate,
     enumerate_cubes,
     per_cube,
 )
@@ -171,16 +172,16 @@ class Lemma23Record:
     ratio: float
 
 
-def _oscillation_pair_sums(f: GridFunction, cubes: list[Cube]) -> np.ndarray:
-    """Per cube h^(2n) * sum over (x, y) in (I x I) of |f(x)-f(y)|^2, periodic values.
+def _oscillation_pair_sums(f: GridFunction, corner: np.ndarray, edge: float) -> np.ndarray:
+    """Per cube I of the corners (cubes, n) and one edge, h^(2n) * sum over
+    (x, y) in (I x I) of |f(x)-f(y)|^2, periodic values.
 
     Uses the exact rewrite sum_{x,y}(f(x)-f(y))^2 = 2 P sum (f - mean)^2 with
     P the number of lattice points of I (multiplicity kept when I wraps).
     """
     h2n = f.h ** (2 * f.n)
-    return per_cube(
-        f, cube_blocks(f, cubes), lambda v, b: h2n * 2.0 * v[0].size * cube_sums(_centered(v) ** 2)
-    )
+    return per_cube(f, _corner_blocks(f, corner, edge),
+                    lambda v, b: h2n * 2.0 * v[0].size * cube_sums(_centered(v) ** 2))
 
 
 def lemma23_check(
@@ -203,11 +204,9 @@ def lemma23_check(
     total = 0.0
     for k in range(K + 1):
         edge = I.edge / 2**k
-        dilated = [
-            Cube(tuple(c + i * edge for c, i in zip(I.corner, idx)), edge).dilate(m)
-            for idx in np.ndindex(*(2**k,) * f.n)
-        ]
-        layer = edge ** (-2 * f.n) * float(_oscillation_pair_sums(f, dilated).sum())
+        index = np.indices((2**k,) * f.n).reshape(f.n, -1).T  # D_k(I), row-major
+        dilated = dilate(np.array(I.corner) + index * edge, edge, m)
+        layer = edge ** (-2 * f.n) * float(_oscillation_pair_sums(f, *dilated).sum())
         total += 2.0 ** ((2 * alpha - f.n) * k) * layer
     q_value = q_alpha(f, alpha, standard_cubes(f)).value
     denom = m ** (2 * alpha + 2 * f.n) * q_value**2

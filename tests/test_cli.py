@@ -285,6 +285,30 @@ def test_decompose_command(tmp_path, capsys):
     assert lines[1].startswith("lowpass,")
 
 
+@pytest.mark.parametrize("argv", [["norm", "lpmorrey"], ["norm", "mb"], ["decompose"]])
+def test_odd_multiplier_exits_one(argv, tmp_path, capsys, monkeypatch):
+    # the bands are filtered as the command reads them; the evenness check
+    # still stops it before it prints or writes anything
+    from qalpha import BandProfile, filterbank
+
+    profiles = filterbank._profiles
+
+    def lopsided(*args):
+        for i, p in enumerate(profiles(*args)):
+            if i == 2:
+                values = p.values.copy()
+                values[1] += 0.25  # xi = 1 but not -1
+                p = BandProfile(p.j, values)
+            yield p
+
+    monkeypatch.setattr(filterbank, "_profiles", lopsided)
+    grid, out = tmp_path / "f.grid", tmp_path / "out"
+    write_grid(GridFunction(np.random.default_rng(4).standard_normal(64)), grid)
+    code, text, err = run([*argv, "--input", str(grid), "--out", str(out)], capsys)
+    assert code == 1 and text == "" and not out.exists()
+    assert err == "invariant violation: band1 multiplier is not even: projection not real\n"
+
+
 def test_kernel_csv_subset_property(tmp_path, capsys):
     out = tmp_path / "k.csv"
     code, text, _ = run(

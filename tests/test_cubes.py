@@ -22,6 +22,7 @@ from qalpha import (
     tree_sets,
 )
 from qalpha import cubes as cubes_module
+from qalpha.grid import dilate
 
 import oracles
 
@@ -33,13 +34,22 @@ def keys(cubes) -> set:
     return {(J.level, J.index) for J in cubes}
 
 
+def dilated(cube, m):
+    """The cube dilated by m about its centre, through the array form."""
+    corner, edge = dilate(np.array([cube.corner]), cube.edge, m)
+    return Cube(tuple(corner[0].tolist()), edge)
+
+
 def test_dilate_examples():
-    assert UNIT1.dilate(2.0) == Cube((-0.5,), 2.0)
+    assert dilated(UNIT1, 2.0) == Cube((-0.5,), 2.0)
     J = DyadicCube(UNIT1, 2, (1,))  # [1/4, 1/2]
-    assert Cube(J.corner, J.edge).dilate(2.0) == Cube((0.125,), 0.5)
+    assert dilated(Cube(J.corner, J.edge), 2.0) == Cube((0.125,), 0.5)
     # composition
     K = Cube((0.25, 0.5), 0.125)
-    assert K.dilate(2.0).dilate(3.0) == K.dilate(6.0)
+    assert dilated(dilated(K, 2.0), 3.0) == dilated(K, 6.0)
+    # a stack of corners dilates row by row
+    corner, edge = dilate(np.array([[0.0], [0.25]]), 0.25, 2.0)
+    assert corner.tolist() == [[-0.125], [0.125]] and edge == 0.5
 
 
 def test_dyadic_cube_geometry():

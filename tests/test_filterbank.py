@@ -209,19 +209,57 @@ def test_decompose_rejects_odd_multiplier(n, monkeypatch):
 
     monkeypatch.setattr(filterbank, "_profiles", lopsided)
     f = GridFunction(np.random.default_rng(4).standard_normal((16,) * n))
+    dec = decompose(f, j_min=0)  # a band is checked when it is read
     with pytest.raises(InvariantViolation, match="band1 multiplier is not even"):
-        decompose(f, j_min=0)
+        tuple(dec.bands)
 
 
 def test_decompose_memory_bounded():
     f = GridFunction(np.random.default_rng(0).standard_normal(2**18))
     tracemalloc.start()
     try:
-        decompose(f, j_min=0)
+        for band in decompose(f, j_min=0).bands:
+            pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the lowpass block and L+2 = 20 bands, 21 grids, are returned; one
-    # multiplier at a time beside them keeps the peak at 27 grids, against 44
-    # with every multiplier alive
-    assert peak < 32 * f.values.nbytes
+    # the half spectrum, the cutoffs carried from scale to scale and one band
+    # with its multiplier and inverse FFT are alive at a time: about 9 grids,
+    # against 27 with the L+2 = 20 bands and the lowpass block all held
+    assert peak < 12 * f.values.nbytes
+
+
+@pytest.mark.parametrize("n,L", [(1, 9), (2, 5)])
+def test_band_reads_evaluate_chi_once_per_scale(n, L, monkeypatch):
+    calls = []
+    chi = filterbank._FAMILIES["exp"]
+    monkeypatch.setitem(filterbank._FAMILIES, "exp", lambda u: calls.append(1) or chi(u))
+    f = GridFunction(np.random.default_rng(5).standard_normal((2**L,) * n))
+    dec = decompose(f, j_min=0)
+    assert len(calls) == 0 and len(dec.bands) == L + 2
+    bands = tuple(dec.bands)  # the cutoff is carried from scale to scale
+    assert len(calls) == L + 3
+    for j in (0, L // 2, L + 1):
+        calls.clear()
+        assert np.array_equal(dec.band(j).values, bands[j].values)
+        assert len(calls) == 2
+    calls.clear()
+    sliced = tuple(dec.bands[2:5])
+    assert len(calls) == 4
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(sliced, bands[2:5]))
+    calls.clear()
+    dec.lowpass
+    assert len(calls) == 1
+    calls.clear()
+    seen = []
+    assert np.max(np.abs(dec.reconstruction(seen.append) - f.values)) < 1e-12
+    assert len(calls) == 1 + (L + 3) and len(seen) == L + 3  # the lowpass block, then one pass
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(seen[1:], bands))
+    # a slice with another step recomputes the cutoff below each of its bands
+    for step in (slice(None, None, 2), slice(None, None, -1), slice(-1, 0, -3)):
+        got = dec.bands[step]
+        assert len(got) == len(bands[step])
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(got, bands[step]))
+    assert np.array_equal(dec.bands[-1].values, bands[-1].values)
+    with pytest.raises(IndexError):
+        dec.bands[L + 2]

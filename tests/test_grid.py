@@ -14,6 +14,7 @@ from qalpha import (
     read_grid,
     write_grid,
 )
+from qalpha.grid import dilate
 
 import oracles
 
@@ -153,7 +154,8 @@ def test_dilate_keeps_center():
         return tuple(a + cube.edge / 2 for a in cube.corner)
 
     c = Cube((0.25, 0.25), 0.25)
-    d = c.dilate(3.0)
+    corner, edge = dilate(np.array([c.corner]), c.edge, 3.0)
+    d = Cube(tuple(corner[0].tolist()), edge)
     assert center(d) == center(c)
     assert d.edge == pytest.approx(0.75)
 

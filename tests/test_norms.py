@@ -24,7 +24,7 @@ from qalpha import (
     morrey_besov,
     q_alpha,
 )
-from qalpha import norms
+from qalpha import filterbank, norms
 from qalpha.grid import block_sums, cube_blocks, cube_energies, family_energies
 
 import oracles
@@ -414,7 +414,7 @@ def test_pyramid_energies_match_cube_blocks(n, N, monkeypatch):
         assert [family[i] for i in range(len(old))] == old
         assert family[-1] == old[-1] and family[3:9] == tuple(old[3:9])
         blocks = cube_blocks(f, old)
-        bands = (dec.lowpass,) + dec.bands
+        bands = (dec.lowpass, *dec.bands)
         pyramid = list(norms._band_energies(f, family, bands))
         assert len(pyramid) == len(bands)
         for band, got in zip(bands, pyramid):
@@ -450,7 +450,7 @@ def one_band_pyramid(band, family):
 def test_batched_pyramid_rows_are_bit_exact(n, N, shifted):
     f = generate(CorpusSpec("spectral_noise", N, n, (("slope", 0.9),), seed=42))
     dec = decompose(f, j_min=0)
-    bands = (dec.lowpass,) + dec.bands
+    bands = (dec.lowpass, *dec.bands)
     for level_max in (0, f.L - 4, f.L - 3):
         family = enumerate_cubes(f.L, level_max, n=n, shifted=shifted)
         batched = family_energies(bands, family)
@@ -476,6 +476,26 @@ def test_batch_cap_leaves_band_norms_unchanged(n, N, monkeypatch):
     default = reports()
     monkeypatch.setattr(norms, "_BATCH_FLOATS", 1)  # one band per pyramid
     assert reports() == default
+
+
+@pytest.mark.parametrize("n,N", [(1, 1024), (2, 64)])
+def test_band_norms_read_each_band_once(n, N, monkeypatch):
+    # one pass over the lazy bands, the cutoff carried across the batches of
+    # the pyramid and through the block path alike: chi L+3 times per norm
+    calls = []
+    chi = filterbank._FAMILIES["exp"]
+    monkeypatch.setitem(filterbank._FAMILIES, "exp", lambda u: calls.append(1) or chi(u))
+    monkeypatch.setattr(norms, "_BATCH_FLOATS", 1)  # one band per pyramid
+    f = generate(CorpusSpec("spectral_noise", N, n, (("slope", 0.9),), seed=42))
+    dec = decompose(f, j_min=0)
+    for shifted in (False, True):
+        family = enumerate_cubes(f.L, f.L - 3, n=n, shifted=shifted)
+        for norm in (lambda: lp_morrey(f, 0.5, family, dec),
+                     lambda: lp_morrey(f, 0.5, list(family), dec),
+                     lambda: morrey_besov(f, 0.5, n - 1.0, 2, 2, family, dec)):
+            calls.clear()
+            norm()
+            assert len(calls) == f.L + 3
 
 
 def test_band_norm_memory_bounded():

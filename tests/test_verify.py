@@ -143,22 +143,22 @@ def test_oscillation_pair_sum_matches_literal_double_loop():
     # the implementation uses the 2*P*sum((v - mean)^2) rewrite; check it
     # against the raw double loop over the dilated cube's lattice points
     import oracles
-    from qalpha import Cube, GridFunction
+    from qalpha import GridFunction
+    from qalpha.grid import dilate
     from qalpha.verify import _oscillation_pair_sums
     import numpy as np
 
     rng = np.random.default_rng(12)
     f = GridFunction(rng.standard_normal(8))
     for corner, edge, m in [((0.0,), 0.5, 2.0), ((0.25,), 0.25, 4.0), ((0.0,), 1.0, 2.0)]:
-        J = Cube(corner, edge)
-        D = J.dilate(m)
-        pts = oracles.naive_lattice(8, 1, D.corner, D.edge, closed=False)
+        D_corner, D_edge = dilate(np.array([corner]), edge, m)
+        pts = oracles.naive_lattice(8, 1, tuple(D_corner[0].tolist()), D_edge, closed=False)
         naive = 0.0
         for _, ix in pts:
             for _, iy in pts:
                 naive += (f.values[ix] - f.values[iy]) ** 2
         naive *= f.h**2
-        assert _oscillation_pair_sums(f, [D])[0] == pytest.approx(naive, rel=1e-12)
+        assert _oscillation_pair_sums(f, D_corner, D_edge)[0] == pytest.approx(naive, rel=1e-12)
 
 
 def test_kernel_decay_check_record():
