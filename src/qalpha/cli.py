@@ -17,7 +17,7 @@ from . import corpus as corpus_mod
 from . import verify as verify_mod
 from .errors import ConfigError, InvariantViolation
 from .filterbank import build_profiles, decompose, profiles_to_csv
-from .grid import Cube, _validate_size, enumerate_cubes, read_grid, write_grid
+from .grid import _DIMENSIONS, Cube, _validate_size, enumerate_cubes, read_grid, write_grid
 from .norms import _check_values, campanato, dyadic_lp, lp_morrey, morrey_besov, q_alpha
 
 
@@ -48,7 +48,7 @@ def _load_corpus(cfg: argparse.Namespace, N: int) -> list[corpus_mod.CorpusSpec]
 
 def _validate(cfg: argparse.Namespace) -> argparse.Namespace:
     """Checks argparse cannot express."""
-    if getattr(cfg, "n", 1) not in (1, 2):
+    if getattr(cfg, "n", 1) not in _DIMENSIONS:
         raise ConfigError(f"dimension must be 1 or 2, got {cfg.n}")
     for N in getattr(cfg, "sizes", [cfg.size] if "size" in cfg else []):
         _validate_size(N)
@@ -66,9 +66,8 @@ def _cmd_gen(cfg: argparse.Namespace) -> int:
     out_dir = Path(cfg.out) if cfg.out else _out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     for spec in _load_corpus(cfg, N):
-        f = corpus_mod.generate(spec)
         path = out_dir / f"{spec.ident}_n{spec.n}_N{spec.N}.grid"
-        write_grid(f, path)
+        write_grid(corpus_mod.generate(spec), path)  # not held while the next is built
         print(f"wrote {path}")
     return 0
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError
-from .grid import GridFunction
+from .grid import _DIMENSIONS, GridFunction
 
 __all__ = ["CorpusSpec", "generate", "load_corpus_file", "default_corpus"]
 
@@ -43,7 +43,7 @@ class CorpusSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown corpus kind {self.kind!r}, expected one of {KINDS}")
-        if self.n not in (1, 2) or self.seed < 0:
+        if self.n not in _DIMENSIONS or self.seed < 0:
             raise ConfigError(f"corpus n must be 1 or 2 and seed >= 0, got {self.n}, {self.seed}")
         params = tuple(sorted((str(k), v) for k, v in dict(self.params).items()))
         for k, v in params:
@@ -136,32 +136,30 @@ def _smoothed_step(spec: CorpusSpec) -> GridFunction:
 def _spectral_noise(spec: CorpusSpec) -> GridFunction:
     """One draw u per conjugate pair of frequencies, in lexicographic order:
     a self-conjugate xi gets the sign of u - 1/2, any other xi the phase
-    2 pi u and its partner -xi the conjugate."""
+    2 pi u and its partner -xi the conjugate.  `index` numbers the centred
+    frequencies row-major, so lexicographically; `mirror` numbers -xi."""
     slope = spec.param("slope")
     if not slope > 0:
         raise ConfigError(f"spectral slope must be positive, got {slope}")
-    N, n = spec.N, spec.n
-    half, axes = N // 2, tuple(range(n))
-    a = np.arange(-half, half)  # the frequencies of one axis, centred
-    neg = np.where(a == -half, -half, -a)
-    xs, negs = np.ix_(*(a,) * n), np.ix_(*(neg,) * n)  # per axis, broadcastable
-    at_least_neg = xs[-1] >= negs[-1]  # xi >= -xi, lexicographically
-    for x, m in zip(xs[-2::-1], negs[-2::-1]):
-        at_least_neg = (x > m) | ((x == m) & at_least_neg)
-    self_conj = np.logical_and.reduce(np.broadcast_arrays(*((x == 0) | (x == -half) for x in xs)))
-    square = sum(x * x for x in xs)  # |xi|^2
-    keep = (square != 0) & (self_conj | at_least_neg)
-    u = np.random.default_rng(spec.seed).random(np.count_nonzero(keep))
+    N, n, shape = spec.N, spec.n, (spec.N,) * spec.n
+    index = np.arange(N**n).reshape(shape)
+    mirror = np.roll(np.flip(index), 1, axis=tuple(range(n)))  # -(-N/2) is -N/2
+    keep = (index >= mirror) & (index != index[(N // 2,) * n])  # not xi = 0
+    kept, partner = index[keep], mirror[keep]
+    del index, mirror, keep
+    u = np.random.default_rng(spec.seed).random(len(kept))
     # Python float powers, once per distinct |xi|^2: np.power differs from them in the last bit
-    square, inverse = np.unique(square[keep], return_inverse=True)
+    square = sum((i - N // 2) ** 2 for i in np.unravel_index(kept, shape))
+    square, inverse = np.unique(square, return_inverse=True)
     mag = np.array([math.sqrt(s) ** (-slope - n / 2) for s in square.tolist()])[inverse]
     sign = np.where(u < 0.5, 1.0, -1.0)
-    c = np.where(self_conj[keep], mag * sign, mag * np.exp(1j * (2.0 * np.pi * u)))
-    coeffs = np.zeros((N,) * n, dtype=complex)
-    coeffs[keep] = c
-    partner = np.roll(np.flip(keep & ~self_conj), 1, axis=axes)  # -xi of each such xi
-    coeffs[partner] = np.conj(np.roll(np.flip(coeffs), 1, axis=axes)[partner])
-    return _from_spectrum(np.fft.ifftshift(coeffs), N, n)
+    c = np.where(kept == partner, mag * sign, mag * np.exp(1j * (2.0 * np.pi * u)))
+    coeffs = np.zeros(N**n, dtype=complex)
+    coeffs[partner] = np.conj(c)  # c then overwrites a self-conjugate xi, its own partner
+    coeffs[kept] = c
+    del kept, partner, c, square, inverse, u, mag, sign  # before the inverse FFT
+    coeffs = np.fft.ifftshift(coeffs.reshape(shape))
+    return _from_spectrum(coeffs, N, n)
 
 
 _BUILDERS = {

@@ -20,7 +20,7 @@ Its zero energies add +0.0 to every band sum, so no norm value changes.
 `decompose` keeps the half spectrum of one real FFT of f, and its bands
 are a `LazyBands`: a band is filtered when read, by one multiplier from
 `_profiles`, checked even, and one inverse real FFT, and no one else keeps
-it.  `build_profiles` lists the multipliers, for the profile tables.
+it.  Readers pass once over a slice of the bands, one cutoff per scale.
 
 Two cutoff families are available: "exp" (default, the smooth
 exp(-1/t)-quotient ramp) and "cosine" (raised-cosine ramp) for probing that
@@ -74,16 +74,11 @@ _FAMILIES = {"exp": _chi_exp, "cosine": _chi_cosine}
 @dataclass(frozen=True, eq=False)
 class BandProfile:
     """One Fourier multiplier: kind 'standard' (band j) or 'lowpass' (every
-    band below j = j_min at once)."""
+    band below j = j_min at once).  `values` is kept as given, not copied."""
 
     j: int
     values: np.ndarray
     kind: str = "standard"
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
 
     @property
     def label(self) -> str:
@@ -181,14 +176,16 @@ class BandDecomposition:
         return self.bands[j - self.j_min]
 
     def reconstruction(self, visit=lambda block: None) -> np.ndarray:
-        """lowpass + bands, added in that order in one pass; `visit` sees each
-        block as it is added."""
+        """lowpass + bands, added in that order in one pass that holds one band
+        at a time; `visit` sees each block as it is added."""
         low = self.lowpass
         out = low.values.copy()
         visit(low)
+        del low
         for b in self.bands:
             out += b.values
             visit(b)
+            del b
         return out
 
 

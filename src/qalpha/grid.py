@@ -66,17 +66,21 @@ def _validate_size(N: int) -> None:
 # Weights 2^e with |e| above this are rejected (h^-(2a+n), 2^(2aj), ...),
 # which leaves 64 binary orders of magnitude below 2^1024 for their sums.
 _WEIGHT_LOG2_MAX = 960
+_DIMENSIONS = (1, 2)  # the supported n, read by every check of a dimension
 
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Real samples on the periodic lattice {i/N}^n, n in {1, 2}."""
+    """Real samples on the periodic lattice {i/N}^n, n in {1, 2}; a float64 array
+    that owns its memory is kept and frozen, anything else (a view) is copied."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float)
-        if v.ndim not in (1, 2):
+        v = self.values
+        if not (type(v) is np.ndarray and v.dtype == np.float64 and v.base is None):
+            v = np.array(v, dtype=float)
+        if v.ndim not in _DIMENSIONS:
             raise ConfigError(f"dimension must be 1 or 2, got array of ndim {v.ndim}")
         N = v.shape[0]
         if any(s != N for s in v.shape):
@@ -229,7 +233,7 @@ class CubeFamily(Sequence):
     corner: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n not in (1, 2):
+        if self.n not in _DIMENSIONS:
             raise ConfigError(f"dimension must be 1 or 2, got {self.n}")
         if self.level_max < 0:
             raise ConfigError(f"level_max must be >= 0, got {self.level_max}")
@@ -322,7 +326,7 @@ def read_grid(path) -> GridFunction:
                 n, N = int(header[0]), int(header[1])
             except ValueError as exc:
                 raise ConfigError(f"{path}: malformed grid header: {exc}") from None
-            if n not in (1, 2):
+            if n not in _DIMENSIONS:
                 raise ConfigError(f"{path}: dimension must be 1 or 2, got {n}")
             _validate_size(N)
             try:

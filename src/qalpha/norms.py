@@ -16,7 +16,7 @@ Every functional reduces the stacked lattice blocks of `grid.cube_blocks`,
 one band at a time; `lp_morrey` and `morrey_besov` take the dyadic pyramid
 of `grid.family_energies` instead when the cubes are a `CubeFamily` of f's
 grid, one pyramid per batch of at most `_BATCH_FLOATS` energies
-(`_band_energies`).  Both read the decomposition's lazy bands in one pass,
+(`_band_energies`).  All four band readers take the lazy bands in one pass,
 each reduced to its energies before the next is filtered.  The pair sum of
 a block B with its mean removed is S = 2(<B^2, w*1> - <B, w*B>),
 w(d) = |h d|^-(2a+n), w(0) = 0, with both convolutions taken by zero-padded
@@ -252,8 +252,15 @@ def _band_energies(f: GridFunction, cubes, bands: Sequence[GridFunction]):
         step, pending = max(1, _BATCH_FLOATS // len(cubes)), iter(bands)
         return (e for _ in range(0, len(bands), step)
                 for e in family_energies(itertools.islice(pending, step), cubes))
-    blocks = cube_blocks(f, cubes)
-    return (cube_energies(band, blocks) for band in bands)
+    return map(cube_energies, bands, itertools.repeat(cube_blocks(f, cubes)))
+
+
+def _bands_from(decomposition: BandDecomposition, j: int) -> Sequence[GridFunction]:
+    """Bands j..j_max of the decomposition, a slice to read in one pass."""
+    if j < decomposition.j_min:
+        raise ConfigError(f"cube of level {j} needs bands from j={j}, but the decomposition "
+                          f"starts at j_min={decomposition.j_min}")
+    return decomposition.bands[j - decomposition.j_min:]
 
 
 def lp_morrey(
@@ -275,15 +282,9 @@ def lp_morrey(
         flags.append(f"alpha={alpha} outside (0,1): two-sided comparison not expected")
     j0 = _per_edge(f, cubes, _dyadic_level)
     j_lo = int(j0.min()) if j0.size else decomposition.j_max + 1
-    if j_lo < decomposition.j_min:
-        raise ConfigError(
-            f"cube of level {j_lo} needs bands from j={j_lo}, but the decomposition "
-            f"starts at j_min={decomposition.j_min}"
-        )
-    js = range(j_lo, decomposition.j_max + 1)
     acc = np.zeros(len(cubes))
-    bands = decomposition.bands[j_lo - decomposition.j_min:]
-    for j, e in zip(js, _band_energies(f, cubes, bands)):
+    energies = _band_energies(f, cubes, _bands_from(decomposition, j_lo))
+    for j, e in zip(itertools.count(j_lo), energies):
         acc += np.where(np.less_equal(j0, j), 2.0 ** (2 * alpha * j) * e, 0.0)
     weight = _per_edge(f, cubes, lambda e: (e**f.n) ** -(1.0 - 2.0 * alpha / f.n))
     return _finish("lp_morrey", alpha, cubes, np.sqrt(weight * acc), flags)
@@ -329,10 +330,12 @@ def dyadic_lp(
     level = _refinement_level(f, I, K)
     (b,) = cube_blocks(f, [I])
     layers = [np.zeros((2**k,) * f.n) for k in range(K + 1)]
+    bands = iter(_bands_from(decomposition, level))
     for j in range(level, decomposition.j_max + 1):
-        sq = b.read(decomposition.band(j))[0] ** 2
+        sq = b.read(next(bands))[0] ** 2
         for k in range(min(K, j - level) + 1):
             layers[k] += block_sums(sq, b.shape[0] >> k)
+        del sq  # before the next band is filtered
     total = 0.0
     for k, layer in enumerate(layers):
         inv_measure = (I.edge / 2**k) ** -f.n
@@ -357,13 +360,12 @@ def dyadic_lp_rearranged(
     """
     _check_alpha(alpha, f, positive=True)
     level = _refinement_level(f, I, K)
-    blocks = cube_blocks(f, [I])
-    inv_measure = I.edge ** -f.n
     total = 0.0
-    for j in range(level, decomposition.j_max + 1):
+    energies = _band_energies(f, [I], _bands_from(decomposition, level))
+    for j, e in zip(itertools.count(level), energies):
         w = sum(2.0 ** (2 * alpha * k) for k in range(min(K, j - level) + 1))
-        total += w * float(cube_energies(decomposition.band(j), blocks)[0])
-    return inv_measure * total
+        total += w * float(e[0])
+    return I.edge ** -f.n * total
 
 
 @dataclass(frozen=True, eq=False)

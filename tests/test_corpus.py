@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,18 @@ def test_spectral_noise_matches_per_frequency_formula(n, sizes, slope):
     for N in sizes:
         got = generate(CorpusSpec("spectral_noise", N, n, (("slope", slope),), seed=42)).values
         assert np.array_equal(got, spectral_noise_reference(N, n, slope, 42))
+
+
+def test_spectral_noise_frees_its_temporaries():
+    spec = CorpusSpec("spectral_noise", 512, 2, (("slope", 0.9),), seed=42)
+    tracemalloc.start()
+    try:
+        f = generate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the complex spectrum and the inverse FFT's own arrays: about 7.4 grids
+    assert peak < 10 * f.values.nbytes
 
 
 @pytest.mark.parametrize("n,N", [(1, 256), (2, 64)])

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -455,6 +456,35 @@ def test_far_pair_scaled_kernel_closed_form():
         k = kernel_sum(g.members, alpha, 1)
         assert k == 1.0
         assert k * 0.8 ** (2 * alpha + 1) == pytest.approx(0.8 ** (2 * alpha + 1))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("m", [2.0, 2.5, 3.0])
+def test_ring_counts_match_oracles(n, m, monkeypatch):
+    root = Cube((0.0,) * n, 1.0)
+    pairs = sample_pairs(root, 24, seed=31)
+    if n == 2:  # the exhaustive enumeration visits 4^k cubes per level
+        pairs = [p for p in pairs if required_max_level(root, *p, m) <= 8][:4]
+    sets = tree_sets(root, *zip(*pairs), m)
+    minimal, maxima = cubes_module.ring_counts(sets)
+    for p, (x, y) in enumerate(pairs):
+        depth = required_max_level(root, x, y, m)
+        found = oracles.child_free_members(
+            oracles.exhaustive_gamma(root.corner, root.edge, x, y, m, depth)
+        )
+        per_level = np.bincount([k for k, _ in found], minlength=minimal.shape[1])
+        assert np.array_equal(minimal[p], per_level)
+        rings = Counter(
+            oracles.brute_force_ring_class(tuple(i * 2.0**-k for i in index), 2.0**-k, x, y)
+            for k, index in found
+        )
+        assert maxima[p].tolist() == [
+            max((c for (_, kind), c in rings.items() if kind == want), default=0)
+            for want in (1, 2)
+        ]
+    monkeypatch.setattr(cubes_module, "_BATCH_MEMBERS", 1)  # one pair per batch
+    one_by_one = cubes_module.ring_counts(sets)
+    assert all(np.array_equal(a, b) for a, b in zip(one_by_one, (minimal, maxima)))
 
 
 def test_count_summary_single_cube():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,33 @@ def test_values_immutable():
     f = GridFunction(np.ones(8))
     with pytest.raises(ValueError):
         f.values[0] = 2.0
+
+
+def test_fresh_array_kept_without_copy():
+    a = np.random.default_rng(0).standard_normal(2**20)
+    tracemalloc.start()
+    try:
+        GridFunction(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.2 * a.nbytes  # the finiteness mask, an eighth of the grid
+
+
+def test_ownership_rule():
+    # a float64 array that owns its memory is kept and frozen
+    a = np.ones(8)
+    assert GridFunction(a).values is a and not a.flags.writeable
+    # anything else is copied: the caller's array stays writable and unaliased
+    base = np.ones(16)
+    for given in (base[:8], base[::2], base.reshape(2, 8)[0]):
+        f = GridFunction(given)
+        assert not np.shares_memory(f.values, base) and not f.values.flags.writeable
+    base[0] = 2.0
+    assert f.values[0] == 1.0
+    for given in (np.ones(8, dtype=np.float32), [1.0] * 8, np.ones(8, dtype=">f8")):
+        f = GridFunction(given)
+        assert f.values.dtype == np.float64 and f.values is not given
 
 
 def test_cube_mean_constant():

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import re
@@ -268,6 +269,17 @@ def test_dyadic_lp_depth_guard():
         dyadic_lp(f, -0.2, UNIT1, 2, dec)
 
 
+def test_band_readers_need_bands_from_cube_level():
+    f = GridFunction(np.ones(64))
+    late = decompose(f, 2)
+    message = "cube of level 0 needs bands from j=0, but the decomposition starts at j_min=2"
+    for norm in (lambda: dyadic_lp(f, 0.5, UNIT1, 1, late),
+                 lambda: dyadic_lp_rearranged(f, 0.5, UNIT1, 1, late),
+                 lambda: lp_morrey(f, 0.5, [UNIT1], late)):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            norm()
+
+
 def test_morrey_besov_embedding_case_only():
     f = GridFunction(np.ones(16))
     dec = decompose(f, 0)
@@ -496,6 +508,36 @@ def test_band_norms_read_each_band_once(n, N, monkeypatch):
             calls.clear()
             norm()
             assert len(calls) == f.L + 3
+    # the refinement sums pass over the bands level..L+1 of their cube
+    for level in (0, 2):
+        I = Cube((0.25 * level,) * n, 2.0**-level)
+        for norm in (dyadic_lp, dyadic_lp_rearranged):
+            calls.clear()
+            norm(f, 0.5, I, 1, dec)
+            assert len(calls) == f.L + 3 - level
+
+
+@pytest.mark.parametrize("n,N", [(1, 2**16), (2, 256)])
+def test_band_readers_hold_one_band_at_a_time(n, N):
+    # each band is reduced and dropped before the next is filtered: against a
+    # pass that keeps no band, the refinement sums hold no band-sized array,
+    # and the reconstruction only its output (a held band would add one grid)
+    f = generate(CorpusSpec("spectral_noise", N, n, (("slope", 0.9),), seed=42))
+    dec = decompose(f, j_min=0)
+    root = Cube((0.0,) * n, 1.0)
+
+    def peak(read):
+        tracemalloc.start()
+        try:
+            read()
+            return tracemalloc.get_traced_memory()[1] / f.values.nbytes
+        finally:
+            tracemalloc.stop()
+
+    one_band = peak(lambda: collections.deque(dec.bands, maxlen=0))
+    assert peak(lambda: dyadic_lp(f, 0.5, root, 2, dec)) < one_band + 0.25
+    assert peak(lambda: dyadic_lp_rearranged(f, 0.5, root, 2, dec)) < one_band + 0.25
+    assert peak(lambda: dec.reconstruction()) < one_band + 1.25
 
 
 def test_band_norm_memory_bounded():
