@@ -17,7 +17,8 @@ from . import corpus as corpus_mod
 from . import verify as verify_mod
 from .errors import ConfigError, InvariantViolation
 from .filterbank import build_profiles, decompose, profiles_to_csv
-from .grid import _DIMENSIONS, Cube, _validate_size, enumerate_cubes, read_grid, write_grid
+from .grid import (_DIMENSIONS, _EDGE_LEVELS, Cube, _validate_size, enumerate_cubes, read_grid,
+                   write_grid)
 from .norms import _check_values, campanato, dyadic_lp, lp_morrey, morrey_besov, q_alpha
 
 
@@ -82,7 +83,7 @@ def _cmd_norm(cfg: argparse.Namespace) -> int:
         if cfg.out:
             Path(cfg.out).write_text(f"{value!r}\n")
         return 0
-    level_max = cfg.level_max if cfg.level_max is not None else f.L - 3
+    level_max = cfg.level_max if cfg.level_max is not None else f.L - _EDGE_LEVELS
     cubes = enumerate_cubes(f.L, level_max, n=f.n, shifted=cfg.shifted)
     if cfg.kind == "qalpha":
         report = q_alpha(f, cfg.alpha, cubes)
@@ -153,11 +154,12 @@ def _cmd_verify(cfg: argparse.Namespace) -> int:
             f = corpus_mod.generate(spec)
             dec = decompose(f, j_min=0)
             dec = replace(dec, bands=tuple(dec.bands))  # each cube reads every band
-            family = enumerate_cubes(f.L, min(2, f.L - 3), n=f.n)
+            family = enumerate_cubes(f.L, min(2, f.L - _EDGE_LEVELS), n=f.n)
             for cube, level in zip(family, family.level.tolist()):
-                K = min(cfg.K, f.L - level - 3)  # identity holds at any depth
+                K = min(cfg.K, f.L - level - _EDGE_LEVELS)  # identity holds at any depth
                 d = verify_mod.fubini_identity_check(f, cfg.alpha, cube, K, dec)
                 worst = max(worst, d)
+            del dec, f  # before the next function is built
         print(f"fubini max relative discrepancy {worst:.3e}")
         if worst >= 1e-12:
             raise InvariantViolation(f"rearrangement identity violated: {worst:.3e}")
@@ -201,7 +203,7 @@ _FLAGS = {
     "--family": dict(choices=("exp", "cosine"), default="exp", help="cutoff profile family"),
     "--K": dict(type=int, default=3, help="refinement truncation depth"),
     "--lam": dict(type=float, help="campanato exponent lambda (default n-2*alpha)"),
-    "--level-max": dict(type=int, help="deepest cube level (default L-3)"),
+    "--level-max": dict(type=int, help=f"deepest cube level (default L-{_EDGE_LEVELS})"),
     "--shifted": dict(action="store_true", help="add the half-shifted cube family"),
     "--m": dict(type=float, default=2.0, help="cube dilation factor (2 to 16)"),
     "--pairs": dict(type=int, default=100, help="number of sampled pairs"),

@@ -74,27 +74,28 @@ class CorpusSpec:
 
 
 def _positions(N: int, n: int) -> tuple[np.ndarray, ...]:
+    """Per-axis sample positions i/N, one array per axis that broadcasts against the others."""
     x = np.arange(N) / N
-    return np.meshgrid(*(x,) * n, indexing="ij")
+    return np.meshgrid(*(x,) * n, indexing="ij", sparse=True)
 
 
 def _freqs(N: int, n: int):
-    """Per-axis integer frequencies in FFT order, and the Euclidean |xi|."""
+    """Per-axis integer frequencies in FFT order, broadcastable axes, and |xi| as a full grid."""
     q = np.fft.fftfreq(N, d=1.0 / N).astype(int)
-    freq = np.meshgrid(*(q,) * n, indexing="ij")
+    freq = np.meshgrid(*(q,) * n, indexing="ij", sparse=True)
     return freq, np.sqrt(sum(a.astype(float) ** 2 for a in freq))
 
 
 def _from_spectrum(coeffs: np.ndarray, N: int, n: int) -> GridFunction:
-    v = np.fft.ifftn(coeffs)
-    v *= N**n
-    return GridFunction(v.real)
+    return GridFunction(np.fft.ifftn(coeffs).real * N**n)  # a fresh array, kept uncopied
 
 
 def _centred_bump(spec: CorpusSpec, envelope) -> GridFunction:
     """Coefficients envelope(|xi|) with zero mean, translated to the centre x = 1/2."""
     freq, mag = _freqs(spec.N, spec.n)
-    coeffs = envelope(mag) * np.exp(-2j * np.pi * sum(freq) * 0.5)
+    coeffs = np.exp(-2j * np.pi * sum(freq) * 0.5)
+    coeffs *= envelope(mag)
+    del freq, mag  # before the inverse FFT
     coeffs[(0,) * spec.n] = 0.0
     return _from_spectrum(coeffs, spec.N, spec.n)
 
@@ -115,10 +116,11 @@ def _schwartz_like(spec: CorpusSpec) -> GridFunction:
 
 def _harmonic(spec: CorpusSpec) -> GridFunction:
     xi0 = int(spec.param("xi0"))
+    if xi0 != spec.param("xi0"):
+        raise ConfigError(f"harmonic frequency must be an integer, got {spec.param('xi0')}")
     if not 0 < xi0 < spec.N // 2:
         raise ConfigError(f"harmonic frequency must lie in (0, N/2), got {xi0}")
-    pos = _positions(spec.N, spec.n)
-    phase = sum(pos)  # frequency vector (xi0,...,xi0)
+    phase = sum(_positions(spec.N, spec.n))  # frequency vector (xi0,...,xi0)
     return GridFunction(np.cos(2.0 * np.pi * xi0 * phase))
 
 
@@ -126,9 +128,8 @@ def _smoothed_step(spec: CorpusSpec) -> GridFunction:
     sharp = spec.param("sharpness")
     if not sharp > 0:
         raise ConfigError(f"sharpness must be positive, got {sharp}")
-    pos = _positions(spec.N, spec.n)
-    out = np.ones_like(pos[0])
-    for x in pos:
+    out = 1.0
+    for x in _positions(spec.N, spec.n):  # one tanh per axis, broadcast by the product
         out = out * np.tanh(sharp * np.sin(2.0 * np.pi * x))
     return GridFunction(out)
 
@@ -178,6 +179,13 @@ def generate(spec: CorpusSpec) -> GridFunction:
     return _BUILDERS[spec.kind](spec)
 
 
+def _integer(name: str, v) -> int:
+    """A JSON integer, or a float with no fractional part such as 64.0."""
+    if not (type(v) is int or type(v) is float and v.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
 def load_corpus_file(path) -> list[CorpusSpec]:
     """JSON list of {kind, params, N, n, seed} records."""
     try:
@@ -196,10 +204,10 @@ def load_corpus_file(path) -> list[CorpusSpec]:
         try:
             fields = dict(
                 kind=rec["kind"],
-                N=int(rec["N"]),
-                n=int(rec["n"]),
+                N=_integer("N", rec["N"]),
+                n=_integer("n", rec["n"]),
                 params=tuple(rec.get("params", {}).items()),
-                seed=int(rec.get("seed", 0)),
+                seed=_integer("seed", rec.get("seed", 0)),
             )
         except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise ConfigError(f"{path}: malformed corpus record {rec!r}: {exc}") from None

@@ -59,14 +59,15 @@ __all__ = [
 
 
 def _validate_size(N: int) -> None:
-    if N < 8 or N & (N - 1):
-        raise ConfigError(f"grid size must be a power of two >= 8, got {N}")
+    if N < 2**_EDGE_LEVELS or N & (N - 1):
+        raise ConfigError(f"grid size must be a power of two >= {2**_EDGE_LEVELS}, got {N}")
 
 
 # Weights 2^e with |e| above this are rejected (h^-(2a+n), 2^(2aj), ...),
 # which leaves 64 binary orders of magnitude below 2^1024 for their sums.
 _WEIGHT_LOG2_MAX = 960
 _DIMENSIONS = (1, 2)  # the supported n, read by every check of a dimension
+_EDGE_LEVELS = 3  # cubes stay 3 levels above the grid: 2^3 = 8 lattice points per edge or more
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,10 +238,10 @@ class CubeFamily(Sequence):
             raise ConfigError(f"dimension must be 1 or 2, got {self.n}")
         if self.level_max < 0:
             raise ConfigError(f"level_max must be >= 0, got {self.level_max}")
-        if self.level_max > self.L - 3:
+        if self.level_max > self.L - _EDGE_LEVELS:
             raise ConfigError(
-                f"level_max {self.level_max} leaves fewer than 8 lattice points per edge "
-                f"(maximum for L={self.L} is {self.L - 3})"
+                f"level_max {self.level_max} leaves fewer than {2**_EDGE_LEVELS} lattice points "
+                f"per edge (maximum for L={self.L} is {self.L - _EDGE_LEVELS})"
             )
         shifts = (0.0, 0.5) if self.shifted else (0.0,)
         index = [np.indices((2**k,) * self.n).reshape(self.n, -1).T

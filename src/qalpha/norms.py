@@ -36,6 +36,7 @@ import numpy as np
 from .errors import ConfigError, InvariantViolation
 from .filterbank import BandDecomposition
 from .grid import (
+    _EDGE_LEVELS,
     _WEIGHT_LOG2_MAX,
     Cube,
     CubeFamily,
@@ -303,10 +304,10 @@ def _refinement_level(f: GridFunction, I: Cube, K: int) -> int:
     level = _dyadic_level(I.edge)
     if K < 0:
         raise ConfigError(f"K must be >= 0, got {K}")
-    if K > f.L - level - 3:
+    if K > f.L - level - _EDGE_LEVELS:
         raise ConfigError(
             f"K={K} too deep for a level-{level} cube on an N={f.N} grid "
-            f"(maximum {f.L - level - 3})"
+            f"(maximum {f.L - level - _EDGE_LEVELS})"
         )
     return level
 

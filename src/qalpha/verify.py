@@ -25,6 +25,7 @@ from .cubes import _check_dilation, _kernel_sums, ring_counts, sample_pairs, tre
 from .errors import ConfigError
 from .filterbank import BandDecomposition, decompose
 from .grid import (
+    _EDGE_LEVELS,
     Cube,
     CubeFamily,
     GridFunction,
@@ -67,7 +68,7 @@ ZERO_NORM = 1e-10
 
 
 def standard_cubes(f: GridFunction, shifted: bool = True):
-    return enumerate_cubes(f.L, f.L - 3, n=f.n, shifted=shifted)
+    return enumerate_cubes(f.L, f.L - _EDGE_LEVELS, n=f.n, shifted=shifted)
 
 
 # ---------------------------------------------------------------------------

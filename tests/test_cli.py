@@ -5,6 +5,7 @@ import json
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -176,7 +177,22 @@ BAD_INPUTS = {
     "embedding_unwritable": (["verify", "embedding", "--corpus", "{corpus}", "--sizes", "16",
                               "--out", "{missing}/e.json"], "cannot write {missing}/e.json"),
     "gen_onto_file": (["gen", "--size", "16", "--out", "{grid}"], "cannot write {grid}: "),
+    # integer fields of a corpus record are whole numbers, not truncated to one
+    "corpus_n_fractional": (["gen", "--corpus", "{frac_n}", "--size", "16", "--out", "{out}"],
+                            "n must be an integer, got 1.7"),
+    "corpus_seed_fractional": (["gen", "--corpus", "{frac_seed}", "--size", "16",
+                                "--out", "{out}"], "seed must be an integer, got 2.9"),
+    "corpus_n_true": (["gen", "--corpus", "{bool_n}", "--size", "16", "--out", "{out}"],
+                      "n must be an integer, got True"),
+    "corpus_N_string": (["verify", "fubini", "--corpus", "{str_N}", "--sizes", "16"],
+                        "N must be an integer, got '16'"),
+    "corpus_xi0_fractional": (["gen", "--corpus", "{frac_xi0}", "--size", "16", "--out", "{out}"],
+                              "harmonic frequency must be an integer, got 3.7"),
 }
+
+# corpus records, by file name, whose integer fields are not whole numbers
+NOT_INTEGER = {"frac_n": {"n": 1.7, "seed": 2.9}, "frac_seed": {"seed": 2.9},
+               "bool_n": {"n": True}, "str_N": {"N": "16"}, "frac_xi0": {"params": {"xi0": 3.7}}}
 
 
 def write_big_grid(path):
@@ -191,7 +207,7 @@ CORPUS2 = {"kind": "spectral_noise", "params": {"slope": 0.8}, "N": 16, "n": 2, 
 @pytest.mark.parametrize("argv,message", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
 def test_bad_input_exits_two(argv, message, tmp_path, capsys):
     names = ("grid", "bad_grid", "big_grid", "limit_grid", "corpus", "bad_corpus", "big_bump",
-             "empty_list", "missing", "out")
+             "empty_list", "missing", "out", *NOT_INTEGER)
     paths = {k: str(tmp_path / k) for k in names}
     write_constant_grid(paths["grid"], N=16)
     write_big_grid(paths["big_grid"])
@@ -204,6 +220,8 @@ def test_bad_input_exits_two(argv, message, tmp_path, capsys):
     record = {"kind": "harmonic", "params": {"xi0": 1}, "N": 16, "n": 1}
     (tmp_path / "corpus").write_text(json.dumps([record]))
     (tmp_path / "bad_corpus").write_text(json.dumps([{**record, "params": {"xi0": "x"}}]))
+    for name, change in NOT_INTEGER.items():
+        (tmp_path / name).write_text(json.dumps([{**record, **change}]))
     code, out, err = run([a.format(**paths) for a in argv], capsys)
     assert code == 2
     assert err.startswith("error: ") and message.format(**paths) in err
@@ -364,6 +382,20 @@ def test_verify_fubini_with_corpus_file(tmp_path, capsys):
     assert code == 0
 
 
+def test_verify_fubini_holds_one_function_at_a_time(capsys):
+    build_parser()  # cached, so the peak below is the check's own
+    tracemalloc.start()
+    try:
+        code = main(["verify", "fubini", "--n", "2", "--sizes", "256", "--K", "2"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # one function, its spectrum and its held bands: about 19 grids of 2-D N=256;
+    # holding the previous function and its bands while the next is built reads 22
+    assert peak <= 20.5 * 256**2 * 8
+
+
 def test_verify_equivalence_report_out(tmp_path, capsys):
     out = tmp_path / "eq.json"
     code, text, _ = run(
@@ -481,7 +513,7 @@ GRID_FILES = ("grid1", "grid2", "grid8", "missing", "dir", "bad_header", "bad_va
               "bad_count", "bad_bytes", "bad_size", "bad_dim", "empty", "big_values")
 CORPUS_FILES = ("corpus", "corpus2", "missing", "dir", "bad_bytes", "bad_json", "not_list",
                 "no_kind", "bad_kind", "bad_N", "bad_params", "bad_n", "bad_seed",
-                "bad_param_value", "big_bump", "empty_list")
+                "bad_param_value", "big_bump", "empty_list", *NOT_INTEGER)
 
 
 @pytest.fixture(scope="module")
@@ -506,7 +538,7 @@ def argv_files(tmp_path_factory):
     for name, change in {"corpus": {}, "bad_kind": {"kind": "sawtooth"}, "bad_N": {"N": "x"},
                          "bad_params": {"params": [3]}, "bad_n": {"n": 3},
                          "bad_seed": {"seed": -1}, "bad_param_value": {"params": {"xi0": "x"}},
-                         "no_kind": {"kind": None}}.items():
+                         "no_kind": {"kind": None}, **NOT_INTEGER}.items():
         texts[name] = json.dumps([{k: v for k, v in {**record, **change}.items() if v is not None}])
     texts["big_bump"] = json.dumps([BIG_BUMP])
     texts["corpus2"] = json.dumps([CORPUS2])

@@ -102,6 +102,62 @@ def test_spectral_noise_frees_its_temporaries():
     assert peak < 10 * f.values.nbytes
 
 
+# peak of `generate` at 2-D N=512, in grids of its output: the full coordinate
+# meshgrids and the copied `.real` view read 5.0, 5.0, 9.1 and 9.0
+@pytest.mark.parametrize("kind,params,grids", [
+    ("harmonic", (("xi0", 3),), 3.2),
+    ("smoothed_step", (("sharpness", 6.0),), 1.3),
+    ("gaussian_bump", (("width", 0.08),), 6.3),
+    ("schwartz_like", (("rate", 1.0),), 6.3),
+])
+def test_generators_build_each_grid_once(kind, params, grids):
+    tracemalloc.start()
+    try:
+        f = generate(CorpusSpec(kind, 512, 2, params))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= grids * f.values.nbytes
+
+
+def dense_reference(spec):
+    """The grid of spec built on full coordinate meshgrids, with the complex
+    inverse FFT scaled before its real part is taken."""
+    N, n = spec.N, spec.n
+    pos = np.meshgrid(*(np.arange(N) / N,) * n, indexing="ij")
+    freq = np.meshgrid(*(np.fft.fftfreq(N, d=1.0 / N).astype(int),) * n, indexing="ij")
+    mag = np.sqrt(sum(a.astype(float) ** 2 for a in freq))
+    phase = np.exp(-2j * np.pi * sum(freq) * 0.5)  # translation to the centre x = 1/2
+    if spec.kind == "constant":
+        return np.full((N,) * n, spec.param("value"))
+    if spec.kind == "harmonic":
+        return np.cos(2.0 * np.pi * spec.param("xi0") * sum(pos))
+    if spec.kind == "smoothed_step":
+        out = np.ones((N,) * n)
+        for x in pos:
+            out = out * np.tanh(spec.param("sharpness") * np.sin(2.0 * np.pi * x))
+        return out
+    if spec.kind == "spectral_noise":
+        return spectral_noise_reference(N, n, spec.param("slope"), spec.seed)
+    if spec.kind == "gaussian_bump":
+        coeffs = np.exp(-2.0 * np.pi**2 * spec.param("width") ** 2 * mag**2) * phase
+    else:  # schwartz_like
+        coeffs = np.exp(-spec.param("rate") * mag) * phase
+    coeffs[(0,) * n] = 0.0
+    v = np.fft.ifftn(coeffs)
+    v *= N**n
+    return v.real
+
+
+@pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
+def test_default_corpus_matches_dense_construction(n, N):
+    for spec in default_corpus(n, N):
+        got, want = generate(spec).values, dense_reference(spec)
+        assert got.shape == want.shape, spec.ident
+        # bit for bit, the sign of a zero included
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), spec.ident
+
+
 @pytest.mark.parametrize("n,N", [(1, 256), (2, 64)])
 def test_spectral_noise_band_energy_slope(n, N):
     # band energies follow 2^(-2 j s) over the mid bands
@@ -156,6 +212,17 @@ def test_corpus_file_round_trip(tmp_path):
     assert specs[0].kind == "harmonic" and specs[0].param("xi0") == 3
     assert specs[1].seed == 5
     generate(specs[0])
+
+
+def test_corpus_file_integral_floats(tmp_path):
+    record = {"kind": "harmonic", "params": {"xi0": 3.0}, "N": 64.0, "n": 2.0, "seed": 5.0}
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps([record]))
+    (spec,) = load_corpus_file(path)
+    assert (spec.N, spec.n, spec.seed) == (64, 2, 5)
+    assert all(type(v) is int for v in (spec.N, spec.n, spec.seed))
+    want = generate(CorpusSpec("harmonic", 64, 2, (("xi0", 3),))).values
+    assert np.array_equal(generate(spec).values, want)
 
 
 def test_corpus_file_malformed(tmp_path):
