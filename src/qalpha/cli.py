@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from dataclasses import replace
@@ -22,14 +23,10 @@ from .grid import (_DIMENSIONS, _EDGE_LEVELS, Cube, _validate_size, enumerate_cu
 from .norms import _check_values, campanato, dyadic_lp, lp_morrey, morrey_besov, q_alpha
 
 
-def _out_dir() -> Path:
-    return Path(os.environ.get("QALPHA_OUT_DIR", "."))
-
-
-def _resolve_out(cfg: argparse.Namespace, default_name: str) -> Path:
-    if cfg.out:
-        return Path(cfg.out)
-    return _out_dir() / default_name
+def _resolve_out(cfg: argparse.Namespace, default_name: str = "") -> Path:
+    """--out, or else `default_name` in $QALPHA_OUT_DIR (default "."), the
+    directory itself when no name is given."""
+    return Path(cfg.out or Path(os.environ.get("QALPHA_OUT_DIR", ".")) / default_name)
 
 
 def _write_report(cfg: argparse.Namespace, report, table) -> None:
@@ -64,7 +61,7 @@ def _validate(cfg: argparse.Namespace) -> argparse.Namespace:
 
 def _cmd_gen(cfg: argparse.Namespace) -> int:
     N = cfg.size
-    out_dir = Path(cfg.out) if cfg.out else _out_dir()
+    out_dir = _resolve_out(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     for spec in _load_corpus(cfg, N):
         path = out_dir / f"{spec.ident}_n{spec.n}_N{spec.N}.grid"
@@ -168,9 +165,10 @@ def _cmd_verify(cfg: argparse.Namespace) -> int:
         report = verify_mod.equivalence_report(
             _load_corpus(cfg, N), cfg.alpha, list(cfg.sizes), workers=cfg.workers
         )
+        spread = math.inf if report.spread is None else report.spread
         print(
             f"equivalence alpha={cfg.alpha}: c_low={report.c_low:.6g} "
-            f"c_high={report.c_high:.6g} spread={report.spread:.6g}"
+            f"c_high={report.c_high:.6g} spread={spread:.6g}"
         )
         _write_report(cfg, report, report.rows)
         return 0
@@ -239,8 +237,6 @@ _TABLE = {
         "embedding": ("Q_alpha against Morrey-Besov", "--alpha --n --corpus --sizes --out"),
     }),
 }
-NORM_KINDS = tuple(_TABLE["norm"][2])
-VERIFY_CHECKS = tuple(_TABLE["verify"][2])
 
 
 class _Parser(argparse.ArgumentParser):

@@ -49,23 +49,24 @@ __all__ = [
 ]
 
 
-def _chi_exp(u: np.ndarray) -> np.ndarray:
-    out = np.ones_like(u)
-    out[u >= 2.0] = 0.0
+def _chi(u: np.ndarray, ramp) -> np.ndarray:
+    """The cutoff: 1 for u <= 1, 0 for u >= 2, and the family's ramp between."""
+    out = np.where(u < 2.0, 1.0, 0.0)
     mid = (u > 1.0) & (u < 2.0)
-    t = u[mid]
-    a = np.exp(-1.0 / (2.0 - t))
-    b = np.exp(-1.0 / (t - 1.0))
-    out[mid] = a / (a + b)
+    out[mid] = ramp(u[mid])
     return out
+
+
+def _chi_exp(u: np.ndarray) -> np.ndarray:
+    def ramp(t):
+        a = np.exp(-1.0 / (2.0 - t))
+        b = np.exp(-1.0 / (t - 1.0))
+        return a / (a + b)
+    return _chi(u, ramp)
 
 
 def _chi_cosine(u: np.ndarray) -> np.ndarray:
-    out = np.ones_like(u)
-    out[u >= 2.0] = 0.0
-    mid = (u > 1.0) & (u < 2.0)
-    out[mid] = 0.5 * (1.0 + np.cos(np.pi * (u[mid] - 1.0)))
-    return out
+    return _chi(u, lambda t: 0.5 * (1.0 + np.cos(np.pi * (t - 1.0))))
 
 
 _FAMILIES = {"exp": _chi_exp, "cosine": _chi_cosine}
@@ -176,16 +177,14 @@ class BandDecomposition:
         return self.bands[j - self.j_min]
 
     def reconstruction(self, visit=lambda block: None) -> np.ndarray:
-        """lowpass + bands, added in that order in one pass that holds one band
-        at a time; `visit` sees each block as it is added."""
-        low = self.lowpass
-        out = low.values.copy()
-        visit(low)
-        del low
-        for b in self.bands:
+        """lowpass + bands, added in that order in one pass over the multipliers
+        of `source` that holds one block at a time; `visit` sees each as added."""
+        s = self.source
+        out = np.zeros((2**s.L,) * s.n)
+        for b in map(s._filter, _profiles(s.L, s.n, s.family, s.js)):
             out += b.values
             visit(b)
-            del b
+            del b  # before the next block is filtered
         return out
 
 

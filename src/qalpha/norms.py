@@ -189,11 +189,8 @@ def _finish(kind, alpha, cubes, values: np.ndarray, flags) -> NormReport:
 
 def _per_edge(f: GridFunction, cubes, value) -> np.ndarray:
     """value(edge) per cube in Python floats (numpy's power can differ in the
-    last bit), called once per distinct edge in the order edges first appear;
-    on a `CubeFamily` once per level, the order of its cubes."""
-    if isinstance(cubes, CubeFamily) and cubes.n == f.n:
-        values = np.array([value(math.ldexp(1.0, -k)) for k in range(cubes.level_max + 1)])
-        return values[cubes.level]
+    last bit), called once per distinct edge in the order edges first appear:
+    on a `CubeFamily`, whose edges come as an array, once per level."""
     edge = _corners_edges(cubes, f.n)[1]
     distinct, first, inverse = np.unique(edge, return_index=True, return_inverse=True)
     order = np.argsort(first)

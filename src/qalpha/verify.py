@@ -84,10 +84,10 @@ class EquivalenceReport:
     drift_flags: dict[str, bool]
     c_low: float
     c_high: float
-    spread: float = field(init=False)
+    spread: float | None = field(init=False)  # None (JSON null) when c_low is 0
 
     def __post_init__(self):
-        spread = self.c_high / self.c_low if self.c_low > 0 else math.inf
+        spread = self.c_high / self.c_low if self.c_low > 0 else None
         object.__setattr__(self, "spread", spread)
 
 
@@ -268,12 +268,11 @@ def kernel_decay_check(
                 "count_kind2_max": kind2,
             }
         )
-    max1 = max(r["count_kind1_max"] for r in rows) / m**n
-    max2 = max(r["count_kind2_max"] for r in rows)
+    max1, max2 = maxima.max(axis=0).tolist()
     logs_d = np.log([r["dist"] for r in rows])
     logs_k = np.log([r["k_full"] for r in rows])
     slope = float(np.polyfit(logs_d, logs_k, 1)[0])
-    return DecayRecord(alpha, m, n, seed, tuple(rows), slope, max1, max2)
+    return DecayRecord(alpha, m, n, seed, tuple(rows), slope, max1 / m**n, max2)
 
 
 def write_kernel_csv(record: DecayRecord, path) -> None:

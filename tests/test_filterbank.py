@@ -253,7 +253,7 @@ def test_band_reads_evaluate_chi_once_per_scale(n, L, monkeypatch):
     calls.clear()
     seen = []
     assert np.max(np.abs(dec.reconstruction(seen.append) - f.values)) < 1e-12
-    assert len(calls) == 1 + (L + 3) and len(seen) == L + 3  # the lowpass block, then one pass
+    assert len(calls) == L + 3 and len(seen) == L + 3  # one pass, the lowpass block first
     assert all(np.array_equal(a.values, b.values) for a, b in zip(seen[1:], bands))
     # a slice with another step recomputes the cutoff below each of its bands
     for step in (slice(None, None, 2), slice(None, None, -1), slice(-1, 0, -3)):

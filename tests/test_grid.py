@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,7 @@ from qalpha import (
     read_grid,
     write_grid,
 )
-from qalpha.grid import dilate
+from qalpha.grid import cube_blocks, cube_energies, cube_sums, dilate, per_cube
 
 import oracles
 
@@ -152,6 +153,43 @@ def test_cube_lattice_positions_unwrapped():
     pos, vals = cube_lattice(f, Cube((0.75,), 0.5))
     assert pos[:, 0].tolist() == [0.75, 0.875, 1.0, 1.125]
     assert vals.tolist() == [6.0, 7.0, 0.0, 1.0]
+
+
+# (corner, edge) per dimension: aligned, half-shifted, wrapped past 1, wider
+# than the torus, and with off-lattice corners
+BLOCK_CUBES = {
+    1: [((0.0,), 0.5), ((0.25,), 0.25), ((0.125,), 0.25), ((0.375,), 0.5),
+        ((0.875,), 0.25), ((0.75,), 0.5), ((-0.5,), 2.0), ((0.25,), 1.5),
+        ((0.03,), 0.4), ((0.9,), 0.33)],
+    2: [((0.0, 0.25), 0.5), ((0.5, 0.5), 0.25), ((0.25, 0.5), 0.5), ((0.625, 0.125), 0.25),
+        ((0.75, 0.875), 0.5), ((0.875, 0.0), 0.25), ((-0.25, 0.5), 1.5), ((0.0, 0.0), 2.0),
+        ((0.1, 0.77), 0.3), ((0.93, 0.41), 0.45)],
+}
+
+
+@pytest.mark.parametrize("closed", [False, True])
+@pytest.mark.parametrize("n,N", [(1, 16), (2, 8)])
+def test_cube_blocks_match_oracles(n, N, closed):
+    """The one cube primitive every norm reads: each cube's lattice points and
+    samples, and the per-cube closed means and half-open energies."""
+    f = GridFunction(np.random.default_rng(6).standard_normal((N,) * n))
+    cubes = [Cube(c, e) for c, e in BLOCK_CUBES[n]]
+    blocks = cube_blocks(f, cubes, closed=closed)
+    assert sorted(i for b in blocks for i in b.index.tolist()) == list(range(len(cubes)))
+    for b in blocks:
+        for i, start, samples in zip(b.index.tolist(), b.start.tolist(), b.read(f)):
+            axes = [[((s + k) / N, (s + k) % N) for k in range(M)] for s, M in zip(start, b.shape)]
+            got = [tuple(zip(*point)) for point in itertools.product(*axes)]
+            I = cubes[i]
+            assert sorted(got) == sorted(oracles.naive_lattice(N, n, I.corner, I.edge, closed))
+            assert samples.ravel().tolist() == [f.values[idx] for _, idx in got]
+    if closed:
+        got = per_cube(f, blocks, lambda v, b: cube_sums(v) / v[0].size)
+        want = [oracles.naive_cube_mean(f.values, I.corner, I.edge) for I in cubes]
+    else:
+        got = cube_energies(f, blocks)
+        want = [oracles.naive_l2_on_cube(f.values, I.corner, I.edge) for I in cubes]
+    assert got.tolist() == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 def test_degenerate_cube_rejected():

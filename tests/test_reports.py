@@ -72,6 +72,10 @@ def shape(value):
     return None
 
 
+def reject(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
 @pytest.fixture
 def inputs(tmp_path):
     grid, corpus = tmp_path / "f.grid", tmp_path / "corpus.json"
@@ -94,10 +98,24 @@ def test_report_schema(kind, inputs, tmp_path, capsys):
     if kind in JSON_REPORTS:
         argv, keys = JSON_REPORTS[kind]
         text = write_report(argv, inputs, tmp_path / "r.json", capsys)
-        assert shape(json.loads(text)) == keys
+        assert shape(json.loads(text, parse_constant=reject)) == keys
         return
     argv, header = CSV_REPORTS[kind.removesuffix("_csv")]
     lines = write_report(argv, inputs, tmp_path / "r.csv", capsys).splitlines()
     assert lines[0] == header
     assert len(lines) > 1
     assert {line.count(",") for line in lines} == {header.count(",")}
+
+
+def test_equivalence_report_without_a_ratio_is_json(tmp_path, capsys):
+    """When every row is excluded the spread is undefined: the report writes
+    null, where `Infinity` would not parse as JSON, and stdout stays one line."""
+    corpus, path = tmp_path / "constant.json", tmp_path / "eq.json"
+    corpus.write_text(json.dumps([{"kind": "constant", "params": {"value": 1.0}, "N": 16,
+                                   "n": 1}]))
+    argv = ["verify", "equivalence", "--corpus", str(corpus), "--sizes", "16", "32"]
+    report = json.loads(write_report(argv, {}, path, capsys), parse_constant=reject)
+    assert (report["c_low"], report["c_high"], report["spread"]) == (0.0, 0.0, None)
+    assert all(row["excluded"] for row in report["rows"])
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "equivalence alpha=0.5: c_low=0 c_high=0 spread=inf\n"
