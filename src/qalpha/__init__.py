@@ -1,20 +1,7 @@
 """Numerical laboratory for increment-kernel and band-energy norms on the torus."""
 
 from .corpus import CorpusSpec, default_corpus, generate, load_corpus_file
-from .cubes import (
-    AllowedClassification,
-    CountSummary,
-    DyadicCube,
-    TreeSets,
-    allowed_cubes,
-    classify_allowed,
-    count_summary,
-    gamma_set,
-    kernel_sum,
-    required_max_level,
-    sample_pairs,
-    tree_sets,
-)
+from .cubes import TreeSets, ring_counts, sample_pairs, tree_sets
 from .errors import ConfigError, InvariantViolation
 from .filterbank import (
     BandDecomposition,
@@ -27,10 +14,7 @@ from .grid import (
     Cube,
     CubeFamily,
     GridFunction,
-    cube_lattice,
-    cube_mean,
     enumerate_cubes,
-    l2_on_cube,
     read_grid,
     write_grid,
 )

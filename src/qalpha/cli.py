@@ -126,7 +126,7 @@ def _cmd_decompose(cfg: argparse.Namespace) -> int:
 def _cmd_kernel(cfg: argparse.Namespace) -> int:
     record = verify_mod.kernel_decay_check(cfg.alpha, cfg.m, cfg.n, cfg.pairs, cfg.seed)
     out = _resolve_out(cfg, "kernel.csv")
-    verify_mod.write_kernel_csv(record, out)
+    verify_mod.write_csv(record.rows, out)
     print(
         f"kernel decay: {cfg.pairs} pairs, slope {record.slope:.4f} "
         f"(expected {record.expected_slope:.4f}); wrote {out}"

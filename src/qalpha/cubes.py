@@ -25,7 +25,7 @@ Kernel sums are exact: a weight l(J)^(-2*alpha - n) is a float num/2^d, so
 the sum over counted cubes per level is one integer over the largest 2^d,
 rounded once, the value math.fsum gives.  That makes the subset inequality
 kernel(full tree) >= kernel(minimal elements) exact.  A batch of tree sets is
-a `TreeSets`; `gamma_set`, the tree set of one pair, is a batch of one.
+a `TreeSets`.
 
 Ring classes are computed on index arrays, never on cube objects.  The
 boxes of a batch of tree sets, each with the parent box of the level below,
@@ -34,15 +34,15 @@ give one vectorised expansion of every box minus its parent box into rows
 One array classifier then walks the shells I_k = 2^k I_0 around each pair
 (I_0 centered at the midpoint with edge sqrt(n)|x-y|_2): a cube's ring is
 the first k with J meeting I_k, its kind 1 if J fits inside I_(k+1) and 2
-if not.  J's corner is that of `DyadicCube.corner`, root.corner + index *
-(root.edge * 2^-level), shell k's corner is center - edge0 * 2^k / 2, and
-meeting and fitting inside are closed-interval comparisons per axis, all in
-double precision and element by element, so a cube's class does not depend
-on the batch it is classified in.  For n = 2 the shell edge is irrational,
-but the classes stay a partition by construction.  Batches are cut by
-tree-set members, so their arrays stay small whatever the pair count or
-dilation.  `allowed_cubes` and `classify_allowed` are views over the same
-expansion and classifier that hand out `DyadicCube` objects.
+if not.  J's corner is root.corner + index * (root.edge * 2^-level), shell
+k's corner is center - edge0 * 2^k / 2, and meeting and fitting inside are
+closed-interval comparisons per axis, all in double precision and element
+by element, so a cube's class does not depend on the batch it is classified
+in.  The walk ends where the geometry says every cube has met a shell, so a
+close pair has as many rings as its minimal cubes span scales.  For n = 2
+the shell edge is irrational, but the classes stay a partition by
+construction.  Batches are cut by tree-set members, so their arrays stay
+small whatever the pair count or dilation.
 """
 
 from __future__ import annotations
@@ -57,53 +57,7 @@ import numpy as np
 from .errors import ConfigError, InvariantViolation
 from .grid import _WEIGHT_LOG2_MAX, Cube
 
-__all__ = [
-    "DyadicCube",
-    "TreeSets",
-    "AllowedClassification",
-    "CountSummary",
-    "gamma_set",
-    "tree_sets",
-    "required_max_level",
-    "allowed_cubes",
-    "kernel_sum",
-    "classify_allowed",
-    "ring_counts",
-    "count_summary",
-    "sample_pairs",
-]
-
-
-@dataclass(frozen=True)
-class DyadicCube:
-    """Level-k subcube of a root cube, addressed by an integer index vector."""
-
-    root: Cube
-    level: int
-    index: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.level < 0:
-            raise ConfigError(f"dyadic level must be >= 0, got {self.level}")
-        index = tuple(int(i) for i in self.index)
-        if len(index) != self.root.n:
-            raise ConfigError("index dimension does not match root cube")
-        if any(not 0 <= i < 2**self.level for i in index):
-            raise ConfigError(f"index {index} outside level-{self.level} range")
-        object.__setattr__(self, "index", index)
-
-    @property
-    def n(self) -> int:
-        return self.root.n
-
-    @property
-    def edge(self) -> float:
-        return self.root.edge * 2.0**-self.level
-
-    @property
-    def corner(self) -> tuple[float, ...]:
-        e = self.edge
-        return tuple(c + i * e for c, i in zip(self.root.corner, self.index))
+__all__ = ["TreeSets", "tree_sets", "ring_counts", "sample_pairs"]
 
 
 # Upper end of the dilation factor: a tree set has about (m+1)^n members per
@@ -156,7 +110,7 @@ class TreeSets:
         return np.nonzero(np.arange(self.first.shape[1]) < self.depth[:, None])
 
     @property
-    def members(self) -> frozenset[DyadicCube]:
+    def members(self) -> frozenset[DyadicCube]:  # for bench/ until ROADMAP item 6, as below
         """Every member of the batch's tree sets (their union) as a DyadicCube."""
         pair, level = self._boxes()
         box, index = _expand(self.first[pair, level], self.last[pair, level])
@@ -211,11 +165,6 @@ def tree_sets(root: Cube, x, y, m: float) -> TreeSets:
     return TreeSets(root, x, y, first, last, depth)
 
 
-def gamma_set(I: Cube, x: tuple[float, ...], y: tuple[float, ...], m: float = 2.0) -> TreeSets:
-    """The tree set of one pair: `tree_sets` on a batch of one."""
-    return tree_sets(I, [x], [y], m)
-
-
 def _expand(first: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every index of the boxes first[b] .. last[b] (shape (boxes, n)) as rows
     (box, index), in box order and, within a box, last axis fastest."""
@@ -249,17 +198,6 @@ def _minimal_cubes(sets: TreeSets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return owner[box[minimal]], level[box[minimal]], index[minimal]
 
 
-def allowed_cubes(gamma: TreeSets) -> frozenset[DyadicCube]:
-    """Minimal members of the tree sets: none of their children qualify.
-
-    Minimal members of an upward-closed family are pairwise disjoint.
-    """
-    _, level, index = _minimal_cubes(gamma)
-    return frozenset(
-        DyadicCube(gamma.root, k, tuple(i)) for k, i in zip(level.tolist(), index.tolist())
-    )
-
-
 def _kernel_sums(edges, counts, alpha: float, n: int) -> list[float]:
     """Per row of `counts`, the sum of counts[r, k] copies of edges[k]^(-2*alpha - n),
     rounded once like math.fsum: each weight is num / 2^d, so a row is one
@@ -278,30 +216,16 @@ def _kernel_sums(edges, counts, alpha: float, n: int) -> list[float]:
     return [int(total) / den for total in counts[:, used].dot(nums)]
 
 
-def kernel_sum(S, alpha: float, n: int) -> float:
-    """Sum of l(J)^(-2*alpha - n) over the DyadicCubes in S (order-independent).
-
-    The largest weight, that of the smallest cube, must stay below
-    2^_WEIGHT_LOG2_MAX.
-    """
-    edges, counts = np.unique([J.edge for J in S], return_counts=True)
-    return _kernel_sums(edges.tolist(), [counts], alpha, n)[0]
-
-
-@dataclass(frozen=True, eq=False)
-class AllowedClassification:
-    """Minimal cubes bucketed by the first shell I_k = 2^k I_0 they meet."""
-
-    rings: dict[tuple[int, int], frozenset[DyadicCube]]
-    I0: Cube
-
-
-_RING_CAP = 128
+# From this |x_d - y_d| on its square is a normal float, and I_0's edge is
+# taken as is; a closer pair is squared after an exact rescaling by 2^600.
+_SQUARE_MIN = 2.0**-511
 
 
 def _shell0(x: tuple[float, ...], y: tuple[float, ...]) -> tuple[tuple[float, ...], float]:
     """Center and edge of I_0: the midpoint of x and y, and sqrt(n)|x-y|_2."""
-    edge0 = math.sqrt(len(x)) * math.sqrt(sum((a - b) ** 2 for a, b in zip(x, y)))
+    d = [a - b for a, b in zip(x, y)]
+    scale = 1.0 if max(map(abs, d)) >= _SQUARE_MIN else 2.0**600
+    edge0 = math.sqrt(len(x)) * math.sqrt(sum((v * scale) ** 2 for v in d)) / scale
     return tuple((a + b) / 2 for a, b in zip(x, y)), edge0
 
 
@@ -310,55 +234,41 @@ def _ring_classes(root_corner, root_edge, level, index, center, edge0):
 
     k is the first shell index with J meeting I_k (shells are nested, so this
     also encodes J missing I_0,...,I_(k-1)); kind 1 means J fits inside
-    I_(k+1), kind 2 that it sticks out.  Returns two integer arrays.
+    I_(k+1), kind 2 that it sticks out.  Returns two integer arrays.  I_k
+    holds J once edge0 * 2^k is twice J's reach from the center, which
+    bounds the walk; one more shell absorbs the rounding of that bound.
     """
     edge = root_edge * np.ldexp(1.0, -level)
     corner = root_corner + index.astype(float) * edge[:, None]
     end = corner + edge[:, None]
+    reach = np.maximum(abs(corner - center), abs(end - center)).max(axis=1, initial=0.0)
+    shells = np.ceil(np.log2(2 * reach) - np.log2(edge0)).max(initial=0.0)
     ring = np.zeros(len(edge), dtype=np.int64)
     todo = np.arange(len(edge))
-    for k in range(_RING_CAP):
+    for k in range(int(shells) + 2):
         if not todo.size:
             break
-        s = edge0[todo] * 2.0**k
+        s = np.ldexp(edge0[todo], k)
         b = center[todo] - (s / 2)[:, None]
         meets = np.all(np.maximum(corner[todo], b) <= np.minimum(end[todo], b + s[:, None]), axis=1)
         ring[todo[meets]] = k
         todo = todo[~meets]
     if todo.size:
         raise InvariantViolation("allowed cube matched no ring class")
-    s = edge0 * np.ldexp(1.0, ring + 1)
+    s = np.ldexp(edge0, ring + 1)
     b = center - (s / 2)[:, None]
     inside = np.all((b <= corner) & (end <= b + s[:, None]), axis=1)
     return ring, np.where(inside, 1, 2)
 
 
-def classify_allowed(
-    allowed, x: tuple[float, ...], y: tuple[float, ...], m: float
-) -> AllowedClassification:
-    """Bucket the cubes of `allowed` by their ring class (k, kind) around x, y."""
-    x, y = tuple(map(float, x)), tuple(map(float, y))
-    if x == y:
-        raise ConfigError("diagonal point pair: x == y")
-    center, edge0 = _shell0(x, y)
-    I0 = Cube(tuple(c - edge0 / 2 for c in center), edge0)
-    cubes = list(allowed)
-    n = len(x)
-    level = np.array([J.level for J in cubes], dtype=np.int64)
-    index = np.array([J.index for J in cubes], dtype=_index_dtype(level.max(initial=0)))
-    ring, kind = _ring_classes(
-        np.array([J.root.corner for J in cubes]).reshape(-1, n),
-        np.array([J.root.edge for J in cubes]),
-        level,
-        index.reshape(-1, n),
-        np.full((len(cubes), n), center),
-        np.full(len(cubes), edge0),
-    )
-    buckets: dict[tuple[int, int], set[DyadicCube]] = {}
-    for J, key in zip(cubes, zip(ring.tolist(), kind.tolist())):
-        buckets.setdefault(key, set()).add(J)
-    rings = {key: frozenset(val) for key, val in sorted(buckets.items())}
-    return AllowedClassification(rings, I0)
+def _classified(sets: TreeSets) -> tuple[np.ndarray, ...]:
+    """The rows (owner, level, index) of `_minimal_cubes`, then each cube's
+    ring class (ring, kind) around its own pair."""
+    owner, level, index = _minimal_cubes(sets)
+    shells = zip(*(_shell0(x, y) for x, y in zip(sets.x.tolist(), sets.y.tolist())))
+    center, edge0 = (np.array(v)[owner] for v in shells)
+    ring, kind = _ring_classes(sets.root.corner, sets.root.edge, level, index, center, edge0)
+    return owner, level, index, ring, kind
 
 
 # Tree-set members per batch of `ring_counts`: a batch's arrays hold one row
@@ -370,10 +280,9 @@ def ring_counts(sets: TreeSets) -> tuple[np.ndarray, np.ndarray]:
     """Minimal cubes and ring counts of many tree sets, without cube objects.
 
     Returns minimal, the minimal cubes per (pair, level), and maxima, per
-    pair the largest count of kind-1 and of kind-2 minimal cubes in one ring:
-    what `allowed_cubes`, `classify_allowed` and `count_summary` give per
-    pair.  The pairs are taken in batches of about _BATCH_MEMBERS tree-set
-    members, so one batch's expansion is held at a time.
+    pair the largest count of kind-1 and of kind-2 minimal cubes in one ring.
+    The pairs are taken in batches of about _BATCH_MEMBERS tree-set members,
+    so one batch's expansion is held at a time.
     """
     minimal = np.zeros((len(sets), sets.first.shape[1]), dtype=np.int64)
     maxima = np.zeros((len(sets), 2), dtype=np.int64)
@@ -382,34 +291,13 @@ def ring_counts(sets: TreeSets) -> tuple[np.ndarray, np.ndarray]:
         members += count
         if members < _BATCH_MEMBERS and p < len(sets) - 1:
             continue
-        batch = sets[start : p + 1]
-        owner, level, index = _minimal_cubes(batch)
-        shells = zip(*(_shell0(x, y) for x, y in zip(batch.x.tolist(), batch.y.tolist())))
-        center, edge0 = (np.array(v)[owner] for v in shells)
-        ring, kind = _ring_classes(batch.root.corner, batch.root.edge, level, index, center, edge0)
+        owner, level, _, ring, kind = _classified(sets[start : p + 1])
         np.add.at(minimal, (start + owner, level), 1)
-        key, in_ring = np.unique((owner * _RING_CAP + ring) * 2 + (kind - 1), return_counts=True)
-        np.maximum.at(maxima, (start + key // (2 * _RING_CAP), key % 2), in_ring)  # owner, kind - 1
+        rings = int(ring.max(initial=0)) + 1
+        key, in_ring = np.unique((owner * rings + ring) * 2 + (kind - 1), return_counts=True)
+        np.maximum.at(maxima, (start + key // (2 * rings), key % 2), in_ring)  # owner, kind - 1
         start, members = p + 1, 0
     return minimal, maxima
-
-
-@dataclass(frozen=True)
-class CountSummary:
-    """Per-shell ring counts and the normalized maxima behind the bounds."""
-
-    per_level: dict[int, tuple[int, int]]
-    max_kind1_over_mn: float
-    max_kind2: int
-
-
-def count_summary(c: AllowedClassification, m: float, n: int) -> CountSummary:
-    per_level = {
-        k: tuple(len(c.rings.get((k, kind), ())) for kind in (1, 2)) for k, _ in sorted(c.rings)
-    }
-    max1 = max((c1 for c1, _ in per_level.values()), default=0)
-    max2 = max((c2 for _, c2 in per_level.values()), default=0)
-    return CountSummary(per_level, max1 / m**n, max2)
 
 
 _R_MIN, _R_MAX = 4e-3, 4e-1  # range of the sampled pair separations r
@@ -448,3 +336,100 @@ def sample_pairs(
             if all(c <= b <= c + root.edge for c, b in zip(root.corner, y)):
                 pairs.append((x, y))
     return pairs
+
+
+# ---------------------------------------------------------------------------
+# Kept for bench/ until ROADMAP item 6, and called by nothing in the package:
+# bench/tracing.py wraps gamma_set, allowed_cubes, classify_allowed,
+# kernel_sum and count_summary by name, and bench/workloads.py reads
+# gamma_set(...).members and DyadicCube.level.  Item 13 then deletes this
+# section and TreeSets.members.
+
+
+@dataclass(frozen=True)
+class DyadicCube:
+    """Level-k subcube of a root cube, addressed by an integer index vector."""
+
+    root: Cube
+    level: int
+    index: tuple[int, ...]
+
+
+def gamma_set(I: Cube, x: tuple[float, ...], y: tuple[float, ...], m: float = 2.0) -> TreeSets:
+    """The tree set of one pair: `tree_sets` on a batch of one."""
+    return tree_sets(I, [x], [y], m)
+
+
+def allowed_cubes(gamma: TreeSets) -> frozenset[DyadicCube]:
+    """Minimal members of the tree sets: none of their children qualify.
+
+    Minimal members of an upward-closed family are pairwise disjoint.
+    """
+    _, level, index = _minimal_cubes(gamma)
+    return frozenset(
+        DyadicCube(gamma.root, k, tuple(i)) for k, i in zip(level.tolist(), index.tolist())
+    )
+
+
+def kernel_sum(S, alpha: float, n: int) -> float:
+    """Sum of l(J)^(-2*alpha - n) over the DyadicCubes in S (order-independent).
+
+    The largest weight, that of the smallest cube, must stay below
+    2^_WEIGHT_LOG2_MAX.
+    """
+    edges, counts = np.unique([J.root.edge * 2.0**-J.level for J in S], return_counts=True)
+    return _kernel_sums(edges.tolist(), [counts], alpha, n)[0]
+
+
+@dataclass(frozen=True, eq=False)
+class AllowedClassification:
+    """Minimal cubes bucketed by the first shell I_k = 2^k I_0 they meet."""
+
+    rings: dict[tuple[int, int], frozenset[DyadicCube]]
+    I0: Cube
+
+
+def classify_allowed(
+    allowed, x: tuple[float, ...], y: tuple[float, ...], m: float
+) -> AllowedClassification:
+    """Bucket the cubes of `allowed` by their ring class (k, kind) around x, y."""
+    x, y = tuple(map(float, x)), tuple(map(float, y))
+    if x == y:
+        raise ConfigError("diagonal point pair: x == y")
+    center, edge0 = _shell0(x, y)
+    I0 = Cube(tuple(c - edge0 / 2 for c in center), edge0)
+    cubes = list(allowed)
+    n = len(x)
+    level = np.array([J.level for J in cubes], dtype=np.int64)
+    index = np.array([J.index for J in cubes], dtype=_index_dtype(level.max(initial=0)))
+    ring, kind = _ring_classes(
+        np.array([J.root.corner for J in cubes]).reshape(-1, n),
+        np.array([J.root.edge for J in cubes]),
+        level,
+        index.reshape(-1, n),
+        np.full((len(cubes), n), center),
+        np.full(len(cubes), edge0),
+    )
+    buckets: dict[tuple[int, int], set[DyadicCube]] = {}
+    for J, key in zip(cubes, zip(ring.tolist(), kind.tolist())):
+        buckets.setdefault(key, set()).add(J)
+    rings = {key: frozenset(val) for key, val in sorted(buckets.items())}
+    return AllowedClassification(rings, I0)
+
+
+@dataclass(frozen=True)
+class CountSummary:
+    """Per-shell ring counts and the normalized maxima behind the bounds."""
+
+    per_level: dict[int, tuple[int, int]]
+    max_kind1_over_mn: float
+    max_kind2: int
+
+
+def count_summary(c: AllowedClassification, m: float, n: int) -> CountSummary:
+    per_level = {
+        k: tuple(len(c.rings.get((k, kind), ())) for kind in (1, 2)) for k, _ in sorted(c.rings)
+    }
+    max1 = max((c1 for c1, _ in per_level.values()), default=0)
+    max2 = max((c2 for _, c2 in per_level.values()), default=0)
+    return CountSummary(per_level, max1 / m**n, max2)

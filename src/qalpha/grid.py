@@ -22,7 +22,7 @@ Two membership rules coexist:
   their parent exactly, grid-aligned cubes carry their exact measure, and a
   cube wider than the torus sees points with multiplicity;
 * closed intervals with each lattice index counted once (`closed=True`, for
-  `cube_mean` and `campanato`'s mean f_I): boundary points are averaged too.
+  `campanato`'s mean f_I): boundary points are averaged too.
 
 All comparisons act on exactly representable dyadic rationals, so boundary
 ties are deterministic.
@@ -49,9 +49,6 @@ __all__ = [
     "dilate",
     "block_sums",
     "family_energies",
-    "cube_mean",
-    "l2_on_cube",
-    "cube_lattice",
     "enumerate_cubes",
     "read_grid",
     "write_grid",
@@ -194,6 +191,8 @@ def cube_energies(f: GridFunction, blocks: list[CubeBlock]) -> np.ndarray:
     return per_cube(f, blocks, lambda v, b: f.h**f.n * cube_sums(v**2))
 
 
+# Kept for bench/tracing.py, which wraps them by name, until ROADMAP item 6;
+# nothing in the package calls these three, which item 13 then deletes.
 def cube_lattice(f: GridFunction, I: Cube) -> tuple[np.ndarray, np.ndarray]:
     """Half-open lattice points of I: positions (P, n) and sampled values (P,).
 
@@ -276,8 +275,8 @@ def _corners_edges(cubes, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def enumerate_cubes(L: int, level_max: int, n: int = 1, shifted: bool = False) -> CubeFamily:
-    """The `CubeFamily`; level_max is capped at L-3 so every cube keeps at
-    least 8 lattice points per edge."""
+    """The `CubeFamily`; a level_max above L-3, where a cube would keep fewer
+    than 8 lattice points per edge, raises ConfigError."""
     return CubeFamily(L, level_max, n, shifted)
 
 

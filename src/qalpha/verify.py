@@ -60,14 +60,13 @@ __all__ = [
     "embedding_check",
     "write_json",
     "write_csv",
-    "write_kernel_csv",
 ]
 
 EPS_FLOOR = 1e-300
 ZERO_NORM = 1e-10
 
 
-def standard_cubes(f: GridFunction, shifted: bool = True):
+def standard_cubes(f: GridFunction, shifted: bool = True):  # public for bench/ until ROADMAP item 6
     return enumerate_cubes(f.L, f.L - _EDGE_LEVELS, n=f.n, shifted=shifted)
 
 
@@ -275,7 +274,7 @@ def kernel_decay_check(
     return DecayRecord(alpha, m, n, seed, tuple(rows), slope, max1 / m**n, max2)
 
 
-def write_kernel_csv(record: DecayRecord, path) -> None:
+def write_kernel_csv(record: DecayRecord, path) -> None:  # traced by bench/ until ROADMAP item 6
     write_csv(record.rows, path)
 
 

@@ -15,28 +15,26 @@ import pytest
 from qalpha import (
     CorpusSpec,
     Cube,
-    allowed_cubes,
     campanato,
-    classify_allowed,
-    count_summary,
     decompose,
     dyadic_lp,
     enumerate_cubes,
     equivalence_report,
     fubini_identity_check,
-    gamma_set,
     generate,
     kernel_decay_check,
-    kernel_sum,
     lemma23_check,
     lp_morrey,
     morrey_besov,
     q_alpha,
-    required_max_level,
+    ring_counts,
     sample_pairs,
+    tree_sets,
 )
+from qalpha.cubes import _kernel_sums, required_max_level
 
 import oracles
+from test_cubes import batch_keys, one
 
 UNIT1 = Cube((0.0,), 1.0)
 UNIT2 = Cube((0.0, 0.0), 1.0)
@@ -157,17 +155,20 @@ def test_criterion_4_kernel_combinatorics():
     t0 = time.time()
     # (a) exact subset inequality on 1000 seeded pairs
     pairs = sample_pairs(UNIT1, 1000, seed=7)
-    for x, y in pairs:
-        g = gamma_set(UNIT1, x, y, 2.0)
-        assert kernel_sum(g.members, 0.5, 1) >= kernel_sum(allowed_cubes(g), 0.5, 1)
+    sets = tree_sets(UNIT1, *zip(*pairs), 2.0)
+    edges = [2.0**-k for k in range(sets.first.shape[1])]
+    minimal, _ = ring_counts(sets)
+    full, allowed = (_kernel_sums(edges, counts, 0.5, 1) for counts in (sets.counts(), minimal))
+    assert len(full) == len(allowed) == 1000
+    for k_full, k_allowed in zip(full, allowed):
+        assert k_full >= k_allowed
 
     # (b) level boxes equal exhaustive enumeration up to depth 10
     checked = 0
     for x, y in sample_pairs(UNIT1, 40, seed=23):
         if required_max_level(UNIT1, x, y, 2.0) > 10:
             continue
-        g = gamma_set(UNIT1, x, y, 2.0)
-        assert {(J.level, J.index) for J in g.members} == oracles.exhaustive_gamma(
+        assert batch_keys(one(UNIT1, x, y, 2.0)) == oracles.exhaustive_gamma(
             (0.0,), 1.0, x, y, 2.0, 10
         )
         checked += 1
@@ -175,13 +176,11 @@ def test_criterion_4_kernel_combinatorics():
     pairs2 = [p for p in sample_pairs(UNIT2, 24, seed=29)]
     deep = [p for p in pairs2 if required_max_level(UNIT2, *p, 2.0) <= 8][:4]
     for x, y in deep:
-        g = gamma_set(UNIT2, x, y, 2.0)
-        assert {(J.level, J.index) for J in g.members} == oracles.exhaustive_gamma(
+        assert batch_keys(one(UNIT2, x, y, 2.0)) == oracles.exhaustive_gamma(
             (0.0, 0.0), 1.0, x, y, 2.0, 8
         )
     x, y = deep[0]
-    g = gamma_set(UNIT2, x, y, 2.0)
-    assert {(J.level, J.index) for J in g.members} == oracles.exhaustive_gamma(
+    assert batch_keys(one(UNIT2, x, y, 2.0)) == oracles.exhaustive_gamma(
         (0.0, 0.0), 1.0, x, y, 2.0, 10
     )
 
@@ -207,12 +206,8 @@ def _ring2_maxima_by_m() -> dict[float, int]:
     pairs = sample_pairs(UNIT1, 1000, seed=7)
     out = {}
     for m in (2.0, 4.0, 8.0):
-        mx = 0
-        for x, y in pairs:
-            al = allowed_cubes(gamma_set(UNIT1, x, y, m))
-            cs = count_summary(classify_allowed(al, x, y, m), m, 1)
-            mx = max(mx, cs.max_kind2)
-        out[m] = mx
+        _, maxima = ring_counts(tree_sets(UNIT1, *zip(*pairs), m))
+        out[m] = int(maxima[:, 1].max())
     return out
 
 

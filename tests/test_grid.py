@@ -6,20 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qalpha import (
-    ConfigError,
-    Cube,
-    GridFunction,
-    cube_lattice,
-    cube_mean,
-    enumerate_cubes,
-    l2_on_cube,
-    read_grid,
-    write_grid,
-)
+from qalpha import ConfigError, Cube, GridFunction, enumerate_cubes, read_grid, write_grid
 from qalpha.grid import cube_blocks, cube_energies, cube_sums, dilate, per_cube
 
 import oracles
+
+
+def means(f, cubes) -> list[float]:
+    """Closed-cube means, as `campanato` takes f_I: one per cube, from the blocks."""
+    blocks = cube_blocks(f, cubes, closed=True)
+    return per_cube(f, blocks, lambda v, b: cube_sums(v) / v[0].size).tolist()
+
+
+def energies(f, cubes) -> list[float]:
+    """h^n * sum of f^2 over each half-open cube, from the blocks."""
+    return cube_energies(f, cube_blocks(f, cubes)).tolist()
 
 
 def test_non_power_of_two_rejected():
@@ -71,47 +72,47 @@ def test_ownership_rule():
 
 def test_cube_mean_constant():
     f = GridFunction(np.full((8, 8), 2.5))
-    assert cube_mean(f, Cube((0.0, 0.0), 0.5)) == 2.5
+    assert means(f, [Cube((0.0, 0.0), 0.5)]) == [2.5]
 
 
 def test_cube_mean_linear_closed_boundary():
     # closed membership includes 4/8 = 1/2: mean of {0, 1/8, ..., 4/8}
     f = GridFunction(np.arange(8) / 8)
-    assert cube_mean(f, Cube((0.0,), 0.5)) == pytest.approx(0.25, abs=1e-15)
+    assert means(f, [Cube((0.0,), 0.5)]) == pytest.approx([0.25], abs=1e-15)
 
 
 def test_cube_mean_zero_mean_harmonic():
     x = np.arange(16) / 16
     f = GridFunction(np.cos(2 * np.pi * x))
-    assert abs(cube_mean(f, Cube((0.0,), 1.0))) < 1e-12
+    assert abs(means(f, [Cube((0.0,), 1.0)])[0]) < 1e-12
 
 
 def test_cube_mean_matches_oracle():
     rng = np.random.default_rng(3)
     f = GridFunction(rng.standard_normal((8, 8)))
     for corner, edge in [((0.0, 0.25), 0.5), ((0.375, 0.5), 0.25), ((0.75, 0.75), 0.5)]:
-        assert cube_mean(f, Cube(corner, edge)) == pytest.approx(
+        assert means(f, [Cube(corner, edge)])[0] == pytest.approx(
             oracles.naive_cube_mean(f.values, corner, edge), rel=1e-12
         )
 
 
 def test_l2_full_cube_measure():
-    assert l2_on_cube(GridFunction(np.ones(8)), Cube((0.0,), 1.0)) == pytest.approx(
-        1.0, abs=1e-15
+    assert energies(GridFunction(np.ones(8)), [Cube((0.0,), 1.0)]) == pytest.approx(
+        [1.0], abs=1e-15
     )
 
 
 def test_l2_half_cube_measure_2d():
     f = GridFunction(np.ones((8, 8)))
-    assert l2_on_cube(f, Cube((0.0, 0.0), 0.5)) == pytest.approx(0.25, abs=1e-15)
-    assert l2_on_cube(f, Cube((0.5, 0.25), 0.5)) == pytest.approx(0.25, abs=1e-15)
+    assert energies(f, [Cube((0.0, 0.0), 0.5)]) == pytest.approx([0.25], abs=1e-15)
+    assert energies(f, [Cube((0.5, 0.25), 0.5)]) == pytest.approx([0.25], abs=1e-15)
 
 
 def test_l2_matches_oracle():
     rng = np.random.default_rng(4)
     f = GridFunction(rng.standard_normal(16))
     for corner, edge in [((0.0,), 0.5), ((0.25,), 0.25), ((0.875,), 0.25)]:
-        assert l2_on_cube(f, Cube(corner, edge)) == pytest.approx(
+        assert energies(f, [Cube(corner, edge)])[0] == pytest.approx(
             oracles.naive_l2_on_cube(f.values, corner, edge), rel=1e-12
         )
 
@@ -119,7 +120,7 @@ def test_l2_matches_oracle():
 def test_l2_wrapped_cube_multiplicity():
     # a cube of edge 2 sees every lattice point twice
     f = GridFunction(np.ones(8))
-    assert l2_on_cube(f, Cube((-0.5,), 2.0)) == pytest.approx(2.0, abs=1e-15)
+    assert energies(f, [Cube((-0.5,), 2.0)]) == pytest.approx([2.0], abs=1e-15)
 
 
 @given(
@@ -132,10 +133,8 @@ def test_children_partition_l2(data, level):
     edge = 2.0**-level
     for i in range(2**level):
         parent = Cube((i * edge,), edge)
-        total = sum(
-            l2_on_cube(f, Cube((i * edge + j * edge / 2,), edge / 2)) for j in (0, 1)
-        )
-        assert total == pytest.approx(l2_on_cube(f, parent), rel=1e-12, abs=1e-15)
+        total = sum(energies(f, [Cube((i * edge + j * edge / 2,), edge / 2) for j in (0, 1)]))
+        assert total == pytest.approx(energies(f, [parent])[0], rel=1e-12, abs=1e-15)
 
 
 def test_translation_equivariance_exact():
@@ -144,15 +143,15 @@ def test_translation_equivariance_exact():
     g = GridFunction(np.roll(f.values, 4))  # shift by 4 lattice steps = 1/4
     I = Cube((0.25,), 0.5)
     J = Cube((0.5,), 0.5)
-    assert cube_mean(g, J) == cube_mean(f, I)
-    assert l2_on_cube(g, J) == l2_on_cube(f, I)
+    assert means(g, [J]) == means(f, [I])
+    assert energies(g, [J]) == energies(f, [I])
 
 
 def test_cube_lattice_positions_unwrapped():
     f = GridFunction(np.arange(8, dtype=float))
-    pos, vals = cube_lattice(f, Cube((0.75,), 0.5))
-    assert pos[:, 0].tolist() == [0.75, 0.875, 1.0, 1.125]
-    assert vals.tolist() == [6.0, 7.0, 0.0, 1.0]
+    (b,) = cube_blocks(f, [Cube((0.75,), 0.5)])
+    assert ((b.start[0, 0] + np.arange(b.shape[0])) / f.N).tolist() == [0.75, 0.875, 1.0, 1.125]
+    assert b.read(f)[0].tolist() == [6.0, 7.0, 0.0, 1.0]
 
 
 # (corner, edge) per dimension: aligned, half-shifted, wrapped past 1, wider
@@ -195,9 +194,9 @@ def test_cube_blocks_match_oracles(n, N, closed):
 def test_degenerate_cube_rejected():
     f = GridFunction(np.ones(8))
     with pytest.raises(ConfigError, match="degenerate"):
-        cube_mean(f, Cube((0.01,), 0.05))
+        cube_blocks(f, [Cube((0.01,), 0.05)], closed=True)
     with pytest.raises(ConfigError, match="degenerate"):
-        l2_on_cube(f, Cube((0.01,), 0.05))
+        cube_blocks(f, [Cube((0.01,), 0.05)])
 
 
 def test_enumerate_cubes_counts():

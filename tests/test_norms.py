@@ -237,9 +237,7 @@ def test_dyadic_lp_fubini_identity_and_k0():
             assert a == pytest.approx(b, rel=1e-12)
         # K = 0 reduces to the plain inner sum over I alone
         k0 = dyadic_lp(f, 0.5, UNIT1, 0, dec)
-        from qalpha import l2_on_cube
-
-        inner = sum(l2_on_cube(dec.band(j), UNIT1) for j in dec.js)
+        inner = sum(cube_energies(b, cube_blocks(b, [UNIT1]))[0] for b in map(dec.band, dec.js))
         assert k0 == pytest.approx(inner, rel=1e-12)
 
 

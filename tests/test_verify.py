@@ -15,17 +15,18 @@ from qalpha import (
     enumerate_cubes,
     equivalence_report,
     fubini_identity_check,
-    gamma_set,
     generate,
     kernel_decay_check,
     lemma23_check,
+    tree_sets,
     write_grid,
 )
 from qalpha import cubes
 from qalpha.cli import main
-from qalpha.verify import write_csv, write_json, write_kernel_csv
+from qalpha.verify import write_csv, write_json
 
 import oracles
+from test_cubes import batch_keys
 
 UNIT1 = Cube((0.0,), 1.0)
 
@@ -178,7 +179,7 @@ def oracle_decay_row(x, y, m, alpha, n, cross_check=True):
     from the child-lookup minimality and the ring-class predicates; with
     `cross_check`, the minimal cubes are also found by brute force."""
     root = Cube((0.0,) * n, 1.0)
-    keys = {(J.level, J.index) for J in gamma_set(root, x, y, m).members}
+    keys = batch_keys(tree_sets(root, [x], [y], m))
     minimal = oracles.child_free_members(keys)
     if cross_check:
         by_level = {}
@@ -259,7 +260,7 @@ def test_scaled_kernel_bounded(alpha, m, n, bound):
 def test_kernel_csv_and_json(tmp_path):
     rec = kernel_decay_check(0.5, 2.0, 1, 10, seed=7)
     csv_path = tmp_path / "k.csv"
-    write_kernel_csv(rec, csv_path)
+    write_csv(rec.rows, csv_path)  # as `qalpha kernel` writes it
     lines = csv_path.read_text().splitlines()
     assert len(lines) == 11
     assert lines[0].startswith("x,y,dist,k_full,k_allowed")
