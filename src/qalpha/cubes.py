@@ -30,15 +30,26 @@ a `TreeSets`.
 Ring classes are computed on index arrays, never on cube objects.  The
 boxes of a batch of tree sets, each with the parent box of the level below,
 give one vectorised expansion of every box minus its parent box into rows
-(tree set, level, index), one per minimal cube.
-One array classifier then walks the shells I_k = 2^k I_0 around each pair
-(I_0 centered at the midpoint with edge sqrt(n)|x-y|_2): a cube's ring is
-the first k with J meeting I_k, its kind 1 if J fits inside I_(k+1) and 2
-if not.  J's corner is root.corner + index * (root.edge * 2^-level), shell
-k's corner is center - edge0 * 2^k / 2, and meeting and fitting inside are
-closed-interval comparisons per axis, all in double precision and element
-by element, so a cube's class does not depend on the batch it is classified
-in.  The walk ends where the geometry says every cube has met a shell, so a
+(tree set, level, index), one per minimal cube.  One array classifier then
+reads each cube's ring among the shells I_k = 2^k I_0 around its pair off
+its distance to I_0 (centered at the midpoint c, edge l0 = sqrt(n)|x-y|_2):
+a cube's ring is the first k with J meeting I_k, its kind 1 if J fits
+inside I_(k+1) and 2 if not.  J's corner is
+root.corner + index * (root.edge * 2^-level), shell k's faces are
+b_k = c - s_k/2 and b_k + s_k with s_k = l0 * 2^k, and meeting and fitting
+inside are closed-interval comparisons per axis, all in double precision
+and element by element, so a cube's class does not depend on the batch it
+is classified in.  J meets I_k exactly when its gap, the largest over axes
+of max(corner - c, c - end, 0), is at most s_k/2, so
+max(0, ceil(log2(2 * gap / l0))) is the ring up to rounding, and the
+comparisons confirm it.  Where l0 is normal and >= 2^-50 |c|, they are
+monotone in k: b_k falls as k grows, and from shell k to k+1 the exact sum
+behind the upper face rises by s_k/2, more than the two roundings behind
+it (at most u(2|c| + 3 s_k/2), u = 2^-53) can take back.  A cube that
+misses the shell below its candidate then misses every lower one and steps
+up to its ring.  A cube that meets the shell below, or whose pair is too
+close for that bound (a few float steps apart), walks up from I_0.  The
+walk is bounded where the geometry says every cube has met a shell, so a
 close pair has as many rings as its minimal cubes span scales.  For n = 2
 the shell edge is irrational, but the classes stay a partition by
 construction.  Batches are cut by tree-set members, so their arrays stay
@@ -47,6 +58,7 @@ small whatever the pair count or dilation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -65,17 +77,35 @@ __all__ = ["TreeSets", "tree_sets", "ring_counts", "sample_pairs"]
 _M_MAX = 16
 
 
+def _fold(ufunc, a: np.ndarray) -> np.ndarray:
+    """ufunc.reduce(a, axis=-1) as a loop over that axis, which has one entry
+    per coordinate: numpy's own reduction along a short axis is many times slower."""
+    return functools.reduce(ufunc, np.moveaxis(a, -1, 0))
+
+
 def _check_dilation(m: float) -> None:
     if not (math.isfinite(m) and 2 <= m <= _M_MAX):
         raise ConfigError(f"dilation factor must be finite, >= 2 and <= {_M_MAX}, got {m}")
 
 
-def required_max_level(I: Cube, x: tuple[float, ...], y: tuple[float, ...], m: float) -> int:
-    """Smallest tree depth guaranteed to expose every minimal member."""
-    d_inf = max(abs(a - b) for a, b in zip(x, y))
-    if d_inf == 0:
+def _required_levels(I: Cube, x: np.ndarray, y: np.ndarray, m: float) -> np.ndarray:
+    """Per pair (x[p], y[p]), the smallest tree depth guaranteed to expose every
+    minimal member, max(0, ceil(log2(m * I.edge / |x - y|_inf))) + 1.  The log2
+    is math.log2's (numpy's can differ in the last bit) where the quotient is a
+    float, and log2(m * I.edge / t) - e for |x - y|_inf = t * 2^e where it overflows."""
+    d_inf = _fold(np.maximum, abs(x - y))
+    if not d_inf.all():
         raise ConfigError("diagonal point pair: x == y")
-    return max(0, math.ceil(math.log2(m * I.edge / d_inf))) + 1
+    t, e = np.frexp(d_inf)
+    with np.errstate(over="ignore"):
+        pairs = zip((m * I.edge / d_inf).tolist(), (np.log2(m * I.edge / t) - e).tolist())
+    logs = [math.log2(q) if q < math.inf else v for q, v in pairs]
+    return np.maximum(np.ceil(logs), 0).astype(np.int64) + 1
+
+
+def required_max_level(I: Cube, x: tuple[float, ...], y: tuple[float, ...], m: float) -> int:
+    """Smallest tree depth guaranteed to expose every minimal member of one pair."""
+    return int(_required_levels(I, np.array([x], dtype=float), np.array([y], dtype=float), m)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,7 +133,7 @@ class TreeSets:
     def counts(self) -> np.ndarray:
         """Members per (pair, level), zero from each pair's depth on."""
         live = np.arange(self.first.shape[1]) < self.depth[:, None]
-        return np.where(live, (self.last - self.first + 1).prod(axis=2), 0)
+        return np.where(live, _fold(np.multiply, self.last - self.first + 1), 0)
 
     def _boxes(self) -> tuple[np.ndarray, np.ndarray]:
         """(pair, level) of every nonempty box."""
@@ -140,9 +170,9 @@ def tree_sets(root: Cube, x, y, m: float) -> TreeSets:
     x, y = np.array(x, dtype=float), np.array(y, dtype=float)
     if x.ndim != 2 or x.shape != y.shape or x.shape[1] != root.n:
         raise ConfigError("point dimension does not match root cube")
-    required = [required_max_level(root, p, q, m) for p, q in zip(x.tolist(), y.tolist())]
-    levels = np.arange(max(required, default=-1) + 1)
-    live = levels <= np.array(required, dtype=np.int64)[:, None]
+    required = _required_levels(root, x, y, m)
+    levels = np.arange(required.max(initial=-1) + 1)
+    live = levels <= required[:, None]
     dtype = _index_dtype(len(levels) - 1)
     bounds = np.zeros((2, len(x), len(levels), root.n), dtype=dtype)  # first, last
     points = np.maximum(x, y), np.minimum(x, y)
@@ -161,7 +191,7 @@ def tree_sets(root: Cube, x, y, m: float) -> TreeSets:
     top = np.array([(1 << k) - 1 for k in levels.tolist()], dtype=dtype)[:, None]
     np.maximum(first, 0, out=first)
     np.minimum(last, top, out=last)
-    depth = np.argmax(np.any(last < first, axis=2), axis=1)
+    depth = np.argmax(_fold(np.logical_or, last < first), axis=1)
     return TreeSets(root, x, y, first, last, depth)
 
 
@@ -169,13 +199,14 @@ def _expand(first: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """Every index of the boxes first[b] .. last[b] (shape (boxes, n)) as rows
     (box, index), in box order and, within a box, last axis fastest."""
     size = (last - first + 1).astype(np.int64)
-    volume = size.prod(axis=1)
+    volume = _fold(np.multiply, size)
     box = np.repeat(np.arange(len(first)), volume)
     offset = np.arange(len(box)) - np.repeat(np.cumsum(volume) - volume, volume)
     index = np.empty((len(box), first.shape[1]), dtype=first.dtype)
     for d in range(first.shape[1] - 1, -1, -1):
-        index[:, d] = first[box, d] + offset % size[box, d]
-        offset //= size[box, d]
+        span = size[:, d][box]
+        index[:, d] = first[:, d][box] + offset % span
+        offset //= span
     return box, index
 
 
@@ -193,9 +224,10 @@ def _minimal_cubes(sets: TreeSets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     parent_first = np.where(has_child, sets.first[below] >> 1, 0)
     parent_last = np.where(has_child, sets.last[below] >> 1, -1)
     box, index = _expand(sets.first[owner, level], sets.last[owner, level])
-    in_parents = (parent_first[box] <= index) & (index <= parent_last[box])
-    minimal = ~np.all(in_parents, axis=1)
-    return owner[box[minimal]], level[box[minimal]], index[minimal]
+    # np.take and np.compress: row gathers, many times faster than fancy indexing
+    lo, hi = np.take(parent_first, box, axis=0), np.take(parent_last, box, axis=0)
+    minimal = ~_fold(np.logical_and, (lo <= index) & (index <= hi))
+    return owner[box[minimal]], level[box[minimal]], np.compress(minimal, index, axis=0)
 
 
 def _kernel_sums(edges, counts, alpha: float, n: int) -> list[float]:
@@ -221,12 +253,21 @@ def _kernel_sums(edges, counts, alpha: float, n: int) -> list[float]:
 _SQUARE_MIN = 2.0**-511
 
 
-def _shell0(x: tuple[float, ...], y: tuple[float, ...]) -> tuple[tuple[float, ...], float]:
-    """Center and edge of I_0: the midpoint of x and y, and sqrt(n)|x-y|_2."""
-    d = [a - b for a, b in zip(x, y)]
-    scale = 1.0 if max(map(abs, d)) >= _SQUARE_MIN else 2.0**600
-    edge0 = math.sqrt(len(x)) * math.sqrt(sum((v * scale) ** 2 for v in d)) / scale
-    return tuple((a + b) / 2 for a, b in zip(x, y)), edge0
+def _norms(d: np.ndarray) -> np.ndarray:
+    """math.sqrt(sum(v ** 2 for v in row)) of every row of d, bit for bit: Python
+    squares each v (a libm pow, which can differ from v * v in the last bit),
+    and the squares are added from the first axis on."""
+    squares = np.reshape([v**2 for v in d.ravel().tolist()], d.shape)
+    return np.sqrt(sum(squares.T, np.zeros(len(d))))
+
+
+def _shell0(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centers and edges of I_0 for the pairs (x[p], y[p]), arrays (pairs, n):
+    the midpoints, and sqrt(n)|x-y|_2."""
+    d = x - y
+    scale = np.where(_fold(np.maximum, abs(d)) >= _SQUARE_MIN, 1.0, 2.0**600)
+    edge0 = math.sqrt(x.shape[1]) * _norms(d * scale[:, None]) / scale
+    return (x + y) / 2, edge0
 
 
 def _ring_classes(root_corner, root_edge, level, index, center, edge0):
@@ -234,30 +275,46 @@ def _ring_classes(root_corner, root_edge, level, index, center, edge0):
 
     k is the first shell index with J meeting I_k (shells are nested, so this
     also encodes J missing I_0,...,I_(k-1)); kind 1 means J fits inside
-    I_(k+1), kind 2 that it sticks out.  Returns two integer arrays.  I_k
-    holds J once edge0 * 2^k is twice J's reach from the center, which
-    bounds the walk; one more shell absorbs the rounding of that bound.
+    I_(k+1), kind 2 that it sticks out.  Returns two integer arrays.
+
+    The candidate ring max(0, ceil(log2(2 * gap / edge0))) is confirmed or
+    stepped up by the predicate, and where it meets the shell below, or the
+    predicate need not be monotone in k, the walk starts from I_0 (module
+    docstring).  I_k holds J once edge0 * 2^k is twice J's reach from the
+    center, which bounds the walk; one more shell absorbs that bound's rounding.
     """
     edge = root_edge * np.ldexp(1.0, -level)
     corner = root_corner + index.astype(float) * edge[:, None]
     end = corner + edge[:, None]
-    reach = np.maximum(abs(corner - center), abs(end - center)).max(axis=1, initial=0.0)
-    shells = np.ceil(np.log2(2 * reach) - np.log2(edge0)).max(initial=0.0)
-    ring = np.zeros(len(edge), dtype=np.int64)
-    todo = np.arange(len(edge))
-    for k in range(int(shells) + 2):
-        if not todo.size:
-            break
-        s = np.ldexp(edge0[todo], k)
-        b = center[todo] - (s / 2)[:, None]
-        meets = np.all(np.maximum(corner[todo], b) <= np.minimum(end[todo], b + s[:, None]), axis=1)
-        ring[todo[meets]] = k
-        todo = todo[~meets]
-    if todo.size:
-        raise InvariantViolation("allowed cube matched no ring class")
-    s = np.ldexp(edge0, ring + 1)
-    b = center - (s / 2)[:, None]
-    inside = np.all((b <= corner) & (end <= b + s[:, None]), axis=1)
+    all_cubes = np.arange(len(edge))
+
+    def shell(k, rows):  # I_k's lower and upper faces around the cubes `rows`
+        s = np.ldexp(edge0[rows], k)[:, None]
+        lower = np.take(center, rows, axis=0) - s / 2  # row gathers, as in _minimal_cubes
+        return lower, lower + s
+
+    def meets(k, rows):
+        lower, upper = shell(k, rows)
+        lo, hi = np.take(corner, rows, axis=0), np.take(end, rows, axis=0)
+        return _fold(np.logical_and, np.maximum(lo, lower) <= np.minimum(hi, upper))
+
+    reach = _fold(np.maximum, np.maximum(abs(corner - center), abs(end - center)))
+    gap = np.maximum(_fold(np.maximum, np.maximum(corner - center, center - end)), 0.0)
+    # a gap of 0 has ring 0, and a reach of 0 (J below its corner's ulp, a point) no shell
+    with np.errstate(divide="ignore"):
+        shells = np.ceil(np.log2(2 * reach) - np.log2(edge0)).max(initial=0.0)
+        candidate = np.ceil(np.log2(2 * gap) - np.log2(edge0))
+    monotone = (edge0 >= 2.0**-50 * _fold(np.maximum, abs(center))) & (edge0 >= 2.0**-1021)
+    ring = np.where(monotone & (candidate > 0), candidate, 0).astype(np.int64)
+    ring[(ring > 0) & meets(ring - 1, all_cubes)] = 0
+    todo = all_cubes
+    while todo.size:
+        if ring[todo].max() > shells + 1:
+            raise InvariantViolation("allowed cube matched no ring class")
+        todo = todo[~meets(ring[todo], todo)]
+        ring[todo] += 1
+    lower, upper = shell(ring + 1, all_cubes)
+    inside = _fold(np.logical_and, (lower <= corner) & (end <= upper))
     return ring, np.where(inside, 1, 2)
 
 
@@ -265,15 +322,16 @@ def _classified(sets: TreeSets) -> tuple[np.ndarray, ...]:
     """The rows (owner, level, index) of `_minimal_cubes`, then each cube's
     ring class (ring, kind) around its own pair."""
     owner, level, index = _minimal_cubes(sets)
-    shells = zip(*(_shell0(x, y) for x, y in zip(sets.x.tolist(), sets.y.tolist())))
-    center, edge0 = (np.array(v)[owner] for v in shells)
-    ring, kind = _ring_classes(sets.root.corner, sets.root.edge, level, index, center, edge0)
+    center, edge0 = _shell0(sets.x, sets.y)
+    center = np.take(center, owner, axis=0)  # a row gather, as in _minimal_cubes
+    ring, kind = _ring_classes(sets.root.corner, sets.root.edge, level, index, center, edge0[owner])
     return owner, level, index, ring, kind
 
 
 # Tree-set members per batch of `ring_counts`: a batch's arrays hold one row
-# per member at most, so their size does not grow with the pair count.
-_BATCH_MEMBERS = 2**11
+# per member at most, so their size does not grow with the pair count.  Each
+# batch costs a few dozen numpy calls, which dominate below about 2^12 members.
+_BATCH_MEMBERS = 2**13
 
 
 def ring_counts(sets: TreeSets) -> tuple[np.ndarray, np.ndarray]:
@@ -286,10 +344,10 @@ def ring_counts(sets: TreeSets) -> tuple[np.ndarray, np.ndarray]:
     """
     minimal = np.zeros((len(sets), sets.first.shape[1]), dtype=np.int64)
     maxima = np.zeros((len(sets), 2), dtype=np.int64)
-    start, members = 0, 0
+    start, members, last = 0, 0, len(sets) - 1
     for p, count in enumerate(sets.counts().sum(axis=1).tolist()):
         members += count
-        if members < _BATCH_MEMBERS and p < len(sets) - 1:
+        if members < _BATCH_MEMBERS and p < last:
             continue
         owner, level, _, ring, kind = _classified(sets[start : p + 1])
         np.add.at(minimal, (start + owner, level), 1)
@@ -303,6 +361,34 @@ def ring_counts(sets: TreeSets) -> tuple[np.ndarray, np.ndarray]:
 _R_MIN, _R_MAX = 4e-3, 4e-1  # range of the sampled pair separations r
 
 
+def _sample_points(root: Cube, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The points x and y of `sample_pairs`, as arrays (count, n)."""
+    if _R_MAX > root.edge:
+        raise ConfigError(f"pair separations up to {_R_MAX} exceed the root cube edge")
+    n = root.n
+    if n not in (1, 2):
+        raise ConfigError(f"pairs are sampled in dimension 1 or 2, got {n}")
+    rng = np.random.default_rng(seed)
+    log_lo, log_hi = math.log(_R_MIN), math.log(_R_MAX)
+    corner = np.array(root.corner)
+    xs, ys, kept = [np.empty((0, n))], [np.empty((0, n))], 0
+    while kept < count:
+        block = rng.random((count - kept, n + 2))
+        x = corner + root.edge * block[:, :n]
+        r = np.array([math.exp(v) for v in (log_lo + (log_hi - log_lo) * block[:, n]).tolist()])
+        if n == 1:
+            u = np.where(block[:, n + 1 :] < 0.5, 1.0, -1.0)
+        else:
+            theta = (2.0 * math.pi * block[:, n + 1]).tolist()
+            u = np.array([[math.cos(t) for t in theta], [math.sin(t) for t in theta]]).T
+        y = x + r[:, None] * u
+        inside = _fold(np.logical_and, (corner <= y) & (y <= corner + root.edge))
+        xs.append(x[inside])
+        ys.append(y[inside])
+        kept += len(xs[-1])
+    return np.concatenate(xs), np.concatenate(ys)
+
+
 def sample_pairs(
     root: Cube,
     count: int,
@@ -314,28 +400,12 @@ def sample_pairs(
     Each attempt takes n + 2 doubles of the seeded stream in this order: the
     n coordinates of x, the log-radius, the direction (a sign for n = 1, else
     an angle).  Reports are reproducible from the seed only by that order.
+    The attempts are drawn and rejected a block at a time, in arrays; the
+    exponential, cosine and sine are math's, as numpy's can differ from them
+    in the last bit.
     """
-    if _R_MAX > root.edge:
-        raise ConfigError(f"pair separations up to {_R_MAX} exceed the root cube edge")
-    n = root.n
-    if n not in (1, 2):
-        raise ConfigError(f"pairs are sampled in dimension 1 or 2, got {n}")
-    rng = np.random.default_rng(seed)
-    log_lo, log_hi = math.log(_R_MIN), math.log(_R_MAX)
-    pairs = []
-    while len(pairs) < count:
-        for row in rng.random((count - len(pairs), n + 2)).tolist():
-            x = tuple(c + root.edge * d for c, d in zip(root.corner, row))
-            r = math.exp(log_lo + (log_hi - log_lo) * row[n])
-            if n == 1:
-                u = (1.0 if row[n + 1] < 0.5 else -1.0,)
-            else:
-                theta = 2.0 * math.pi * row[n + 1]
-                u = (math.cos(theta), math.sin(theta))
-            y = tuple(a + r * b for a, b in zip(x, u))
-            if all(c <= b <= c + root.edge for c, b in zip(root.corner, y)):
-                pairs.append((x, y))
-    return pairs
+    x, y = _sample_points(root, count, seed)
+    return [(tuple(a), tuple(b)) for a, b in zip(x.tolist(), y.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +466,7 @@ def classify_allowed(
     x, y = tuple(map(float, x)), tuple(map(float, y))
     if x == y:
         raise ConfigError("diagonal point pair: x == y")
-    center, edge0 = _shell0(x, y)
+    center, edge0 = (v[0].tolist() for v in _shell0(np.array([x]), np.array([y])))
     I0 = Cube(tuple(c - edge0 / 2 for c in center), edge0)
     cubes = list(allowed)
     n = len(x)

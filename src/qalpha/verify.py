@@ -13,7 +13,6 @@ deterministic functions of (corpus specs, alpha, sizes, seeds).
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -21,7 +20,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .corpus import CorpusSpec, generate
-from .cubes import _check_dilation, _kernel_sums, ring_counts, sample_pairs, tree_sets
+from .cubes import _check_dilation, _kernel_sums, _norms, _sample_points, ring_counts, tree_sets
 from .errors import ConfigError
 from .filterbank import BandDecomposition, decompose
 from .grid import (
@@ -246,31 +245,30 @@ def kernel_decay_check(
     if pair_count < 2:
         raise ConfigError(f"the decay slope fit needs at least 2 pairs, got {pair_count}")
     root = Cube((0.0,) * n, 1.0)
-    pairs = sample_pairs(root, pair_count, seed)
-    sets = tree_sets(root, [x for x, _ in pairs], [y for _, y in pairs], m)
+    x, y = _sample_points(root, pair_count, seed)
+    sets = tree_sets(root, x, y, m)
     edges = [root.edge * 2.0**-k for k in range(sets.first.shape[1])]
     k_full = _kernel_sums(edges, sets.counts(), alpha, n)
     minimal, maxima = ring_counts(sets)
     k_allowed = _kernel_sums(edges, minimal, alpha, n)
-    rows = []
-    for (x, y), full, allowed, (kind1, kind2) in zip(pairs, k_full, k_allowed, maxima.tolist()):
-        dist = math.sqrt(sum((a - b) ** 2 for a, b in zip(x, y)))
-        rows.append(
-            {
-                "x": list(x),
-                "y": list(y),
-                "dist": dist,
-                "k_full": full,
-                "k_allowed": allowed,
-                "k_full_scaled": full * dist ** (2 * alpha + n),
-                "count_kind1_max": kind1,
-                "count_kind2_max": kind2,
-            }
-        )
+    dist = _norms(x - y)  # bit for bit math.sqrt(sum((a - b) ** 2 ...)) per pair
+    expo = 2 * alpha + n
+    columns = zip(x.tolist(), y.tolist(), dist.tolist(), k_full, k_allowed, maxima.tolist())
+    rows = [
+        {
+            "x": a,
+            "y": b,
+            "dist": d,
+            "k_full": full,
+            "k_allowed": allowed,
+            "k_full_scaled": full * d**expo,
+            "count_kind1_max": kind1,
+            "count_kind2_max": kind2,
+        }
+        for a, b, d, full, allowed, (kind1, kind2) in columns
+    ]
     max1, max2 = maxima.max(axis=0).tolist()
-    logs_d = np.log([r["dist"] for r in rows])
-    logs_k = np.log([r["k_full"] for r in rows])
-    slope = float(np.polyfit(logs_d, logs_k, 1)[0])
+    slope = float(np.polyfit(np.log(dist), np.log(k_full), 1)[0])
     return DecayRecord(alpha, m, n, seed, tuple(rows), slope, max1 / m**n, max2)
 
 

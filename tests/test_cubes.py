@@ -57,6 +57,12 @@ def ring_classes(sets, p=0) -> dict:
     return dict(out)
 
 
+def shell0(x, y) -> tuple[np.ndarray, float]:
+    """Center and edge of one pair's I_0, through the array form."""
+    center, edge0 = cubes_module._shell0(np.array([x], dtype=float), np.array([y], dtype=float))
+    return center[0], float(edge0[0])
+
+
 def geometry(root, key) -> tuple[tuple[float, ...], float]:
     """Corner and edge of the level-k cube `index` of the root, key = (k, index)."""
     k, index = key
@@ -103,7 +109,7 @@ def test_dyadic_cube_geometry():
     index = np.array([[1, 3], [2, 6], [2, 7], [3, 6], [3, 7]])
     faces = [((0.25, 0.75), (0.5, 1.0)), ((0.25, 0.875), (0.375, 0.875)), ((0.5, 0.75), (0.75, 0.5))]
     for x, y in faces:
-        center, edge0 = cubes_module._shell0(x, y)
+        center, edge0 = shell0(x, y)
         ring, kind = cubes_module._ring_classes(
             UNIT2.corner, UNIT2.edge, level, index, np.full((5, 2), center), np.full(5, edge0)
         )
@@ -279,6 +285,50 @@ def test_required_max_level_message_value():
     assert required_max_level(UNIT1, x, y, 2.0) == 8  # ceil(log2(2/2^-6)) + 1
 
 
+def quotient_depth(root, x, y, m) -> int:
+    """The depth from the quotient m * edge / |x - y|_inf and math.log2."""
+    d_inf = max(abs(a - b) for a, b in zip(x, y))
+    return max(0, math.ceil(math.log2(m * root.edge / d_inf))) + 1
+
+
+def test_required_max_level_matches_quotient_where_finite():
+    # one array pass gives every pair the depth of the per-pair quotient
+    # formula wherever that quotient is a float, including separations just
+    # off a power of two, where log2 rounds to an integer or away from it,
+    # and subnormal separations inside a small root
+    cases = [(UNIT1, (0.5,), (0.5 + 2.0**-6,), 2.0)]
+    for n in (1, 2):
+        root = Cube((0.0,) * n, 1.0)
+        cases += [(root, x, y, m) for x, y in sample_pairs(root, 300, seed=3) for m in (2.0, 3.0)]
+        close = [close_pair(n, e) for e in (60, 200, 600, 1000, 1020)]
+        cases += [(root, x, y, m) for x, y in close for m in (2.0, 3.0)]
+    for j in range(1, 60):
+        for d in (2.0**-j, math.nextafter(2.0**-j, 0), math.nextafter(2.0**-j, 1)):
+            cases += [(UNIT1, (0.0,), (d,), m) for m in (2.0, 2.1, 3.0, 16.0)]
+    cases += [(Cube((0.0,), 2.0**-60), (0.0,), (2.0**-1060,), 3.0)]  # quotient 3 * 2^1000
+    for root, x, y, m in cases:
+        assert required_max_level(root, x, y, m) == quotient_depth(root, x, y, m)
+    pairs = [(x, y) for root, x, y, m in cases if root == UNIT1 and m == 3.0]
+    depths = cubes_module._required_levels(UNIT1, *map(np.array, zip(*pairs)), 3.0)
+    assert depths.tolist() == [quotient_depth(UNIT1, x, y, 3.0) for x, y in pairs]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("e", [1020, 1030, 1070])
+def test_tree_sets_below_the_quotient_range(n, e):
+    # below about m * 2^-1024, m * edge / |x - y|_inf overflows: the depth comes from
+    # the separation's exponent, and the tree set and its rings are built
+    root = Cube((0.0,) * n, 1.0)
+    x, y = close_pair(n, e)
+    if e > 1024:
+        with pytest.raises(OverflowError):
+            quotient_depth(root, x, y, 3.0)
+    sets = one(root, x, y, 3.0)
+    assert e < sets.depth[0] < sets.first.shape[1] == required_max_level(root, x, y, 3.0) + 1
+    minimal, maxima = ring_counts(sets)
+    assert minimal.sum() >= 1 and maxima.sum() >= 1
+
+
 def test_allowed_single_and_chain():
     g = one(UNIT1, (0.1,), (0.9,), 2.0)
     assert minimal_keys(g) == {(0, (0,))}
@@ -438,7 +488,7 @@ def test_kernel_equivalence_constant_stable_under_deeper_trees():
 def test_classification_single_cube_kinds():
     # I0 = [0.1, 0.9]: the root meets it and fits inside I1 -> class (0, 1)
     assert set(ring_classes(one(UNIT1, (0.1,), (0.9,), 2.0)).values()) == {(0, 1)}
-    assert cubes_module._shell0((0.1,), (0.9,))[1] == pytest.approx(0.8)
+    assert shell0((0.1,), (0.9,))[1] == pytest.approx(0.8)
     # a tight pair: the root still meets I0 but pokes out of I1 -> class (0, 2)
     for (level, _), (k, kind) in ring_classes(one(UNIT1, (0.49,), (0.51,), 2.0)).items():
         if level == 0:
@@ -457,10 +507,16 @@ def test_classification_matches_predicate_oracle():
             assert oracles.brute_force_ring_class(*geometry(UNIT2, key), x, y) == ring_class
         # the initial cube has edge sqrt(n)|x-y| and contains both points
         d = math.sqrt(sum((a - b) ** 2 for a, b in zip(x, y)))
-        center, edge0 = cubes_module._shell0(x, y)
+        center, edge0 = shell0(x, y)
         assert edge0 == pytest.approx(math.sqrt(2) * d)
         for a, b, c in zip(x, y, (c - edge0 / 2 for c in center)):
             assert c <= a <= c + edge0 and c <= b <= c + edge0
+
+
+def dyadic_tie_pairs(n: int, step: int) -> list:
+    """Every pair of points on the grid of step step/32 in the unit cube."""
+    points = itertools.product([i / 32 for i in range(0, 33, step)], repeat=n)
+    return list(itertools.combinations(points, 2))
 
 
 @pytest.mark.parametrize("n,step", [(1, 1), (2, 8)])
@@ -468,8 +524,7 @@ def test_classification_boundary_ties_match_predicate_oracle(n, step):
     # pairs on a dyadic grid: shell corners (and for n = 1 shell edges) are
     # dyadic, so cube faces land exactly on shell faces
     root = UNIT1 if n == 1 else UNIT2
-    points = itertools.product([i / 32 for i in range(0, 33, step)], repeat=n)
-    pairs = list(itertools.combinations(points, 2))
+    pairs = dyadic_tie_pairs(n, step)
     sets = tree_sets(root, *zip(*pairs), 2.0)
     for p, (x, y) in enumerate(pairs):
         for key, ring_class in ring_classes(sets, p).items():
@@ -609,6 +664,110 @@ def test_close_pairs_keep_their_ring_classes(n, m):
         assert ring_counts(sets)[1].tolist() == ring_counts(base)[1].tolist()
         if m == 3.0:  # a level-1 cube is minimal at every e: its ring grows with e
             assert max(classes.values())[0] == max(want.values())[0] + shift
+
+
+def walk_ring_classes(root_corner, root_edge, level, index, center, edge0):
+    """The shell walk that classified minimal cubes before the closed form:
+    J's ring is the first k = 0, 1, 2, ... with J meeting I_k."""
+    edge = root_edge * np.ldexp(1.0, -level)
+    corner = root_corner + index.astype(float) * edge[:, None]
+    end = corner + edge[:, None]
+    reach = np.maximum(abs(corner - center), abs(end - center)).max(axis=1, initial=0.0)
+    with np.errstate(divide="ignore"):  # a cube below its corner's ulp has reach 0
+        shells = np.ceil(np.log2(2 * reach) - np.log2(edge0)).max(initial=0.0)
+    ring = np.zeros(len(edge), dtype=np.int64)
+    todo = np.arange(len(edge))
+    for k in range(int(shells) + 2):
+        if not todo.size:
+            break
+        s = np.ldexp(edge0[todo], k)
+        b = center[todo] - (s / 2)[:, None]
+        meets = np.all(np.maximum(corner[todo], b) <= np.minimum(end[todo], b + s[:, None]), axis=1)
+        ring[todo[meets]] = k
+        todo = todo[~meets]
+    if todo.size:
+        raise AssertionError("allowed cube matched no ring class")
+    s = np.ldexp(edge0, ring + 1)
+    b = center - (s / 2)[:, None]
+    inside = np.all((b <= corner) & (end <= b + s[:, None]), axis=1)
+    return ring, np.where(inside, 1, 2)
+
+
+# Pairs one float step apart next to a center far larger than |x - y|: the
+# float predicate need not be monotone in k there, and started from its
+# candidate, the classifier gives these pairs other classes than the walk
+# (found by a random search over such pairs).
+ULP_PAIRS = [
+    ((0.1810661170641817, 0.9311455586885095), (0.18106611706418171, 0.9311455586885095), 3.0),
+    ((0.6358933291733394, 0.39641309735086966), (0.6358933291733394, 0.3964130973508697), 3.0),
+    ((0.22125482330807084, 0.5850690423852357), (0.2212548233080708, 0.5850690423852357), 2.0),
+]
+
+
+def classes_two_ways(sets) -> tuple[list, list]:
+    """(ring, kind) of every minimal cube of a batch, from the classifier
+    and from the shell walk, on the same arrays."""
+    owner, level, index = cubes_module._minimal_cubes(sets)
+    center, edge0 = cubes_module._shell0(sets.x, sets.y)
+    args = (sets.root.corner, sets.root.edge, level, index, center[owner], edge0[owner])
+    ring, kind = cubes_module._ring_classes(*args)
+    walk_ring, walk_kind = walk_ring_classes(*args)
+    return [list(zip(r.tolist(), k.tolist())) for r, k in ((ring, kind), (walk_ring, walk_kind))]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("m", [2.0, 3.0])
+def test_ring_classes_match_shell_walk(n, m):
+    # the candidate ring, confirmed or stepped up, is the walk's first shell
+    # for sampled pairs, for close pairs down to subnormal separations, where
+    # every cube walks, and for pairs one float step apart
+    root = Cube((0.0,) * n, 1.0)
+    close = [close_pair(n, e) for e in (60, 200, 600, 1000, 1020, 1030, 1070)]
+    close += [(x[:n], y[:n]) for x, y, _ in ULP_PAIRS if x[:n] != y[:n]]
+    for pairs in (sample_pairs(root, 2000, seed=1), close):  # deep levels in a batch apart
+        got, want = classes_two_ways(tree_sets(root, *zip(*pairs), m))
+        assert len(got) > len(pairs) and got == want
+
+
+def near_tie_cubes(n: int, count: int, seed: int) -> tuple:
+    """Arguments of `_ring_classes` for cubes of the unit root whose face on
+    axis 0 lies within a few float steps of a face of one of their shells:
+    J's upper face on I_k's lower face, or J's lower face on I_k's upper face,
+    each about a random center.  The candidate ring can be off by one there
+    in either direction.  On the other axes J holds the center."""
+    rng = np.random.default_rng(seed)
+    center = rng.uniform(0.1, 0.9, (count, n))
+    edge0 = rng.uniform(0.01, 0.1, count)
+    level = rng.integers(3, 12, count)
+    edge = np.ldexp(1.0, -level)
+    half = np.ldexp(edge0, rng.integers(0, 6, count)) / 2
+    upper = rng.random(count) < 0.5
+    face = np.where(upper, center[:, 0] - half, center[:, 0] + half)
+    first = np.floor(face / edge)
+    center[:, 0] += np.where(upper, first + 1, first) * edge - face
+    center[:, 0] += rng.integers(-3, 4, count) * 2.0**-53
+    index = np.floor(center / edge[:, None]).astype(np.int64)
+    index[:, 0] = first
+    keep = np.all((0 <= index) & (index < 2**level[:, None]), axis=1)
+    return (0.0,) * n, 1.0, level[keep], index[keep], center[keep], edge0[keep]
+
+
+def test_ring_classes_match_shell_walk_on_ties_and_ulp_pairs():
+    # cube faces on shell faces (the dyadic grids of the tie test above), and
+    # the pairs where the classifier must start from I_0
+    for n, step in ((1, 1), (2, 8)):
+        root = Cube((0.0,) * n, 1.0)
+        got, want = classes_two_ways(tree_sets(root, *zip(*dyadic_tie_pairs(n, step)), 2.0))
+        assert got == want
+    for x, y, m in ULP_PAIRS:
+        got, want = classes_two_ways(one(UNIT2, x, y, m))
+        assert got == want
+    # cube faces a few float steps from shell faces: candidates that miss
+    # their shell step up, and those whose shell below is met start over
+    for n in (1, 2):
+        args = near_tie_cubes(n, 20000, seed=n)
+        got, want = cubes_module._ring_classes(*args), walk_ring_classes(*args)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 # ---------------------------------------------------------------------------

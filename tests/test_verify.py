@@ -174,6 +174,19 @@ def test_kernel_decay_check_record():
     assert rec2.slope == rec.slope
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_kernel_decay_row_floats_match_per_pair_formulas(n):
+    # dist and k_full_scaled of every row are the per-pair Python formulas bit
+    # for bit: Python's v ** 2 and ** (2a+n) can differ from numpy's in the
+    # last bit, which for n = 2 changes a dist at each of these seeds
+    alpha = 0.5
+    for seed in (3, 6):
+        for r in kernel_decay_check(alpha, 2.0, n, 2000, seed=seed).rows:
+            dist = math.sqrt(sum((a - b) ** 2 for a, b in zip(r["x"], r["y"])))
+            assert r["dist"].hex() == dist.hex()
+            assert r["k_full_scaled"].hex() == (r["k_full"] * dist ** (2 * alpha + n)).hex()
+
+
 def oracle_decay_row(x, y, m, alpha, n, cross_check=True):
     """k_allowed and the largest kind-1 and kind-2 ring counts of one pair,
     from the child-lookup minimality and the ring-class predicates; with
