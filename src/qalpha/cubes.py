@@ -31,29 +31,29 @@ Ring classes are computed on index arrays, never on cube objects.  The
 boxes of a batch of tree sets, each with the parent box of the level below,
 give one vectorised expansion of every box minus its parent box into rows
 (tree set, level, index), one per minimal cube.  One array classifier then
-reads each cube's ring among the shells I_k = 2^k I_0 around its pair off
-its distance to I_0 (centered at the midpoint c, edge l0 = sqrt(n)|x-y|_2):
-a cube's ring is the first k with J meeting I_k, its kind 1 if J fits
-inside I_(k+1) and 2 if not.  J's corner is
-root.corner + index * (root.edge * 2^-level), shell k's faces are
-b_k = c - s_k/2 and b_k + s_k with s_k = l0 * 2^k, and meeting and fitting
-inside are closed-interval comparisons per axis, all in double precision
-and element by element, so a cube's class does not depend on the batch it
-is classified in.  J meets I_k exactly when its gap, the largest over axes
-of max(corner - c, c - end, 0), is at most s_k/2, so
-max(0, ceil(log2(2 * gap / l0))) is the ring up to rounding, and the
-comparisons confirm it.  Where l0 is normal and >= 2^-50 |c|, they are
-monotone in k: b_k falls as k grows, and from shell k to k+1 the exact sum
-behind the upper face rises by s_k/2, more than the two roundings behind
-it (at most u(2|c| + 3 s_k/2), u = 2^-53) can take back.  A cube that
-misses the shell below its candidate then misses every lower one and steps
-up to its ring.  A cube that meets the shell below, or whose pair is too
-close for that bound (a few float steps apart), walks up from I_0.  The
-walk is bounded where the geometry says every cube has met a shell, so a
-close pair has as many rings as its minimal cubes span scales.  For n = 2
-the shell edge is irrational, but the classes stay a partition by
-construction.  Batches are cut by tree-set members, so their arrays stay
-small whatever the pair count or dilation.
+gives each cube its ring among the shells I_k = 2^k I_0 around its pair
+(I_0 centered at c = (x+y)/2, edge l0 = sqrt(n)|x-y|_2): the first k with J
+meeting I_k, and its kind, 1 if J fits inside I_(k+1) and 2 if not.  With
+gap and reach the largest over axes of max(corner - c, c - end, 0) and of
+max(c - corner, end - c), J meets I_k iff (2 gap)^2 <= 4^k n|x-y|_2^2, and
+fits inside I_(k+1) iff (2 reach)^2 <= 4^(k+1) n|x-y|_2^2, rational both
+sides.  The ring is the least k that passes, monotone by construction, and
+as x != y (`_required_levels` rejects x == y) it always exists, so no guard
+against a missing ring remains.  With t = 2 gap/l0, r = 2 reach/l0 and
+ring = max(0, ceil(log2 t)), floats decide a class where t <= 2^ring - eps,
+ring = 0 or t > 2^(ring-1) + eps, and |r - 2^(ring+1)| > eps, for
+eps = 2^-48 (r + S/l0), S the largest of |root corner|, |corner|, |end|, |c|
+and 2^-1022.  With u = 2^-53, and l0 and J's edge normal: corner takes three
+roundings (index to float, times edge, plus root corner), so it is within
+5uS; end within 6uS; c within uS (the floor on S covers halving a subnormal
+x + y); a difference of two adds uS each, so gap and reach are within 9uS.
+l0 (n squares by pow within 2u each, an underflowed one within 2u of the
+largest, their sum, root and factor sqrt(n)) is within (3n + 7)u/2 relative.
+So t and r are within 18uS/l0 + (3n + 9)u/2 * r, below eps for n <= 16.
+Every other cube, and every cube for n > 16, is classified exactly, on
+integers: the floats scaled by 2^(1075 + level).  No class depends on its batch.
+Batches are cut by tree-set members, so their arrays stay small whatever
+the pair count or dilation.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigError, InvariantViolation
+from .errors import ConfigError
 from .grid import _WEIGHT_LOG2_MAX, Cube
 
 __all__ = ["TreeSets", "tree_sets", "ring_counts", "sample_pairs"]
@@ -270,61 +270,61 @@ def _shell0(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (x + y) / 2, edge0
 
 
-def _ring_classes(root_corner, root_edge, level, index, center, edge0):
-    """Ring class (k, kind) of each dyadic cube J, every argument given per cube.
+def _exact_ring_class(a, E: float, k: int, i, x, y) -> tuple[int, int]:
+    """Ring class (ring, kind) of the level-k cube i of the root with corner a
+    and edge E around x, y, exact: every float is a multiple of 2^-1074, so
+    scaled by 2^(1075 + k) the faces, the points and twice c are integers."""
+    scale = 2 ** (1075 + k)
+    a, x, y = ([p * scale // q for p, q in map(float.as_integer_ratio, w)] for w in (a, x, y))
+    e = int(Fraction(E) * scale) >> k
+    lo = [2 * (v + j * e) for v, j in zip(a, i)]  # doubled, as c is
+    c = [p + q for p, q in zip(x, y)]
+    d2 = len(c) * sum((p - q) ** 2 for p, q in zip(x, y))
+    gap = max(max(v - w, w - v - 2 * e, 0) for v, w in zip(lo, c))
+    reach = max(max(w - v, v + 2 * e - w) for v, w in zip(lo, c))
+    ring = max(0, ((gap * gap).bit_length() - d2.bit_length()) // 2 - 1)
+    while gap * gap > d2 << 2 * ring:  # J misses I_ring
+        ring += 1
+    return ring, 1 if reach * reach <= d2 << 2 * (ring + 1) else 2
 
-    k is the first shell index with J meeting I_k (shells are nested, so this
-    also encodes J missing I_0,...,I_(k-1)); kind 1 means J fits inside
-    I_(k+1), kind 2 that it sticks out.  Returns two integer arrays.
 
-    The candidate ring max(0, ceil(log2(2 * gap / edge0))) is confirmed or
-    stepped up by the predicate, and where it meets the shell below, or the
-    predicate need not be monotone in k, the walk starts from I_0 (module
-    docstring).  I_k holds J once edge0 * 2^k is twice J's reach from the
-    center, which bounds the walk; one more shell absorbs that bound's rounding.
+def _ring_classes(root_corner, root_edge, level, index, x, y, owner):
+    """Ring class (k, kind) of each dyadic cube J of the root, given per cube
+    by its level, its index and its owner, the row of its pair in x and y:
+    k the first shell index with J meeting I_k, kind 1 if J fits inside
+    I_(k+1) and 2 if not, in two integer arrays.  Floats decide the cubes
+    clear of every threshold by eps, the others are rechecked exactly.
     """
+    center, edge0 = _shell0(x, y)
+    c, l0 = np.take(center, owner, axis=0), edge0[owner]  # a row gather, as in _minimal_cubes
     edge = root_edge * np.ldexp(1.0, -level)
     corner = root_corner + index.astype(float) * edge[:, None]
     end = corner + edge[:, None]
-    all_cubes = np.arange(len(edge))
-
-    def shell(k, rows):  # I_k's lower and upper faces around the cubes `rows`
-        s = np.ldexp(edge0[rows], k)[:, None]
-        lower = np.take(center, rows, axis=0) - s / 2  # row gathers, as in _minimal_cubes
-        return lower, lower + s
-
-    def meets(k, rows):
-        lower, upper = shell(k, rows)
-        lo, hi = np.take(corner, rows, axis=0), np.take(end, rows, axis=0)
-        return _fold(np.logical_and, np.maximum(lo, lower) <= np.minimum(hi, upper))
-
-    reach = _fold(np.maximum, np.maximum(abs(corner - center), abs(end - center)))
-    gap = np.maximum(_fold(np.maximum, np.maximum(corner - center, center - end)), 0.0)
-    # a gap of 0 has ring 0, and a reach of 0 (J below its corner's ulp, a point) no shell
-    with np.errstate(divide="ignore"):
-        shells = np.ceil(np.log2(2 * reach) - np.log2(edge0)).max(initial=0.0)
-        candidate = np.ceil(np.log2(2 * gap) - np.log2(edge0))
-    monotone = (edge0 >= 2.0**-50 * _fold(np.maximum, abs(center))) & (edge0 >= 2.0**-1021)
-    ring = np.where(monotone & (candidate > 0), candidate, 0).astype(np.int64)
-    ring[(ring > 0) & meets(ring - 1, all_cubes)] = 0
-    todo = all_cubes
-    while todo.size:
-        if ring[todo].max() > shells + 1:
-            raise InvariantViolation("allowed cube matched no ring class")
-        todo = todo[~meets(ring[todo], todo)]
-        ring[todo] += 1
-    lower, upper = shell(ring + 1, all_cubes)
-    inside = _fold(np.logical_and, (lower <= corner) & (end <= upper))
-    return ring, np.where(inside, 1, 2)
+    gap = np.maximum(_fold(np.maximum, np.maximum(corner - c, c - end)), 0.0)
+    reach = _fold(np.maximum, np.maximum(c - corner, end - c))
+    size = _fold(np.maximum, np.maximum(np.maximum(abs(corner), abs(end)), abs(c)))
+    size = np.maximum(size, max(*map(abs, root_corner), 2.0**-1022))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t, r = 2 * gap / l0, 2 * reach / l0
+        eps = 2.0**-48 * (r + size / l0)
+        mantissa, ring = np.frexp(t)  # ceil(log2 t) is ring, or ring - 1 at a power of 2
+        ring = np.maximum(ring - (mantissa == 0.5), 0).astype(np.int64)
+        high = np.ldexp(1.0, ring)
+        low = np.where(ring > 0, high / 2, -np.inf)  # no shell below I_0
+        bounded = (np.minimum(l0, edge) >= 2.0**-1022) & (len(root_corner) <= 16)  # eps holds
+        decided = (low + eps < t) & (t <= high - eps) & (abs(r - 2 * high) > eps) & bounded
+        kind = np.where(r <= 2 * high, 1, 2)
+    for j in np.flatnonzero(~decided).tolist():
+        cube = (int(level[j]), index[j].tolist(), x[owner[j]], y[owner[j]])
+        ring[j], kind[j] = _exact_ring_class(root_corner, root_edge, *cube)
+    return ring, kind
 
 
 def _classified(sets: TreeSets) -> tuple[np.ndarray, ...]:
     """The rows (owner, level, index) of `_minimal_cubes`, then each cube's
     ring class (ring, kind) around its own pair."""
     owner, level, index = _minimal_cubes(sets)
-    center, edge0 = _shell0(sets.x, sets.y)
-    center = np.take(center, owner, axis=0)  # a row gather, as in _minimal_cubes
-    ring, kind = _ring_classes(sets.root.corner, sets.root.edge, level, index, center, edge0[owner])
+    ring, kind = _ring_classes(sets.root.corner, sets.root.edge, level, index, sets.x, sets.y, owner)
     return owner, level, index, ring, kind
 
 
@@ -466,20 +466,15 @@ def classify_allowed(
     x, y = tuple(map(float, x)), tuple(map(float, y))
     if x == y:
         raise ConfigError("diagonal point pair: x == y")
-    center, edge0 = (v[0].tolist() for v in _shell0(np.array([x]), np.array([y])))
+    x0, y0 = np.array([x]), np.array([y])
+    center, edge0 = (v[0].tolist() for v in _shell0(x0, y0))
     I0 = Cube(tuple(c - edge0 / 2 for c in center), edge0)
     cubes = list(allowed)
-    n = len(x)
+    root = cubes[0].root if cubes else Cube((0.0,) * len(x), 1.0)  # one tree set's root
     level = np.array([J.level for J in cubes], dtype=np.int64)
     index = np.array([J.index for J in cubes], dtype=_index_dtype(level.max(initial=0)))
-    ring, kind = _ring_classes(
-        np.array([J.root.corner for J in cubes]).reshape(-1, n),
-        np.array([J.root.edge for J in cubes]),
-        level,
-        index.reshape(-1, n),
-        np.full((len(cubes), n), center),
-        np.full(len(cubes), edge0),
-    )
+    index, owner = index.reshape(-1, len(x)), np.zeros(len(cubes), dtype=np.int64)
+    ring, kind = _ring_classes(root.corner, root.edge, level, index, x0, y0, owner)
     buckets: dict[tuple[int, int], set[DyadicCube]] = {}
     for J, key in zip(cubes, zip(ring.tolist(), kind.tolist())):
         buckets.setdefault(key, set()).add(J)

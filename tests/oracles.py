@@ -264,6 +264,49 @@ def brute_force_ring_class(corner, edge, x, y, cap: int = 64):
     raise AssertionError("no ring class found")
 
 
+def exact_ring_class(corner, edge, x, y):
+    """Ring class (k, kind) of the cube corner + [0, edge]^n around x, y in
+    exact arithmetic; corner and edge may be Fractions.
+
+    Scaled by the common denominator of the inputs and doubled, the cube's
+    faces and the center x + y of I_k are integers.  I_k's edge is
+    s_k = 2^k sqrt(n)|x - y|_2, irrational for n = 2, so a bound v <= s_k/2
+    on a difference v of doubled coordinates is tested as v <= 0 or
+    v^2 <= 4^k n|X - Y|^2, X and Y the scaled points.  J meets I_k when on
+    every axis its interval meets the shell's, and fits inside I_(k+1) when it
+    lies within it on every axis.  Meeting only gets easier as k grows (the
+    shells are nested), so the first k that meets is found by doubling and
+    bisection; a close pair's ring can pass 1000.
+    """
+    n = len(x)
+    values = [Fraction(v) for v in (*corner, edge, *x, *y)]
+    scale = math.lcm(*(v.denominator for v in values))
+    A, (E,), X, Y = (
+        [v.numerator * (scale // v.denominator) for v in part]
+        for part in (values[:n], values[n : n + 1], values[n + 1 : 2 * n + 1], values[2 * n + 1 :])
+    )
+    lo, hi, center = [2 * a for a in A], [2 * (a + E) for a in A], [p + q for p, q in zip(X, Y)]
+    d2 = n * sum((p - q) ** 2 for p, q in zip(X, Y))
+    assert d2 > 0, "x == y has no shells"
+
+    def within(v, k):  # v <= s_k / 2 in doubled coordinates
+        return v <= 0 or v * v <= d2 << 2 * k
+
+    def meets(k):
+        return all(within(a - c, k) and within(c - b, k) for a, b, c in zip(lo, hi, center))
+
+    def inside(k):
+        return all(within(c - a, k) and within(b - c, k) for a, b, c in zip(lo, hi, center))
+
+    below, k = -1, 0  # meets(below) is false, or below is -1
+    while not meets(k):
+        below, k = k, 2 * k + 1
+    while k - below > 1:
+        mid = (below + k) // 2
+        below, k = (below, mid) if meets(mid) else (mid, k)
+    return (k, 1 if inside(k + 1) else 2)
+
+
 def displacement_q_alpha(values: np.ndarray, alpha: float, cubes) -> list[float]:
     """Squares of the per-cube increment-kernel values, exact pair sums.
 

@@ -47,14 +47,26 @@ def minimal_keys(sets, p=0) -> set:
     return {(k, tuple(i)) for o, k, i in rows if o == p}
 
 
-def ring_classes(sets, p=0) -> dict:
-    """{(level, index): (ring, kind)} of pair p's minimal cubes, from the
-    `_classified` rows, which give each minimal cube exactly one class."""
+def all_ring_classes(sets) -> list[dict]:
+    """Per pair of the batch, {(level, index): (ring, kind)} of its minimal
+    cubes, from one `_classified` call, which gives each minimal cube exactly
+    one class."""
     owner, level, index, ring, kind = cubes_module._classified(sets)
     rows = zip(owner.tolist(), level.tolist(), index.tolist(), ring.tolist(), kind.tolist())
-    out = [((k, tuple(i)), (r, c)) for o, k, i, r, c in rows if o == p]
-    assert len(dict(out)) == len(out) and set(dict(out)) == minimal_keys(sets, p)
-    return dict(out)
+    out = [[] for _ in range(len(sets))]
+    for o, k, i, r, c in rows:
+        out[o].append(((k, tuple(i)), (r, c)))
+    owner, level, index = cubes_module._minimal_cubes(sets)
+    keys = [set() for _ in range(len(sets))]
+    for o, k, i in zip(owner.tolist(), level.tolist(), index.tolist()):
+        keys[o].add((k, tuple(i)))
+    assert all(len(dict(rows)) == len(rows) and set(dict(rows)) == k for rows, k in zip(out, keys))
+    return [dict(rows) for rows in out]
+
+
+def ring_classes(sets, p=0) -> dict:
+    """{(level, index): (ring, kind)} of pair p's minimal cubes."""
+    return all_ring_classes(sets)[p]
 
 
 def shell0(x, y) -> tuple[np.ndarray, float]:
@@ -68,6 +80,25 @@ def geometry(root, key) -> tuple[tuple[float, ...], float]:
     k, index = key
     edge = root.edge * 2.0**-k
     return tuple(c + i * edge for c, i in zip(root.corner, index)), edge
+
+
+def exact_geometry(root, key) -> tuple[tuple[Fraction, ...], Fraction]:
+    """Corner and edge of the level-k cube `index` of the root, as Fractions."""
+    k, index = key
+    edge = Fraction(root.edge) / 2**k
+    return tuple(Fraction(c) + i * edge for c, i in zip(root.corner, index)), edge
+
+
+def exact_classes_match(sets) -> int:
+    """Assert that every minimal cube of the batch has the exact oracle's ring
+    class around its own pair, on its exact geometry; return the cube count."""
+    count = 0
+    for p, classes in enumerate(all_ring_classes(sets)):
+        x, y = sets.x[p].tolist(), sets.y[p].tolist()
+        for key, ring_class in classes.items():
+            assert oracles.exact_ring_class(*exact_geometry(sets.root, key), x, y) == ring_class
+        count += len(classes)
+    return count
 
 
 def kernels(sets, counts, alpha: float) -> list[float]:
@@ -109,9 +140,8 @@ def test_dyadic_cube_geometry():
     index = np.array([[1, 3], [2, 6], [2, 7], [3, 6], [3, 7]])
     faces = [((0.25, 0.75), (0.5, 1.0)), ((0.25, 0.875), (0.375, 0.875)), ((0.5, 0.75), (0.75, 0.5))]
     for x, y in faces:
-        center, edge0 = shell0(x, y)
         ring, kind = cubes_module._ring_classes(
-            UNIT2.corner, UNIT2.edge, level, index, np.full((5, 2), center), np.full(5, edge0)
+            UNIT2.corner, UNIT2.edge, level, index, np.array([x]), np.array([y]), np.zeros(5, int)
         )
         want = [oracles.brute_force_ring_class(c, e, x, y) for c, e in [J, *kids]]
         assert list(zip(ring.tolist(), kind.tolist())) == want
@@ -374,10 +404,9 @@ def test_deep_tree_set_indices_past_int64(monkeypatch):
     al = minimal_keys(g)
     assert al == oracles.brute_force_minimal(batch_keys(g))
     assert max(index[0] for _, index in al) > 2**63
-    classes = ring_classes(g)  # one class per minimal cube
-    assert len(classes) == len(al)
-    for key, ring_class in classes.items():
-        assert oracles.brute_force_ring_class(*geometry(root, key), x, y) == ring_class
+    # one class per minimal cube; past 2^53 the float corners round, so the
+    # classes are checked on the exact geometry
+    assert exact_classes_match(g) == len(al)
 
 
 def test_box_arithmetic_matches_members():
@@ -499,8 +528,7 @@ def test_classification_matches_predicate_oracle():
     pairs = sample_pairs(UNIT2, 20, seed=17)
     sets = tree_sets(UNIT2, *zip(*pairs), 2.0)
     minimal, _ = ring_counts(sets)
-    for p, (x, y) in enumerate(pairs):
-        classes = ring_classes(sets, p)
+    for p, ((x, y), classes) in enumerate(zip(pairs, all_ring_classes(sets))):
         # rings partition the allowed set
         assert len(classes) == minimal[p].sum()
         for key, ring_class in classes.items():
@@ -526,8 +554,8 @@ def test_classification_boundary_ties_match_predicate_oracle(n, step):
     root = UNIT1 if n == 1 else UNIT2
     pairs = dyadic_tie_pairs(n, step)
     sets = tree_sets(root, *zip(*pairs), 2.0)
-    for p, (x, y) in enumerate(pairs):
-        for key, ring_class in ring_classes(sets, p).items():
+    for (x, y), classes in zip(pairs, all_ring_classes(sets)):
+        for key, ring_class in classes.items():
             assert oracles.brute_force_ring_class(*geometry(root, key), x, y) == ring_class
 
 
@@ -667,8 +695,8 @@ def test_close_pairs_keep_their_ring_classes(n, m):
 
 
 def walk_ring_classes(root_corner, root_edge, level, index, center, edge0):
-    """The shell walk that classified minimal cubes before the closed form:
-    J's ring is the first k = 0, 1, 2, ... with J meeting I_k."""
+    """The shell walk that classified minimal cubes before the exact rule, a
+    float reference: J's ring is the first k = 0, 1, 2, ... with J meeting I_k."""
     edge = root_edge * np.ldexp(1.0, -level)
     corner = root_corner + index.astype(float) * edge[:, None]
     end = corner + edge[:, None]
@@ -693,10 +721,10 @@ def walk_ring_classes(root_corner, root_edge, level, index, center, edge0):
     return ring, np.where(inside, 1, 2)
 
 
-# Pairs one float step apart next to a center far larger than |x - y|: the
-# float predicate need not be monotone in k there, and started from its
-# candidate, the classifier gives these pairs other classes than the walk
-# (found by a random search over such pairs).
+# Pairs one float step apart next to a center far larger than |x - y|: float
+# comparisons of shell faces are not monotone in k there, and a walk from
+# I_0, or a ring started from its candidate, reflects rounding (found by a
+# random search over such pairs).
 ULP_PAIRS = [
     ((0.1810661170641817, 0.9311455586885095), (0.18106611706418171, 0.9311455586885095), 3.0),
     ((0.6358933291733394, 0.39641309735086966), (0.6358933291733394, 0.3964130973508697), 3.0),
@@ -704,70 +732,140 @@ ULP_PAIRS = [
 ]
 
 
-def classes_two_ways(sets) -> tuple[list, list]:
-    """(ring, kind) of every minimal cube of a batch, from the classifier
-    and from the shell walk, on the same arrays."""
-    owner, level, index = cubes_module._minimal_cubes(sets)
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("m", [2.0, 3.0])
+def test_ring_classes_match_shell_walk(n, m):
+    # the float classes are the walk's first shell for sampled pairs
+    root = Cube((0.0,) * n, 1.0)
+    sets = tree_sets(root, *zip(*sample_pairs(root, 2000, seed=1)), m)
+    owner, level, index, ring, kind = cubes_module._classified(sets)
     center, edge0 = cubes_module._shell0(sets.x, sets.y)
     args = (sets.root.corner, sets.root.edge, level, index, center[owner], edge0[owner])
-    ring, kind = cubes_module._ring_classes(*args)
     walk_ring, walk_kind = walk_ring_classes(*args)
-    return [list(zip(r.tolist(), k.tolist())) for r, k in ((ring, kind), (walk_ring, walk_kind))]
+    assert len(ring) > len(sets) and np.array_equal(ring, walk_ring)
+    assert np.array_equal(kind, walk_kind)
 
 
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("m", [2.0, 3.0])
-def test_ring_classes_match_shell_walk(n, m):
-    # the candidate ring, confirmed or stepped up, is the walk's first shell
-    # for sampled pairs, for close pairs down to subnormal separations, where
-    # every cube walks, and for pairs one float step apart
+def test_classified_matches_exact_oracle(n, m):
+    # sampled pairs in one batch; close pairs down to subnormal separations,
+    # where rings pass 1000, and the pairs one float step apart, on the axes
+    # where they differ, each in its own batch.  The pair at 2^-1074 has a
+    # subnormal, rounded l0 (sqrt(58) * 2^-1074 for n = 2).
     root = Cube((0.0,) * n, 1.0)
-    close = [close_pair(n, e) for e in (60, 200, 600, 1000, 1020, 1030, 1070)]
-    close += [(x[:n], y[:n]) for x, y, _ in ULP_PAIRS if x[:n] != y[:n]]
-    for pairs in (sample_pairs(root, 2000, seed=1), close):  # deep levels in a batch apart
-        got, want = classes_two_ways(tree_sets(root, *zip(*pairs), m))
-        assert len(got) > len(pairs) and got == want
+    sets = tree_sets(root, *zip(*sample_pairs(root, 500, seed=1)), m)
+    assert exact_classes_match(sets) > len(sets)
+    pairs = [close_pair(n, e) for e in (60, 200, 600, 1000, 1020, 1030, 1070)]
+    pairs.append(tuple(tuple(math.ldexp(v, -1074) for v in p[:n]) for p in ((32, 30), (34, 25))))
+    pairs += [(x[:n], y[:n]) for x, y, _ in ULP_PAIRS if x[:n] != y[:n]]
+    for x, y in pairs:
+        assert exact_classes_match(one(root, x, y, m)) >= 1
+    # a root of edge 0.7 * 2^-1000 and a pair about 2^-1022 apart: l0 is
+    # normal, and for m = 3 some minimal cubes have subnormal, rounded edges
+    root = Cube((0.0,) * n, 0.7 * 2.0**-1000)
+    x = tuple(v * root.edge for v in (0.3, 0.7)[:n])
+    y = tuple(a + math.ldexp(v, -1022) for a, v in zip(x, (1.5, -0.5)))
+    assert exact_classes_match(one(root, x, y, m)) >= 1
+
+
+# Cubes of the 1-D root of edge 0.7 * 2^-1000 at levels 31-33, (level, index),
+# each with a pair about 2^-1021 apart: l0 is normal, J's edge subnormal and
+# rounded.  The pair puts a face of I_ring between J's exact upper face and
+# its float one, farther than eps from both, so floats on J's float geometry
+# give the wrong ring.  Built from the float error of each face.
+ROUNDED_EDGE_TIES = [
+    (32, 1562769517, 2.3770480606835915e-302, 2.377053711422575e-302),
+    (33, 3423614727, 2.603749045742319e-302, 2.6037559151010455e-302),
+    (33, 3835634319, 2.917105336596554e-302, 2.9171099362049226e-302),
+    (31, 340338642, 1.0353658690233578e-302, 1.0353727287524674e-302),
+]
+
+
+def test_subnormal_cube_edges_are_rechecked():
+    root = Cube((0.0,), 0.7 * 2.0**-1000)
+    level, index, x, y = (np.array(v) for v in zip(*ROUNDED_EDGE_TIES))
+    assert (root.edge * np.ldexp(1.0, -level) < 2.0**-1022).all()
+    assert (cubes_module._shell0(x[:, None], y[:, None])[1] >= 2.0**-1022).all()
+    args = (level, index[:, None], x[:, None], y[:, None], np.arange(len(x)))
+    ring, kind = cubes_module._ring_classes(root.corner, root.edge, *args)
+    for k, i, a, b, r, c in zip(level.tolist(), index.tolist(), x, y, ring, kind):
+        assert oracles.exact_ring_class(*exact_geometry(root, (k, (i,))), (a,), (b,)) == (r, c)
+
+
+def test_ring_classes_recheck_every_cube_above_16_axes(monkeypatch):
+    # eps bounds the float error of t and r only for n <= 16
+    calls = []
+    exact = cubes_module._exact_ring_class
+    monkeypatch.setattr(cubes_module, "_exact_ring_class", lambda *a: calls.append(a) or exact(*a))
+    rng = np.random.default_rng(5)
+    for n in (16, 17):
+        calls.clear()
+        root = Cube((0.0,) * n, 1.0)
+        x, y = rng.uniform(0.2, 0.8, (2, 1, n))
+        level = rng.integers(1, 8, 40)
+        index = (rng.random((40, n)) * 2.0 ** level[:, None]).astype(np.int64)
+        ring, kind = cubes_module._ring_classes(root.corner, 1.0, level, index, x, y, np.zeros(40, int))
+        assert len(calls) == (40 if n > 16 else 0)
+        for k, i, r, c in zip(level.tolist(), index.tolist(), ring, kind):
+            assert oracles.exact_ring_class(*exact_geometry(root, (k, tuple(i))), x[0], y[0]) == (r, c)
+
+
+def test_sub_ulp_cubes_match_exact_oracle():
+    # a pair one float step apart: its deepest minimal cubes are narrower
+    # than half their corner's ulp, so in floats corner + edge == corner
+    x, y, m = ULP_PAIRS[0]
+    sets = one(UNIT2, x, y, m)
+    _, level, index = cubes_module._minimal_cubes(sets)
+    corner = index * np.ldexp(1.0, -level)[:, None]
+    assert (corner + np.ldexp(1.0, -level)[:, None] == corner).any()
+    assert exact_classes_match(sets) == 284
 
 
 def near_tie_cubes(n: int, count: int, seed: int) -> tuple:
-    """Arguments of `_ring_classes` for cubes of the unit root whose face on
-    axis 0 lies within a few float steps of a face of one of their shells:
-    J's upper face on I_k's lower face, or J's lower face on I_k's upper face,
-    each about a random center.  The candidate ring can be off by one there
-    in either direction.  On the other axes J holds the center."""
+    """Arguments of `_ring_classes`, one cube of the unit root per pair, with
+    the cube's face on axis 0 within a few float steps of a face of one of its
+    pair's shells: either face of J on either face of I_k.  J's far face on
+    I_k's near face ties its ring; J inside I_k with a face on I_k's face
+    ties its kind.  The pair is drawn first, then both points are moved
+    along axis 0 until that shell face lands on a cube face, and then by
+    -3 to 3 times 2^-53 .. 2^-42 more, inside and outside the float margin.
+    On the other axes J holds the center."""
     rng = np.random.default_rng(seed)
-    center = rng.uniform(0.1, 0.9, (count, n))
-    edge0 = rng.uniform(0.01, 0.1, count)
+    x = rng.uniform(0.1, 0.9, (count, n))
+    y = x + rng.uniform(0.005, 0.05, (count, n)) * rng.choice([-1.0, 1.0], (count, n))
+    center = (x + y) / 2
+    edge0 = math.sqrt(n) * np.sqrt(((x - y) ** 2).sum(axis=1))
     level = rng.integers(3, 12, count)
     edge = np.ldexp(1.0, -level)
     half = np.ldexp(edge0, rng.integers(0, 6, count)) / 2
-    upper = rng.random(count) < 0.5
-    face = np.where(upper, center[:, 0] - half, center[:, 0] + half)
+    below, top = rng.random((2, count)) < 0.5  # I_k's lower face, J's upper face
+    face = np.where(below, center[:, 0] - half, center[:, 0] + half)
     first = np.floor(face / edge)
-    center[:, 0] += np.where(upper, first + 1, first) * edge - face
-    center[:, 0] += rng.integers(-3, 4, count) * 2.0**-53
-    index = np.floor(center / edge[:, None]).astype(np.int64)
+    step = rng.integers(-3, 4, count) * np.ldexp(1.0, rng.integers(-53, -41, count))
+    shift = np.where(top, first + 1, first) * edge - face + step
+    x[:, 0] += shift
+    y[:, 0] += shift
+    index = np.floor((x + y) / 2 / edge[:, None]).astype(np.int64)
     index[:, 0] = first
     keep = np.all((0 <= index) & (index < 2**level[:, None]), axis=1)
-    return (0.0,) * n, 1.0, level[keep], index[keep], center[keep], edge0[keep]
+    owner = np.arange(keep.sum())
+    return (0.0,) * n, 1.0, level[keep], index[keep], x[keep], y[keep], owner
 
 
-def test_ring_classes_match_shell_walk_on_ties_and_ulp_pairs():
-    # cube faces on shell faces (the dyadic grids of the tie test above), and
-    # the pairs where the classifier must start from I_0
+def test_ring_classes_match_exact_oracle_on_ties():
+    # cube faces on shell faces (the dyadic grids of the tie test above)
     for n, step in ((1, 1), (2, 8)):
         root = Cube((0.0,) * n, 1.0)
-        got, want = classes_two_ways(tree_sets(root, *zip(*dyadic_tie_pairs(n, step)), 2.0))
-        assert got == want
-    for x, y, m in ULP_PAIRS:
-        got, want = classes_two_ways(one(UNIT2, x, y, m))
-        assert got == want
-    # cube faces a few float steps from shell faces: candidates that miss
-    # their shell step up, and those whose shell below is met start over
-    for n in (1, 2):
+        assert exact_classes_match(tree_sets(root, *zip(*dyadic_tie_pairs(n, step)), 2.0))
+    # cube faces near shell faces: the float ring or kind can be off inside
+    # the margin, where the cube is rechecked, and must be right outside it
+    for n, root in ((1, UNIT1), (2, UNIT2)):
         args = near_tie_cubes(n, 20000, seed=n)
-        got, want = cubes_module._ring_classes(*args), walk_ring_classes(*args)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        ring, kind = cubes_module._ring_classes(*args)
+        _, _, level, index, x, y, _ = args
+        for k, i, a, b, r, c in zip(level.tolist(), index.tolist(), x, y, ring, kind):
+            assert oracles.exact_ring_class(*exact_geometry(root, (k, tuple(i))), a, b) == (r, c)
 
 
 # ---------------------------------------------------------------------------
