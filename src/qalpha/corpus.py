@@ -22,16 +22,6 @@ from .grid import _DIMENSIONS, GridFunction
 
 __all__ = ["CorpusSpec", "generate", "load_corpus_file", "default_corpus"]
 
-KINDS = (
-    "constant",
-    "harmonic",
-    "gaussian_bump",
-    "smoothed_step",
-    "spectral_noise",
-    "schwartz_like",
-)
-
-
 @dataclass(frozen=True)
 class CorpusSpec:
     kind: str
@@ -173,6 +163,7 @@ _BUILDERS = {
     "spectral_noise": _spectral_noise,
     "schwartz_like": _schwartz_like,
 }
+KINDS = tuple(_BUILDERS)
 
 
 def generate(spec: CorpusSpec) -> GridFunction:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .corpus import _freqs
 from .errors import ConfigError, InvariantViolation
-from .grid import GridFunction
+from .grid import GridFunction, _check_values
 
 __all__ = [
     "BandProfile",
@@ -190,7 +190,9 @@ class BandDecomposition:
 
 def decompose(f: GridFunction, j_min: int = 0, family: str = "exp") -> BandDecomposition:
     """Split f into lowpass + bands j_min..L+1 (exact telescoping), each band
-    filtered from the half spectrum of one real FFT when it is read."""
+    filtered from the half spectrum of one real FFT when it is read.  Values
+    whose squares pass 2^960 (`grid._check_values`) are rejected before the FFT."""
+    _check_values(f)
     bands = LazyBands(np.fft.rfftn(f.values), f.L, f.n, family, _band_range(f.L, j_min, family))
     return BandDecomposition(j_min, f.L + 1, bands, bands)
 

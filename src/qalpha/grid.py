@@ -25,11 +25,13 @@ Two membership rules coexist:
   `campanato`'s mean f_I): boundary points are averaged too.
 
 All comparisons act on exactly representable dyadic rationals, so boundary
-ties are deterministic.
+ties are deterministic.  `_check_values` rejects samples whose squares times
+the weights pass 2^960; `filterbank.decompose` runs it before its FFT.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
@@ -65,6 +67,18 @@ def _validate_size(N: int) -> None:
 _WEIGHT_LOG2_MAX = 960
 _DIMENSIONS = (1, 2)  # the supported n, read by every check of a dimension
 _EDGE_LEVELS = 3  # cubes stay 3 levels above the grid: 2^3 = 8 lattice points per edge or more
+
+
+def _check_values(f: GridFunction, weight_log2: float = 0.0) -> None:
+    """Reject grid values whose squares times weights up to 2^weight_log2 pass
+    2^_WEIGHT_LOG2_MAX, so that sums of them keep the 64 binary orders of
+    magnitude below 2^1024 that the weight bound leaves."""
+    top = float(max(f.values.max(), -f.values.min()))  # max |f|, with no |f| grid held
+    if top > 0.0 and 2.0 * math.log2(top) + weight_log2 > _WEIGHT_LOG2_MAX:
+        bound = 2.0 ** ((_WEIGHT_LOG2_MAX - weight_log2) / 2)
+        raise ConfigError(
+            f"grid values up to {top:g} overflow the squared sums at N={f.N} (|f| <= {bound:.4g})"
+        )
 
 
 @dataclass(frozen=True, eq=False)

@@ -41,6 +41,7 @@ from .grid import (
     Cube,
     CubeFamily,
     GridFunction,
+    _check_values,
     _corners_edges,
     block_sums,
     cube_blocks,
@@ -78,18 +79,6 @@ def _check_alpha(alpha: float, f: GridFunction | None = None, positive: bool = F
         bound = (_WEIGHT_LOG2_MAX / (f.L + 1) - f.n) / 2
         raise ConfigError(f"alpha={alpha} overflows the weights at N={f.N} (|alpha| <= {bound:g})")
     _check_values(f, weight_log2)
-
-
-def _check_values(f: GridFunction, weight_log2: float = 0.0) -> None:
-    """Reject grid values whose squares times weights up to 2^weight_log2 pass
-    2^_WEIGHT_LOG2_MAX, so that sums of them keep the 64 binary orders of
-    magnitude below 2^1024 that the weight bound leaves."""
-    top = float(np.abs(f.values).max())
-    if top > 0.0 and 2.0 * math.log2(top) + weight_log2 > _WEIGHT_LOG2_MAX:
-        bound = 2.0 ** ((_WEIGHT_LOG2_MAX - weight_log2) / 2)
-        raise ConfigError(
-            f"grid values up to {top:g} overflow the squared sums at N={f.N} (|f| <= {bound:.4g})"
-        )
 
 
 def _centered(block: np.ndarray) -> np.ndarray:
@@ -189,13 +178,9 @@ def _finish(kind, alpha, cubes, values: np.ndarray, flags) -> NormReport:
 
 def _per_edge(f: GridFunction, cubes, value) -> np.ndarray:
     """value(edge) per cube in Python floats (numpy's power can differ in the
-    last bit), called once per distinct edge in the order edges first appear:
-    on a `CubeFamily`, whose edges come as an array, once per level."""
-    edge = _corners_edges(cubes, f.n)[1]
-    distinct, first, inverse = np.unique(edge, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    values = np.array([value(float(e)) for e in distinct[order]])
-    return values[np.argsort(order)][inverse]  # back to sorted edges, then to cubes
+    last bit), called once per distinct edge: on a `CubeFamily` once per level."""
+    distinct, inverse = np.unique(_corners_edges(cubes, f.n)[1], return_inverse=True)
+    return np.array([value(e) for e in distinct.tolist()])[inverse]
 
 
 def q_alpha(f: GridFunction, alpha: float, cubes: list[Cube]) -> NormReport:

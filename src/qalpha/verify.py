@@ -301,8 +301,8 @@ def embedding_check(
     for spec in corpus:
         f = generate(spec)
         cubes = standard_cubes(f)
-        dec = decompose(f, j_min=0)
         qv = q_alpha(f, alpha, cubes).value
+        dec = decompose(f, j_min=0)
         mbv = morrey_besov(f, alpha, f.n - 2 * alpha, 2, 2, cubes, dec).value
         ratio = None  # both norms 0 (excluded), or only mb 0 (a violation)
         if mbv >= ZERO_NORM:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qalpha import GridFunction, write_grid
+from qalpha import ConfigError, GridFunction, filterbank, write_grid
 from qalpha.cli import _FLAGS, _TABLE, build_parser, main
 
 
@@ -124,6 +124,11 @@ BAD_INPUTS = {
                                  "overflow the squared"),
     "decompose_values_huge": (["decompose", "--input", "{big_grid}", "--out", "{out}"],
                               "overflow the squared"),
+    # a finite corpus value whose square overflows: rejected before any FFT, with no warning
+    "fubini_values_huge": (["verify", "fubini", "--corpus", "{huge_corpus}"],
+                           "overflow the squared sums"),
+    "embedding_values_huge": (["verify", "embedding", "--corpus", "{huge_corpus}"],
+                              "overflow the squared sums"),
     "bump_width_huge": (["gen", "--corpus", "{big_bump}", "--size", "16", "--out", "{out}"],
                         "bump width must lie in (0, 1]"),
     "empty_list": (["verify", "fubini", "--corpus", "{empty_list}", "--sizes", "16"],
@@ -201,18 +206,20 @@ def write_big_grid(path):
 
 
 BIG_BUMP = {"kind": "gaussian_bump", "params": {"width": 1e200}, "N": 16, "n": 1}
+HUGE_CONSTANT = {"kind": "constant", "params": {"value": 1e308}, "N": 64, "n": 1}
 CORPUS2 = {"kind": "spectral_noise", "params": {"slope": 0.8}, "N": 16, "n": 2, "seed": 3}
 
 
 @pytest.mark.parametrize("argv,message", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
 def test_bad_input_exits_two(argv, message, tmp_path, capsys):
     names = ("grid", "bad_grid", "big_grid", "limit_grid", "corpus", "bad_corpus", "big_bump",
-             "empty_list", "missing", "out", *NOT_INTEGER)
+             "huge_corpus", "empty_list", "missing", "out", *NOT_INTEGER)
     paths = {k: str(tmp_path / k) for k in names}
     write_constant_grid(paths["grid"], N=16)
     write_big_grid(paths["big_grid"])
     write_constant_grid(paths["limit_grid"], value=1.7e308)
     (tmp_path / "big_bump").write_text(json.dumps([BIG_BUMP]))
+    (tmp_path / "huge_corpus").write_text(json.dumps([HUGE_CONSTANT]))
     (tmp_path / "empty_list").write_text("[]")
     lines = (tmp_path / "grid").read_text().splitlines()
     lines[5] = "abc"
@@ -227,6 +234,23 @@ def test_bad_input_exits_two(argv, message, tmp_path, capsys):
     assert err.startswith("error: ") and message.format(**paths) in err
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# the bound |f| <= 2^((960 - w) / 2) of the first check that runs, with its weights up to 2^w
+VALUE_BOUNDS = {
+    "qalpha": (["norm", "qalpha"], "1.951e+143"),  # w = (2a+n)(L+1) = 8 at alpha = 0.5, N = 8
+    "campanato_lam1": (["norm", "campanato", "--lam", "1"], "7.804e+143"),  # w = lam(L+1) = 4
+    "lpmorrey": (["norm", "lpmorrey"], "3.122e+144"),  # w = 0: `decompose`, before any weight
+}
+
+
+@pytest.mark.parametrize("argv,bound", VALUE_BOUNDS.values(), ids=VALUE_BOUNDS.keys())
+def test_values_overflow_states_its_own_bound(argv, bound, tmp_path, capsys):
+    write_big_grid(tmp_path / "big")
+    code, _, err = run([*argv, "--input", str(tmp_path / "big")], capsys)
+    assert code == 2
+    assert err == ("error: grid values up to 8e+200 overflow the squared sums at N=8 "
+                   f"(|f| <= {bound})\n")
 
 
 def test_norm_qalpha_constant_zero(tmp_path, capsys):
@@ -461,6 +485,14 @@ def test_decompose_profiles_without_out(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "bands.csv").read_text().startswith("band,l2_energy\n")
     assert (tmp_path / "bands.csv.profiles").read_text().strip()
     assert f"wrote {tmp_path / 'bands.csv.profiles'}" in text
+
+
+def test_decompose_family_choices():
+    assert _FLAGS["--family"]["choices"] == tuple(filterbank._FAMILIES) == ("exp", "cosine")
+    argv = ["decompose", "--input", "f.grid", "--family"]
+    assert build_parser().parse_args([*argv, "cosine"]).family == "cosine"
+    with pytest.raises(ConfigError, match="invalid choice: 'boxcar'"):
+        build_parser().parse_args([*argv, "boxcar"])
 
 
 def test_decompose_family_flag(tmp_path, capsys):

@@ -1,7 +1,9 @@
 import itertools
 import json
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from qalpha import (
     generate,
     load_corpus_file,
 )
+from qalpha.corpus import KINDS
 
 
 def test_constant_preserves_mean():
@@ -198,6 +201,23 @@ def test_invalid_parameters():
         generate(CorpusSpec("harmonic", 16, 1))
     with pytest.raises(ConfigError, match="frequency"):
         generate(CorpusSpec("harmonic", 16, 1, (("xi0", 8),)))
+
+
+def test_kinds_are_the_builder_table():
+    assert KINDS == ("constant", "harmonic", "gaussian_bump", "smoothed_step", "spectral_noise",
+                     "schwartz_like")
+    with pytest.raises(ConfigError) as exc:
+        CorpusSpec("sawtooth", 16, 1)
+    assert str(exc.value) == (
+        "unknown corpus kind 'sawtooth', expected one of ('constant', 'harmonic', "
+        "'gaussian_bump', 'smoothed_step', 'spectral_noise', 'schwartz_like')"
+    )
+
+
+def test_readme_names_every_kind():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    sentence = readme.split("\nKinds: ", 1)[1].split(".\n", 1)[0]
+    assert tuple(re.findall(r"`(\w+)[(`]", sentence)) == KINDS
 
 
 def test_corpus_file_round_trip(tmp_path):

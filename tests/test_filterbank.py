@@ -164,6 +164,12 @@ def test_decompose_jmin_validation():
         decompose(f, 0, family="boxcar")
 
 
+def test_decompose_rejects_values_whose_squares_overflow():
+    # the check runs before the FFT, which would overflow (a RuntimeWarning) on such values
+    with pytest.raises(ConfigError, match=r"at N=64 \(\|f\| <= 3\.122e\+144\)"):
+        decompose(GridFunction(np.full(64, 1e308)))
+
+
 def test_band_accessor_range():
     f = GridFunction(np.ones(16))
     dec = decompose(f, 1)
