@@ -17,15 +17,20 @@ one band at a time; `lp_morrey` and `morrey_besov` take the dyadic pyramid
 of `grid.family_energies` instead when the cubes are a `CubeFamily` of f's
 grid, one pyramid per batch of at most `_BATCH_FLOATS` energies
 (`_band_energies`).  All four band readers take the lazy bands in one pass,
-each reduced to its energies before the next is filtered.  The pair sum of
-a block B with its mean removed is S = 2(<B^2, w*1> - <B, w*B>),
-w(d) = |h d|^-(2a+n), w(0) = 0, with both convolutions taken by zero-padded
-FFTs on (2M)^n, batched over chunks of cubes whose spectra take at most
-`_FFT_BYTES`.
+each reduced to its energies before the next is filtered.  The pair sum of a
+block B with its mean removed, in lattice units (w(t) = |t|^-(2a+n), w(0) = 0),
+is that of B zero-padded on the torus (2M)^n of P points, by Parseval
+2 sum (W(0) - W)|B^|^2 / P with W = rfftn(w), less the pairs that reach the
+padding, 2<B^2, W(0) - w*1>: two sums of nonnegative terms, and one FFT per
+cube, in chunks of cubes whose spectra take at most `_FFT_BYTES`.  The kernels
+depend on (M, a) only, not on h; `_kernel` keeps them for the process, shared
+by every function and grid size (level k at N is level k+1 at 2N): at 2-D
+N=4096 about 512 MiB, 384 of them for the level-0 cube.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Sequence
@@ -91,36 +96,41 @@ def _centered(block: np.ndarray) -> np.ndarray:
 _FFT_BYTES = 2**26  # padded spectra per chunk of cubes (64 MiB), bounding the pair-sum memory
 
 
-def _increment_sums(block: np.ndarray, h: float, exponent: float) -> np.ndarray:
-    """Per cube the sum over ordered pairs x != y of (f(x)-f(y))^2 / |x-y|^exponent.
-    W is built once; the cubes take the padded FFTs in chunks of at most
-    `_FFT_BYTES` of spectra, which changes no bit since every sum is per cube."""
-    shape = block.shape[1:]
-    n = len(shape)
-    pad = tuple(2 * M for M in shape)
-    axes = tuple(range(1, n + 1))
-    crop = (slice(None),) + tuple(slice(M) for M in shape)
-    # |x-y|^2 on the padded torus (displacement t below M, t - 2M above)
-    d2 = np.zeros(pad)
+@functools.lru_cache(maxsize=None)
+def _kernel(shape: tuple[int, ...], exponent: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (V, c) of w(t) = |t|^-exponent, w(0) = 0, on the unit lattice of
+    `shape` padded to (2M)^n, W = rfftn(w): V = (W(0) - W)/P >= 0 with the interior
+    last-axis columns doubled for the half spectrum, and c = W(0) - w*1 >= 0."""
+    pad, axes = tuple(2 * M for M in shape), tuple(range(len(shape)))
+    w = np.zeros(pad)  # |t|^2 (t from 0 to M - 1, then -M to -1), then w in place
     for d, M in enumerate(shape):
-        t = np.arange(2 * M)
-        d2 = d2 + ((h * np.where(t < M, t, t - 2 * M)) ** 2).reshape((-1,) + (1,) * (n - 1 - d))
-    origin = (0,) * n
-    d2[origin] = 1.0
-    w = d2 ** (-exponent / 2)
-    w[origin] = 0.0
-    W = np.fft.rfftn(w)
-    del d2, w
+        w += np.fft.ifftshift(np.arange(-M, M) ** 2.0).reshape((-1,) + (1,) * (len(shape) - 1 - d))
+    W = np.fft.rfftn(np.power(w, -exponent / 2, out=w, where=w > 0)).real.copy()  # owns its data
+    del w
+    box = np.fft.rfftn(np.ones(shape), s=pad, axes=axes) * W  # then w*1, by the inverse
+    for j in range(0, box.shape[-1], 64):  # in slabs, lest a second padded spectrum set the peak
+        box[..., j:j + 64] = np.fft.ifftn(box[..., j:j + 64], axes=axes[:-1])
+    c = W.flat[0] - np.fft.irfft(box, pad[-1])[tuple(slice(M) for M in shape)]
+    V = (W.flat[0] - W) / math.prod(pad)
+    V[..., 1:shape[-1]] *= 2.0
+    V.setflags(write=False)
+    c.setflags(write=False)
+    return V, c
 
-    def conv(g):
-        return np.fft.irfftn(np.fft.rfftn(g, s=pad, axes=axes) * W, s=pad, axes=axes)[crop]
 
-    w_ones = conv(np.ones((1,) + shape)).copy()  # frees the padded transform
-    step = max(1, _FFT_BYTES // W.nbytes)
+def _increment_sums(block: np.ndarray, exponent: float) -> np.ndarray:
+    """Per cube the sum over ordered pairs x != y of (f(x)-f(y))^2 / |x-y|^exponent
+    in lattice units, by one forward FFT per cube (module docstring); chunks of
+    cubes change no bit since every sum is per cube."""
+    shape = block.shape[1:]
+    V, c = _kernel(shape, exponent)
+    pad, axes = tuple(2 * M for M in shape), tuple(range(1, len(shape) + 1))
+    step = max(1, _FFT_BYTES // (2 * V.nbytes))
     sums = []
     for i in range(0, len(block), step):
         B = _centered(block[i:i + step])
-        sums.append(2.0 * (cube_sums(B**2 * w_ones) - cube_sums(B * conv(B))))
+        F = np.fft.rfftn(B, s=pad, axes=axes)
+        sums.append(2.0 * (cube_sums((F.real**2 + F.imag**2) * V) - cube_sums(B**2 * c)))
     return np.concatenate(sums)
 
 
@@ -199,8 +209,8 @@ def q_alpha(f: GridFunction, alpha: float, cubes: list[Cube]) -> NormReport:
             "mean-oscillation norm, at or above 1 only constants stay bounded"
         )
     blocks = cube_blocks(f, cubes)
-    sums = per_cube(f, blocks, lambda v, b: _increment_sums(v, f.h, 2.0 * alpha + f.n))
-    weight = _per_edge(f, cubes, lambda e: e ** (2.0 * alpha - f.n) * f.h ** (2 * f.n))
+    sums = per_cube(f, blocks, lambda v, b: _increment_sums(v, 2.0 * alpha + f.n))
+    weight = _per_edge(f, cubes, lambda e: e ** (2.0 * alpha - f.n) * f.h ** (f.n - 2.0 * alpha))
     # a sum within rounding of 0 may come out slightly negative
     return _finish("q_alpha", alpha, cubes, np.sqrt(weight * np.maximum(sums, 0.0)), flags)
 

@@ -66,6 +66,18 @@ def test_q_alpha_matches_exact_displacement_sum(n, N):
             assert row["value"] == pytest.approx(math.sqrt(want), rel=1e-12), row["cube"]
 
 
+def test_q_alpha_alpha_09_matches_exact_displacement_sum():
+    # at alpha = 0.9 the near field dominates the rounding: the pair sum by a
+    # transform and its inverse measured up to 3.4e-12 from the oracle here
+    # (the torus-minus-padding form 1.1e-12), and this bound is twice that
+    cubes = [Cube((i / 16 + s,), 1 / 16) for s in (0.0, 1 / 32) for i in range(16)]
+    for f in small_corpus(1, 16384):
+        rep = q_alpha(f, 0.9, cubes)
+        exact = oracles.displacement_q_alpha(f.values, 0.9, [(c.corner, c.edge) for c in cubes])
+        for row, want in zip(rep.table, exact):
+            assert row["value"] == pytest.approx(math.sqrt(want), rel=7e-12), row["cube"]
+
+
 def test_q_alpha_alternating_matches_oracle():
     f = GridFunction(np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0]))
     got = q_alpha(f, 0.5, [UNIT1]).value
@@ -584,6 +596,37 @@ def test_q_alpha_memory_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the two level-0 cubes in one chunk: their padded spectra and products,
-    # 33 grids, against 44 while the padded kernel and w*1 stayed alive
+    # the two level-0 cubes in one chunk: 24 grids with the kernel built here
+    # (22 from the cache), against 33 with an inverse transform per cube and
+    # 44 while the padded kernel and w*1 stayed alive
     assert peak < 38 * f.values.nbytes
+
+
+def test_kernel_cache_holds_owned_read_only_arrays():
+    # a view such as the .real of a complex spectrum would keep that spectrum
+    # alive in the cache for the whole process
+    f = small_corpus(2, 64)[2]
+    q_alpha(f, 0.5, enumerate_cubes(f.L, f.L - 3, n=2))
+    for shape in ((64, 64), (8, 8)):
+        for a in norms._kernel(shape, 3.0):
+            assert a.base is None or a.flags.owndata
+            assert a.dtype == np.float64 and not a.flags.writeable
+
+
+@pytest.mark.parametrize("n,N", [(1, 1024), (2, 64)])
+def test_q_alpha_independent_of_kernel_cache(n, N):
+    f = small_corpus(n, N)[2]
+    cubes = enumerate_cubes(f.L, f.L - 3, n=n, shifted=True)
+
+    def report():
+        rep = q_alpha(f, 0.5, cubes)
+        return rep.value, rep.argmax_cube, rep.table.values.tobytes()
+
+    norms._kernel.cache_clear()
+    cold = report()
+    norms._kernel.cache_clear()
+    for g in small_corpus(n, 2 * N)[:2]:  # level k + 1 at 2N has the cube shape of level k at N
+        q_alpha(g, 0.5, enumerate_cubes(g.L, g.L - 3, n=n, shifted=True))
+    hits = norms._kernel.cache_info().hits
+    assert report() == cold
+    assert norms._kernel.cache_info().hits > hits

@@ -21,7 +21,7 @@ from qalpha import (
     tree_sets,
     write_grid,
 )
-from qalpha import cubes
+from qalpha import cubes, norms
 from qalpha.cli import main
 from qalpha.verify import write_csv, write_json
 
@@ -99,8 +99,11 @@ def test_equivalence_report_validation():
 
 
 def test_equivalence_report_workers_deterministic():
-    rep1 = equivalence_report(mini_corpus(), 0.5, [64], workers=1)
-    rep2 = equivalence_report(mini_corpus(), 0.5, [64], workers=3)
+    # two sizes: the threads build and share one pair-sum kernel per cube shape
+    norms._kernel.cache_clear()
+    rep1 = equivalence_report(mini_corpus(), 0.5, [64, 128], workers=1)
+    norms._kernel.cache_clear()
+    rep2 = equivalence_report(mini_corpus(), 0.5, [64, 128], workers=3)
     assert rep1.rows == rep2.rows
 
 
