@@ -4,14 +4,17 @@ Given two distinct points x, y and a dilation factor m >= 2, the tree set
 collects every dyadic subcube J of the root with x, y in mJ (same center,
 edge m*l(J)).  At level k it is one index box: per axis, the indices with
 x and y in mJ form an integer interval.  The set is upward-closed and so
-ends at its first empty box.  Its minimal elements (no child qualifies),
-each level's box minus the parents of the next box, are pairwise disjoint
-and carry essentially the whole kernel sum
+ends at its first empty box: `tree_sets` walks the levels until every box
+of its batch is empty, with no a-priori depth, so a batch is as wide as its
+deepest set's depth + 1.  The minimal elements (no child qualifies), each
+level's box minus the parents of the next box, are pairwise disjoint and
+carry essentially the whole kernel sum
     k(x, y) = sum over qualifying J of l(J)^(-2*alpha - n).
 
-Interval ends are computed for all pairs and levels at once in floats, with
-an exact recheck.  With q = (p - a)/E the coordinate of a point p scaled by
-the root's corner a and edge E, the level-k index i has p in mJ iff
+Interval ends are computed a level at a time for all pairs in floats, with
+an exact recheck for the pairs whose box is not yet empty.  With q = (p - a)/E
+the coordinate of a point p scaled by the root's corner a and edge E, the
+level-k index i has p in mJ iff
 q*2^k - (m+1)/2 <= i <= q*2^k + (m-1)/2; per axis a pair's box runs from
 ceil(q_hi*2^k - (m+1)/2) to floor(q_lo*2^k + (m-1)/2), clipped to [0, 2^k).
 q carries two roundings, the scaling by 2^k none, the shift and the sum one
@@ -38,7 +41,7 @@ gap and reach the largest over axes of max(corner - c, c - end, 0) and of
 max(c - corner, end - c), J meets I_k iff (2 gap)^2 <= 4^k n|x-y|_2^2, and
 fits inside I_(k+1) iff (2 reach)^2 <= 4^(k+1) n|x-y|_2^2, rational both
 sides.  The ring is the least k that passes, monotone by construction, and
-as x != y (`_required_levels` rejects x == y) it always exists, so no guard
+as x != y (`tree_sets` rejects x == y) it always exists, so no guard
 against a missing ring remains.  With t = 2 gap/l0, r = 2 reach/l0 and
 ring = max(0, ceil(log2 t)), floats decide a class where t <= 2^ring - eps,
 ring = 0 or t > 2^(ring-1) + eps, and |r - 2^(ring+1)| > eps, for
@@ -86,26 +89,6 @@ def _fold(ufunc, a: np.ndarray) -> np.ndarray:
 def _check_dilation(m: float) -> None:
     if not (math.isfinite(m) and 2 <= m <= _M_MAX):
         raise ConfigError(f"dilation factor must be finite, >= 2 and <= {_M_MAX}, got {m}")
-
-
-def _required_levels(I: Cube, x: np.ndarray, y: np.ndarray, m: float) -> np.ndarray:
-    """Per pair (x[p], y[p]), the smallest tree depth guaranteed to expose every
-    minimal member, max(0, ceil(log2(m * I.edge / |x - y|_inf))) + 1.  The log2
-    is math.log2's (numpy's can differ in the last bit) where the quotient is a
-    float, and log2(m * I.edge / t) - e for |x - y|_inf = t * 2^e where it overflows."""
-    d_inf = _fold(np.maximum, abs(x - y))
-    if not d_inf.all():
-        raise ConfigError("diagonal point pair: x == y")
-    t, e = np.frexp(d_inf)
-    with np.errstate(over="ignore"):
-        pairs = zip((m * I.edge / d_inf).tolist(), (np.log2(m * I.edge / t) - e).tolist())
-    logs = [math.log2(q) if q < math.inf else v for q, v in pairs]
-    return np.maximum(np.ceil(logs), 0).astype(np.int64) + 1
-
-
-def required_max_level(I: Cube, x: tuple[float, ...], y: tuple[float, ...], m: float) -> int:
-    """Smallest tree depth guaranteed to expose every minimal member of one pair."""
-    return int(_required_levels(I, np.array([x], dtype=float), np.array([y], dtype=float), m)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,34 +147,37 @@ def _exact_bound(p: float, a: float, e: float, m: float, k: int, upper: int) -> 
 
 
 def tree_sets(root: Cube, x, y, m: float) -> TreeSets:
-    """Tree sets of the pairs (x[p], y[p]), each ending at its first empty
-    level, at the latest at required_max_level (always empty)."""
+    """Tree sets of the pairs (x[p], y[p]), walked level by level up to the
+    first level at which every pair's box is empty: no depth is fixed ahead,
+    and the batch is depth.max() + 1 levels wide (1 for no pair)."""
     _check_dilation(m)
     x, y = np.array(x, dtype=float), np.array(y, dtype=float)
     if x.ndim != 2 or x.shape != y.shape or x.shape[1] != root.n:
         raise ConfigError("point dimension does not match root cube")
-    required = _required_levels(root, x, y, m)
-    levels = np.arange(required.max(initial=-1) + 1)
-    live = levels <= required[:, None]
-    dtype = _index_dtype(len(levels) - 1)
-    bounds = np.zeros((2, len(x), len(levels), root.n), dtype=dtype)  # first, last
+    if not _fold(np.logical_or, x != y).all():
+        raise ConfigError("diagonal point pair: x == y")
     points = np.maximum(x, y), np.minimum(x, y)
-    for k, upper in itertools.product(levels.tolist(), (0, 1)):
-        with np.errstate(over="ignore", invalid="ignore"):  # past float range: rechecked
-            t = np.ldexp((points[upper] - root.corner) / root.edge, k)
-            v = t + ((m - 1) / 2 if upper else -(m + 1) / 2)
-            margin = 2.0**-50 * (np.abs(t) + m + 1) + math.ldexp(1.0, k - 1074)
-            recheck = ~(np.abs(v - np.rint(v)) > margin) & live[:, k, None]
-            bound = (np.floor if upper else np.ceil)(np.where(recheck, 0, v)).astype(np.int64)
-        bounds[upper, :, k] = bound
-        for i, d in zip(*np.nonzero(recheck)):
-            p = points[upper][i, d]
-            bounds[upper, i, k, d] = _exact_bound(p, root.corner[d], root.edge, m, k, upper)
-    first, last = bounds
-    top = np.array([(1 << k) - 1 for k in levels.tolist()], dtype=dtype)[:, None]
-    np.maximum(first, 0, out=first)
-    np.minimum(last, top, out=last)
-    depth = np.argmax(_fold(np.logical_or, last < first), axis=1)
+    levels, alive, depth = [], np.ones(len(x), dtype=bool), np.zeros(len(x), dtype=np.int64)
+    for k in itertools.count():
+        box = []  # first, last
+        for upper, p in enumerate(points):
+            with np.errstate(over="ignore", invalid="ignore"):  # past float range: rechecked
+                t = np.ldexp((p - root.corner) / root.edge, k)
+                v = t + ((m - 1) / 2 if upper else -(m + 1) / 2)
+                margin = 2.0**-50 * (np.abs(t) + m + 1) + math.ldexp(1.0, k - 1074)
+                recheck = ~(np.abs(v - np.rint(v)) > margin) & alive[:, None]
+                bound = (np.floor if upper else np.ceil)(np.where(recheck, 0, v))
+                bound = bound.astype(np.int64).astype(_index_dtype(k))
+            for i, d in zip(*np.nonzero(recheck)):
+                bound[i, d] = _exact_bound(p[i, d], root.corner[d], root.edge, m, k, upper)
+            box.append(bound)
+        first, last = np.maximum(box[0], 0), np.minimum(box[1], (1 << k) - 1)
+        levels.append((first, last))
+        alive &= ~_fold(np.logical_or, last < first)
+        depth += alive
+        if not alive.any():
+            break
+    first, last = (np.stack(b, axis=1) for b in zip(*levels))
     return TreeSets(root, x, y, first, last, depth)
 
 

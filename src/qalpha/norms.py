@@ -6,11 +6,12 @@ band-energy norm (`lp_morrey`), its dyadic-refinement rearrangement
 (`dyadic_lp` and `dyadic_lp_rearranged`, equal by an exact finite Fubini
 exchange), and the band-supremum combination (`morrey_besov`).
 
-Sup-type functionals report the square root of the per-cube maximum with
-the first attaining cube in cube-list order, so users can judge how saturated
-the finite cube family is.  A report's fields are the keys of its JSON file,
-and its table builds each plain-dict row when read; `verify.write_json` and
-`write_csv` write them.  Edge weights are evaluated once per distinct edge.
+Sup-type functionals report the largest per-cube value with the first
+attaining cube in cube-list order, one rule (`_finish`) that `morrey_besov`
+applies band by band, so users can judge how saturated the finite cube family
+is.  A report's fields are the keys of its JSON file, and its table builds each
+plain-dict row when read; `verify.write_json` and `write_csv` write them.  Edge
+weights are evaluated once per distinct edge.
 
 Every functional reduces the stacked lattice blocks of `grid.cube_blocks`,
 one band at a time; `lp_morrey` and `morrey_besov` take the dyadic pyramid
@@ -168,7 +169,9 @@ class NormReport:
 
 
 def _finish(kind, alpha, cubes, values: np.ndarray, flags) -> NormReport:
-    """Report of per-cube values; the maximum goes to the first attaining cube."""
+    """Report of per-cube values; the maximum goes to the first attaining cube.
+    A tie means equal floats: cubes that tie only in exact arithmetic, as the unit
+    cube and its half-shifted copy on the torus, are ordered by rounding."""
     if not len(cubes):
         raise ConfigError(f"{kind}: no cube in the family")
     bad = np.flatnonzero(~np.isfinite(values))
@@ -393,20 +396,11 @@ def morrey_besov(
         raise ConfigError(
             "only the embedding case is implemented: p = q = 2, sigma = n - 2*alpha"
         )
-    if not cubes:
-        raise ConfigError("morrey_besov: no cube in the family")
     energies = _band_energies(f, cubes, decomposition.bands)
     scale = _per_edge(f, cubes, lambda e: (e**f.n) ** (-sigma / f.n))
     rows = []
-    total = 0.0
     for j, e in zip(decomposition.js, energies):
-        vals = scale * 2.0 ** (2 * alpha * j) * e
-        if not np.all(np.isfinite(vals)):
-            raise InvariantViolation(f"morrey_besov: non-finite value in band {j}")
-        best = int(np.argmax(vals))  # the first attaining cube; none if every value is 0
-        if vals[best] > 0.0:
-            rows.append({"j": j, "sup": float(vals[best]), "argmax_cube": cubes[best]})
-        else:
-            rows.append({"j": j, "sup": 0.0, "argmax_cube": None})
-        total += rows[-1]["sup"]
-    return MorreyBesovReport(alpha, sigma, math.sqrt(total), tuple(rows))
+        band = _finish("morrey_besov", alpha, cubes, scale * 2.0 ** (2 * alpha * j) * e, [])
+        sup = band.value if band.value > 0.0 else 0.0  # no attaining cube if every value is 0
+        rows.append({"j": j, "sup": sup, "argmax_cube": band.argmax_cube if sup else None})
+    return MorreyBesovReport(alpha, sigma, math.sqrt(sum(r["sup"] for r in rows)), tuple(rows))

@@ -31,10 +31,10 @@ from qalpha import (
     sample_pairs,
     tree_sets,
 )
-from qalpha.cubes import _kernel_sums, required_max_level
+from qalpha.cubes import _kernel_sums
 
 import oracles
-from test_cubes import batch_keys, one
+from test_cubes import batch_keys, one, quotient_depth
 
 UNIT1 = Cube((0.0,), 1.0)
 UNIT2 = Cube((0.0, 0.0), 1.0)
@@ -166,7 +166,7 @@ def test_criterion_4_kernel_combinatorics():
     # (b) level boxes equal exhaustive enumeration up to depth 10
     checked = 0
     for x, y in sample_pairs(UNIT1, 40, seed=23):
-        if required_max_level(UNIT1, x, y, 2.0) > 10:
+        if quotient_depth(UNIT1, x, y, 2.0) > 10:
             continue
         assert batch_keys(one(UNIT1, x, y, 2.0)) == oracles.exhaustive_gamma(
             (0.0,), 1.0, x, y, 2.0, 10
@@ -174,7 +174,7 @@ def test_criterion_4_kernel_combinatorics():
         checked += 1
     assert checked >= 20
     pairs2 = [p for p in sample_pairs(UNIT2, 24, seed=29)]
-    deep = [p for p in pairs2 if required_max_level(UNIT2, *p, 2.0) <= 8][:4]
+    deep = [p for p in pairs2 if quotient_depth(UNIT2, *p, 2.0) <= 8][:4]
     for x, y in deep:
         assert batch_keys(one(UNIT2, x, y, 2.0)) == oracles.exhaustive_gamma(
             (0.0, 0.0), 1.0, x, y, 2.0, 8

@@ -17,7 +17,6 @@ from qalpha import (
     tree_sets,
 )
 from qalpha import cubes as cubes_module
-from qalpha.cubes import required_max_level
 from qalpha.grid import dilate
 
 import oracles
@@ -198,7 +197,7 @@ def test_gamma_boundary_ties_are_members():
 def test_gamma_matches_exhaustive_random(n, m, count, max_level):
     root = UNIT1 if n == 1 else UNIT2
     for x, y in sample_pairs(root, count, seed=13):
-        if required_max_level(root, x, y, m) > max_level:
+        if quotient_depth(root, x, y, m) > max_level:
             continue
         g = one(root, x, y, m)
         oracle = oracles.exhaustive_gamma(root.corner, root.edge, x, y, m, max_level)
@@ -277,12 +276,12 @@ def test_tree_sets_batch_matches_exhaustive(root, cap, m, monkeypatch):
     pairs = [
         (x, y)
         for x, y in sample_pairs(root, 8, seed=17) + ties
-        if required_max_level(root, x, y, m) <= cap
+        if quotient_depth(root, x, y, m) <= cap
     ]
     assert sum(pair in pairs for pair in ties) >= 6
     sets = tree_sets(root, [x for x, _ in pairs], [y for _, y in pairs], m)
     for p, (x, y) in enumerate(pairs):
-        level = required_max_level(root, x, y, m)
+        level = quotient_depth(root, x, y, m)
         oracle = oracles.exhaustive_gamma(root.corner, root.edge, x, y, m, level)
         assert batch_keys(sets, p) == oracle
         assert batch_keys(one(root, x, y, m)) == oracle
@@ -303,6 +302,9 @@ def test_gamma_upward_closure_and_finiteness():
 def test_gamma_errors():
     with pytest.raises(ConfigError, match="diagonal"):
         one(UNIT1, (0.5,), (0.5,), 2.0)
+    x, y = [(0.1, 0.2), (0.5, 0.5), (0.3, 0.7)], [(0.3, 0.2), (0.5, 0.5), (0.3, 0.6)]
+    with pytest.raises(ConfigError, match="diagonal"):  # one diagonal pair among several
+        tree_sets(UNIT2, x, y, 2.0)
     with pytest.raises(ConfigError, match=">= 2"):
         one(UNIT1, (0.1,), (0.9,), 1.5)
     for m in (math.nan, math.inf):
@@ -310,53 +312,50 @@ def test_gamma_errors():
             one(UNIT1, (0.1,), (0.9,), m)
 
 
-def test_required_max_level_message_value():
-    x, y = (0.5,), (0.5 + 2.0**-6,)
-    assert required_max_level(UNIT1, x, y, 2.0) == 8  # ceil(log2(2/2^-6)) + 1
-
-
 def quotient_depth(root, x, y, m) -> int:
-    """The depth from the quotient m * edge / |x - y|_inf and math.log2."""
+    """A bound on the pair's tree-set depth from the quotient m * edge / |x - y|_inf
+    and math.log2: a level-k box needs |x - y|_inf <= m * edge * 2^-k."""
     d_inf = max(abs(a - b) for a, b in zip(x, y))
     return max(0, math.ceil(math.log2(m * root.edge / d_inf))) + 1
-
-
-def test_required_max_level_matches_quotient_where_finite():
-    # one array pass gives every pair the depth of the per-pair quotient
-    # formula wherever that quotient is a float, including separations just
-    # off a power of two, where log2 rounds to an integer or away from it,
-    # and subnormal separations inside a small root
-    cases = [(UNIT1, (0.5,), (0.5 + 2.0**-6,), 2.0)]
-    for n in (1, 2):
-        root = Cube((0.0,) * n, 1.0)
-        cases += [(root, x, y, m) for x, y in sample_pairs(root, 300, seed=3) for m in (2.0, 3.0)]
-        close = [close_pair(n, e) for e in (60, 200, 600, 1000, 1020)]
-        cases += [(root, x, y, m) for x, y in close for m in (2.0, 3.0)]
-    for j in range(1, 60):
-        for d in (2.0**-j, math.nextafter(2.0**-j, 0), math.nextafter(2.0**-j, 1)):
-            cases += [(UNIT1, (0.0,), (d,), m) for m in (2.0, 2.1, 3.0, 16.0)]
-    cases += [(Cube((0.0,), 2.0**-60), (0.0,), (2.0**-1060,), 3.0)]  # quotient 3 * 2^1000
-    for root, x, y, m in cases:
-        assert required_max_level(root, x, y, m) == quotient_depth(root, x, y, m)
-    pairs = [(x, y) for root, x, y, m in cases if root == UNIT1 and m == 3.0]
-    depths = cubes_module._required_levels(UNIT1, *map(np.array, zip(*pairs)), 3.0)
-    assert depths.tolist() == [quotient_depth(UNIT1, x, y, 3.0) for x, y in pairs]
 
 
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("e", [1020, 1030, 1070])
 def test_tree_sets_below_the_quotient_range(n, e):
-    # below about m * 2^-1024, m * edge / |x - y|_inf overflows: the depth comes from
-    # the separation's exponent, and the tree set and its rings are built
+    # below about m * 2^-1024, m * edge / |x - y|_inf overflows; the walk needs no
+    # such quotient, stops one level past the set, and builds the set and its rings
     root = Cube((0.0,) * n, 1.0)
     x, y = close_pair(n, e)
     if e > 1024:
         with pytest.raises(OverflowError):
             quotient_depth(root, x, y, 3.0)
     sets = one(root, x, y, 3.0)
-    assert e < sets.depth[0] < sets.first.shape[1] == required_max_level(root, x, y, 3.0) + 1
+    assert e < sets.depth[0] == sets.first.shape[1] - 1
     minimal, maxima = ring_counts(sets)
     assert minimal.sum() >= 1 and maxima.sum() >= 1
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_tree_sets_walk_ends_one_level_past_the_deepest_set(n):
+    # a batch is as wide as its deepest set plus the empty level that ends the
+    # walk, and the shallow pairs beside a deep one keep their own boxes
+    root = Cube((0.0,) * n, 1.0)
+    pairs = [close_pair(n, 1000)] + sample_pairs(root, 200, seed=5)
+    sets = tree_sets(root, *zip(*pairs), 3.0)
+    assert sets.first.shape[1] == sets.depth.max() + 1 and sets.depth[0] > 1000
+    for p, (x, y) in enumerate(pairs):
+        alone, d = one(root, x, y, 3.0), sets.depth[p]
+        assert alone.depth[0] == d and alone.first.shape[1] == d + 1
+        assert sets.first[p, :d].tolist() == alone.first[0, :d].tolist()
+        assert sets.last[p, :d].tolist() == alone.last[0, :d].tolist()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_tree_sets_of_no_pair(n):
+    sets = tree_sets(Cube((0.0,) * n, 1.0), np.empty((0, n)), np.empty((0, n)), 2.0)
+    assert sets.first.shape == sets.last.shape == (0, 1, n) and sets.depth.shape == (0,)
+    minimal, maxima = ring_counts(sets)
+    assert minimal.shape == (0, 1) and maxima.shape == (0, 2)
 
 
 def test_allowed_single_and_chain():
@@ -505,10 +504,10 @@ def test_kernel_subset_monotone_exact():
 
 def test_kernel_equivalence_constant_stable_under_deeper_trees():
     # the tree set is complete: its last nonempty level lies above the
-    # required depth
+    # quotient depth
     for x, y in sample_pairs(UNIT1, 25, seed=10):
         g1 = one(UNIT1, x, y, 2.0)
-        assert g1.depth[0] <= required_max_level(UNIT1, x, y, 2.0)
+        assert g1.depth[0] <= quotient_depth(UNIT1, x, y, 2.0)
         minimal, _ = ring_counts(g1)
         c = kernels(g1, g1.counts(), 0.5)[0] / kernels(g1, minimal, 0.5)[0]
         assert math.isfinite(c) and c >= 1.0
@@ -588,11 +587,11 @@ def test_ring_counts_match_oracles(n, m, monkeypatch):
     root = Cube((0.0,) * n, 1.0)
     pairs = sample_pairs(root, 24, seed=31)
     if n == 2:  # the exhaustive enumeration visits 4^k cubes per level
-        pairs = [p for p in pairs if required_max_level(root, *p, m) <= 8][:4]
+        pairs = [p for p in pairs if quotient_depth(root, *p, m) <= 8][:4]
     sets = tree_sets(root, *zip(*pairs), m)
     minimal, maxima = ring_counts(sets)
     for p, (x, y) in enumerate(pairs):
-        depth = required_max_level(root, x, y, m)
+        depth = quotient_depth(root, x, y, m)
         found = oracles.child_free_members(
             oracles.exhaustive_gamma(root.corner, root.edge, x, y, m, depth)
         )

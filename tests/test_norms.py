@@ -128,12 +128,49 @@ def test_tie_reports_first_cube():
         assert rep.value == rep.table[0]["value"]
 
 
+@pytest.mark.parametrize("n,N", [(1, 1024), (2, 64)])
+def test_half_shifted_unit_cube_ties_to_rounding(n, N):
+    # on the torus the unit cube and its half-shifted copy hold the same samples,
+    # so campanato and lp_morrey tie in exact arithmetic; q_alpha, on straight-line
+    # distances, ties where f(x + 1/2) = +-f(x), as for the harmonic and the step.
+    # The floats agree to rounding, which decides the argmax, so that is not pinned
+    harmonic, step, noise = small_corpus(n, N)
+    cubes = [Cube((0.0,) * n, 1.0), Cube((0.5,) * n, 1.0)]
+    for f in (harmonic, step, noise):
+        dec = decompose(f, 0)
+        reports = campanato(f, 0.5, cubes), lp_morrey(f, 0.5, cubes, dec), q_alpha(f, 0.5, cubes)
+        for rep in reports:
+            a, b = (row["value"] for row in rep.table)
+            if rep.kind == "q_alpha" and f is noise:
+                assert abs(a - b) > 0.01 * a  # no tie
+            else:
+                assert a == pytest.approx(b, rel=1e-12, abs=0)
+
+
+def test_empty_family_rejected_by_every_sup_norm():
+    f = GridFunction(np.cos(2 * np.pi * np.arange(16) / 16))
+    dec = decompose(f, 0)
+    for kind, norm in (
+        ("q_alpha", lambda: q_alpha(f, 0.5, [])),
+        ("campanato", lambda: campanato(f, 0.5, [])),
+        ("lp_morrey", lambda: lp_morrey(f, 0.5, [], dec)),
+        ("morrey_besov", lambda: morrey_besov(f, 0.5, 0.0, 2, 2, [], dec)),
+    ):
+        with pytest.raises(ConfigError, match=f"^{kind}: no cube in the family$"):
+            norm()
+
+
 def test_non_finite_value_names_first_bad_cube(monkeypatch):
     f = GridFunction(np.cos(2 * np.pi * np.arange(64) / 64))
     cubes = [Cube((0.25 * i,), 0.25) for i in range(3)]
     monkeypatch.setattr(norms, "_increment_sums", lambda *a: np.array([1.0, np.nan, np.nan]))
     with pytest.raises(InvariantViolation, match=re.escape(f"on cube {cubes[1]}")):
         q_alpha(f, 0.5, cubes)
+    dec = decompose(f, 0)
+    monkeypatch.setattr(norms, "_band_energies", lambda *a: iter([np.array([1.0, np.inf, 1.0])]))
+    message = f"morrey_besov: non-finite value on cube {cubes[1]}"
+    with pytest.raises(InvariantViolation, match=re.escape(message)):
+        morrey_besov(f, 0.5, 0.0, 2, 2, cubes, dec)
 
 
 def test_cube_of_other_dimension_rejected():
