@@ -46,8 +46,6 @@ def _load_corpus(cfg: argparse.Namespace, N: int) -> list[corpus_mod.CorpusSpec]
 
 def _validate(cfg: argparse.Namespace) -> argparse.Namespace:
     """Checks argparse cannot express."""
-    if getattr(cfg, "n", 1) not in _DIMENSIONS:
-        raise ConfigError(f"dimension must be 1 or 2, got {cfg.n}")
     for N in getattr(cfg, "sizes", [cfg.size] if "size" in cfg else []):
         _validate_size(N)
     if getattr(cfg, "seed", 0) < 0:
@@ -188,7 +186,7 @@ def _cmd_verify(cfg: argparse.Namespace) -> int:
 
 _FLAGS = {
     "--alpha": dict(type=float, default=0.5, help="smoothness exponent alpha"),
-    "--n": dict(type=int, default=1, help="dimension (1 or 2)"),
+    "--n": dict(type=int, choices=_DIMENSIONS, default=1, help="dimension"),
     "--size": dict(type=int, default=64, help="grid size N (power of two)"),
     "--sizes": dict(type=int, nargs=1, default=(64,), help="grid size N (power of two)"),
     "--out": dict(help="output file (or directory for gen)"),

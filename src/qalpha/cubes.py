@@ -28,7 +28,7 @@ Kernel sums are exact: a weight l(J)^(-2*alpha - n) is a float num/2^d, so
 the sum over counted cubes per level is one integer over the largest 2^d,
 rounded once, the value math.fsum gives.  That makes the subset inequality
 kernel(full tree) >= kernel(minimal elements) exact.  A batch of tree sets is
-a `TreeSets`.
+a `TreeSets`, of point arrays (pairs, n) such as the pair `sample_pairs` returns.
 
 Ring classes are computed on index arrays, never on cube objects.  The
 boxes of a batch of tree sets, each with the parent box of the level below,
@@ -147,13 +147,15 @@ def _exact_bound(p: float, a: float, e: float, m: float, k: int, upper: int) -> 
 
 
 def tree_sets(root: Cube, x, y, m: float) -> TreeSets:
-    """Tree sets of the pairs (x[p], y[p]), walked level by level up to the
-    first level at which every pair's box is empty: no depth is fixed ahead,
-    and the batch is depth.max() + 1 levels wide (1 for no pair)."""
+    """Tree sets of the pairs (x[p], y[p]) of finite points, walked level by
+    level up to the first level at which every pair's box is empty: no depth
+    is fixed ahead, and the batch is depth.max() + 1 levels wide (1 for no pair)."""
     _check_dilation(m)
     x, y = np.array(x, dtype=float), np.array(y, dtype=float)
     if x.ndim != 2 or x.shape != y.shape or x.shape[1] != root.n:
         raise ConfigError("point dimension does not match root cube")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ConfigError("points must be finite")
     if not _fold(np.logical_or, x != y).all():
         raise ConfigError("diagonal point pair: x == y")
     points = np.maximum(x, y), np.minimum(x, y)
@@ -168,8 +170,9 @@ def tree_sets(root: Cube, x, y, m: float) -> TreeSets:
                 recheck = ~(np.abs(v - np.rint(v)) > margin) & alive[:, None]
                 bound = (np.floor if upper else np.ceil)(np.where(recheck, 0, v))
                 bound = bound.astype(np.int64).astype(_index_dtype(k))
-            for i, d in zip(*np.nonzero(recheck)):
-                bound[i, d] = _exact_bound(p[i, d], root.corner[d], root.edge, m, k, upper)
+            for i, d in zip(*np.nonzero(recheck)):  # clipped: a far point fits, no box changes
+                exact = _exact_bound(p[i, d], root.corner[d], root.edge, m, k, upper)
+                bound[i, d] = min(max(exact, -1), 1 << k)
             box.append(bound)
         first, last = np.maximum(box[0], 0), np.minimum(box[1], (1 << k) - 1)
         levels.append((first, last))
@@ -347,8 +350,18 @@ def ring_counts(sets: TreeSets) -> tuple[np.ndarray, np.ndarray]:
 _R_MIN, _R_MAX = 4e-3, 4e-1  # range of the sampled pair separations r
 
 
-def _sample_points(root: Cube, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The points x and y of `sample_pairs`, as arrays (count, n)."""
+def sample_pairs(root: Cube, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Point pairs with log-uniform separation, as arrays x and y of shape
+    (count, n), the points `tree_sets` takes: x uniform in the root cube,
+    y = x + r*u with uniform direction u, rejected until y lands in the root.
+
+    Each attempt takes n + 2 doubles of the seeded stream in this order: the
+    n coordinates of x, the log-radius, the direction (a sign for n = 1, else
+    an angle).  Reports are reproducible from the seed only by that order.
+    The attempts are drawn and rejected a block at a time, in arrays; the
+    exponential, cosine and sine are math's, as numpy's can differ from them
+    in the last bit.
+    """
     if _R_MAX > root.edge:
         raise ConfigError(f"pair separations up to {_R_MAX} exceed the root cube edge")
     n = root.n
@@ -373,25 +386,6 @@ def _sample_points(root: Cube, count: int, seed: int) -> tuple[np.ndarray, np.nd
         ys.append(y[inside])
         kept += len(xs[-1])
     return np.concatenate(xs), np.concatenate(ys)
-
-
-def sample_pairs(
-    root: Cube,
-    count: int,
-    seed: int,
-) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
-    """Point pairs with log-uniform separation: x uniform in the root cube,
-    y = x + r*u with uniform direction u, rejected until y lands in the root.
-
-    Each attempt takes n + 2 doubles of the seeded stream in this order: the
-    n coordinates of x, the log-radius, the direction (a sign for n = 1, else
-    an angle).  Reports are reproducible from the seed only by that order.
-    The attempts are drawn and rejected a block at a time, in arrays; the
-    exponential, cosine and sine are math's, as numpy's can differ from them
-    in the last bit.
-    """
-    x, y = _sample_points(root, count, seed)
-    return [(tuple(a), tuple(b)) for a, b in zip(x.tolist(), y.tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ Two membership rules coexist:
 
 All comparisons act on exactly representable dyadic rationals, so boundary
 ties are deterministic.  `_check_values` rejects samples whose squares times
-the weights pass 2^960; `filterbank.decompose` runs it before its FFT.
+the weights pass 2^960, from the max |f| that a `GridFunction` measures once,
+as it is built; `filterbank.decompose` runs it before its FFT.
 """
 
 from __future__ import annotations
@@ -72,21 +73,21 @@ _EDGE_LEVELS = 3  # cubes stay 3 levels above the grid: 2^3 = 8 lattice points p
 def _check_values(f: GridFunction, weight_log2: float = 0.0) -> None:
     """Reject grid values whose squares times weights up to 2^weight_log2 pass
     2^_WEIGHT_LOG2_MAX, so that sums of them keep the 64 binary orders of
-    magnitude below 2^1024 that the weight bound leaves."""
-    top = float(max(f.values.max(), -f.values.min()))  # max |f|, with no |f| grid held
-    if top > 0.0 and 2.0 * math.log2(top) + weight_log2 > _WEIGHT_LOG2_MAX:
+    magnitude below 2^1024 that the weight bound leaves.  Reads f.max_abs only."""
+    if f.max_abs > 0.0 and 2.0 * math.log2(f.max_abs) + weight_log2 > _WEIGHT_LOG2_MAX:
         bound = 2.0 ** ((_WEIGHT_LOG2_MAX - weight_log2) / 2)
-        raise ConfigError(
-            f"grid values up to {top:g} overflow the squared sums at N={f.N} (|f| <= {bound:.4g})"
-        )
+        raise ConfigError(f"grid values up to {f.max_abs:g} overflow the squared sums at "
+                          f"N={f.N} (|f| <= {bound:.4g})")
 
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
     """Real samples on the periodic lattice {i/N}^n, n in {1, 2}; a float64 array
-    that owns its memory is kept and frozen, anything else (a view) is copied."""
+    that owns its memory is kept and frozen, anything else (a view) is copied.
+    Its max |f|, `max_abs`, is measured once, by the scan that rejects NaN and inf."""
 
     values: np.ndarray
+    max_abs: float = field(init=False, repr=False)
 
     def __post_init__(self):
         v = self.values
@@ -98,10 +99,12 @@ class GridFunction:
         if any(s != N for s in v.shape):
             raise ConfigError(f"grid must be square, got shape {v.shape}")
         _validate_size(N)
-        if not np.all(np.isfinite(v)):
+        top = float(max(v.max(), -v.min()))  # NaN propagates, and +-inf reaches the max
+        if not math.isfinite(top):
             raise ConfigError("grid values must be finite")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "max_abs", top)
 
     @property
     def n(self) -> int:

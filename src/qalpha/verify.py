@@ -1,9 +1,9 @@
 """Experiment harness: norm-equivalence, identity and decay checks.
 
 Every check returns a report dataclass whose fields are exactly the keys of
-its JSON file.  `write_json` writes any report, and `write_csv` any sequence
-of dict table rows, with one cell rule; the norm reports of `norms` go
-through the same two writers.
+its JSON file, each passed in by the check that builds it.  `write_json`
+writes any report, and `write_csv` any sequence of dict table rows, with one
+cell rule; the norm reports of `norms` go through the same two writers.
 "Verified" for a comparison statement means: the relevant ratio stays
 bounded over the test population and stable under refinement of the
 truncation parameter; no continuum constants are certified.  Reports are
@@ -15,12 +15,12 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .corpus import CorpusSpec, generate
-from .cubes import _check_dilation, _kernel_sums, _norms, _sample_points, ring_counts, tree_sets
+from .cubes import _check_dilation, _kernel_sums, _norms, ring_counts, sample_pairs, tree_sets
 from .errors import ConfigError
 from .filterbank import BandDecomposition, decompose
 from .grid import (
@@ -82,11 +82,7 @@ class EquivalenceReport:
     drift_flags: dict[str, bool]
     c_low: float
     c_high: float
-    spread: float | None = field(init=False)  # None (JSON null) when c_low is 0
-
-    def __post_init__(self):
-        spread = self.c_high / self.c_low if self.c_low > 0 else None
-        object.__setattr__(self, "spread", spread)
+    spread: float | None  # c_high / c_low, None (JSON null) when c_low is 0
 
 
 def _one_equivalence_row(spec: CorpusSpec, N: int, alpha: float) -> dict:
@@ -131,13 +127,11 @@ def equivalence_report(
         monotone = all(c > 0 for c in changes) or all(c < 0 for c in changes)
         drift_flags[spec.ident] = monotone and any(abs(c) > 0.20 for c in changes)
 
-    max_n = max(sizes)
-    final = [r["ratio"] for r in rows if r["N"] == max_n and not r["excluded"]]
-    c_low = min(final) if final else 0.0
-    c_high = max(final) if final else 0.0
-    return EquivalenceReport(
-        alpha, tuple(sizes), tuple(rows), trends, drift_flags, c_low, c_high
-    )
+    final = [r["ratio"] for r in rows if r["N"] == sizes[-1] and not r["excluded"]]
+    c_low, c_high = (min(final), max(final)) if final else (0.0, 0.0)
+    spread = c_high / c_low if c_low > 0 else None
+    return EquivalenceReport(alpha, tuple(sizes), tuple(rows), trends, drift_flags,
+                             c_low, c_high, spread)
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +221,7 @@ class DecayRecord:
     slope: float
     max_kind1_over_mn: float
     max_kind2: int
-    expected_slope: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "expected_slope", -(2 * self.alpha + self.n))
+    expected_slope: float  # -(2 alpha + n)
 
 
 def kernel_decay_check(
@@ -245,7 +236,7 @@ def kernel_decay_check(
     if pair_count < 2:
         raise ConfigError(f"the decay slope fit needs at least 2 pairs, got {pair_count}")
     root = Cube((0.0,) * n, 1.0)
-    x, y = _sample_points(root, pair_count, seed)
+    x, y = sample_pairs(root, pair_count, seed)
     sets = tree_sets(root, x, y, m)
     edges = [root.edge * 2.0**-k for k in range(sets.first.shape[1])]
     k_full = _kernel_sums(edges, sets.counts(), alpha, n)
@@ -269,7 +260,7 @@ def kernel_decay_check(
     ]
     max1, max2 = maxima.max(axis=0).tolist()
     slope = float(np.polyfit(np.log(dist), np.log(k_full), 1)[0])
-    return DecayRecord(alpha, m, n, seed, tuple(rows), slope, max1 / m**n, max2)
+    return DecayRecord(alpha, m, n, seed, tuple(rows), slope, max1 / m**n, max2, -expo)
 
 
 def write_kernel_csv(record: DecayRecord, path) -> None:  # traced by bench/ until ROADMAP item 6

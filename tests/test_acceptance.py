@@ -34,7 +34,7 @@ from qalpha import (
 from qalpha.cubes import _kernel_sums
 
 import oracles
-from test_cubes import batch_keys, one, quotient_depth
+from test_cubes import batch_keys, one, pair_list, quotient_depth
 
 UNIT1 = Cube((0.0,), 1.0)
 UNIT2 = Cube((0.0, 0.0), 1.0)
@@ -154,8 +154,7 @@ def test_criterion_3_filterbank_contracts():
 def test_criterion_4_kernel_combinatorics():
     t0 = time.time()
     # (a) exact subset inequality on 1000 seeded pairs
-    pairs = sample_pairs(UNIT1, 1000, seed=7)
-    sets = tree_sets(UNIT1, *zip(*pairs), 2.0)
+    sets = tree_sets(UNIT1, *sample_pairs(UNIT1, 1000, seed=7), 2.0)
     edges = [2.0**-k for k in range(sets.first.shape[1])]
     minimal, _ = ring_counts(sets)
     full, allowed = (_kernel_sums(edges, counts, 0.5, 1) for counts in (sets.counts(), minimal))
@@ -165,7 +164,7 @@ def test_criterion_4_kernel_combinatorics():
 
     # (b) level boxes equal exhaustive enumeration up to depth 10
     checked = 0
-    for x, y in sample_pairs(UNIT1, 40, seed=23):
+    for x, y in pair_list(UNIT1, 40, seed=23):
         if quotient_depth(UNIT1, x, y, 2.0) > 10:
             continue
         assert batch_keys(one(UNIT1, x, y, 2.0)) == oracles.exhaustive_gamma(
@@ -173,7 +172,7 @@ def test_criterion_4_kernel_combinatorics():
         )
         checked += 1
     assert checked >= 20
-    pairs2 = [p for p in sample_pairs(UNIT2, 24, seed=29)]
+    pairs2 = pair_list(UNIT2, 24, seed=29)
     deep = [p for p in pairs2 if quotient_depth(UNIT2, *p, 2.0) <= 8][:4]
     for x, y in deep:
         assert batch_keys(one(UNIT2, x, y, 2.0)) == oracles.exhaustive_gamma(
@@ -206,7 +205,7 @@ def _ring2_maxima_by_m() -> dict[float, int]:
     pairs = sample_pairs(UNIT1, 1000, seed=7)
     out = {}
     for m in (2.0, 4.0, 8.0):
-        _, maxima = ring_counts(tree_sets(UNIT1, *zip(*pairs), m))
+        _, maxima = ring_counts(tree_sets(UNIT1, *pairs, m))
         out[m] = int(maxima[:, 1].max())
     return out
 

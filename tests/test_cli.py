@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +194,12 @@ BAD_INPUTS = {
                         "N must be an integer, got '16'"),
     "corpus_xi0_fractional": (["gen", "--corpus", "{frac_xi0}", "--size", "16", "--out", "{out}"],
                               "harmonic frequency must be an integer, got 3.7"),
+    # the dimensions are the choices of --n
+    "gen_n_3": (["gen", "--n", "3"], "argument --n: invalid choice: 3 (choose from 1, 2)"),
+    "decay_n_0": (["verify", "decay", "--n", "0"],
+                  "argument --n: invalid choice: 0 (choose from 1, 2)"),
+    "lemma23_alpha_divergent": (["verify", "lemma23", "--alpha", "-0.6", "--sizes", "16"],
+                                "alpha=-0.6 <= -n/2 is the divergent regime"),
 }
 
 # corpus records, by file name, whose integer fields are not whole numbers
@@ -418,6 +425,43 @@ def test_verify_fubini_holds_one_function_at_a_time(capsys):
     # one function, its spectrum and its held bands: about 19 grids of 2-D N=256;
     # holding the previous function and its bands while the next is built reads 22
     assert peak <= 20.5 * 256**2 * 8
+
+
+def test_verify_fubini_violation_exits_one(capsys, monkeypatch):
+    # the rearranged sum off by a relative 1e-9: one stderr line, after the printed maximum
+    from qalpha import verify
+
+    rearranged = verify.dyadic_lp_rearranged
+    monkeypatch.setattr(verify, "dyadic_lp_rearranged",
+                        lambda *args: rearranged(*args) * (1 + 1e-9))
+    code, out, err = run(["verify", "fubini", "--sizes", "64", "--K", "1"], capsys)
+    assert code == 1
+    assert out == "fubini max relative discrepancy 1.000e-09\n"
+    assert err == "invariant violation: rearrangement identity violated: 1.000e-09\n"
+
+
+def test_verify_embedding_violation_exits_one(tmp_path, capsys, monkeypatch):
+    # an mb norm of 0 under a nonzero q_alpha is a violation: the max-ratio line
+    # is printed, then one stderr line naming the function, and no report is written
+    from qalpha import verify
+
+    morrey_besov, calls = verify.morrey_besov, []
+
+    def second_zero(*args):
+        calls.append(None)
+        report = morrey_besov(*args)
+        return replace(report, value=0.0) if len(calls) == 2 else report
+
+    monkeypatch.setattr(verify, "morrey_besov", second_zero)
+    corpus, out = tmp_path / "c.json", tmp_path / "e.json"
+    corpus.write_text(json.dumps([{"kind": "harmonic", "params": {"xi0": 3}, "N": 16, "n": 1},
+                                  {**CORPUS2, "n": 1}]))
+    code, text, err = run(["verify", "embedding", "--corpus", str(corpus), "--sizes", "64",
+                           "--out", str(out)], capsys)
+    assert code == 1 and len(calls) == 2 and not out.exists()
+    assert text.startswith("embedding max ratio q/mb = ") and text.count("\n") == 1
+    assert err == ("invariant violation: embedding violated for "
+                   "('spectral_noise_slope=0.8_seed=3',)\n")
 
 
 def test_verify_equivalence_report_out(tmp_path, capsys):

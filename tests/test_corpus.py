@@ -203,6 +203,23 @@ def test_invalid_parameters():
         generate(CorpusSpec("harmonic", 16, 1, (("xi0", 8),)))
 
 
+def test_rate_and_sharpness_must_be_positive():
+    for rate in (0.0, -1.0):
+        with pytest.raises(ConfigError, match=f"decay rate must be positive, got {rate}"):
+            generate(CorpusSpec("schwartz_like", 16, 1, (("rate", rate),)))
+    for sharp in (0.0, -2.0):
+        with pytest.raises(ConfigError, match=f"sharpness must be positive, got {sharp}"):
+            generate(CorpusSpec("smoothed_step", 16, 2, (("sharpness", sharp),)))
+
+
+def test_left_out_parameters_take_their_defaults():
+    # `param`'s default: a record without params is the record with the default given
+    for kind, default in (("schwartz_like", (("rate", 1.0),)), ("constant", (("value", 1.0),))):
+        for n in (1, 2):
+            got = generate(CorpusSpec(kind, 16, n)).values
+            assert np.array_equal(got, generate(CorpusSpec(kind, 16, n, default)).values)
+
+
 def test_kinds_are_the_builder_table():
     assert KINDS == ("constant", "harmonic", "gaussian_bump", "smoothed_step", "spectral_noise",
                      "schwartz_like")
@@ -253,6 +270,16 @@ def test_corpus_file_malformed(tmp_path):
     path.write_text("[{\"params\": {}}]")
     with pytest.raises(ConfigError, match="malformed"):
         load_corpus_file(path)
+
+
+@pytest.mark.parametrize("change,got", [({"n": 3}, "3, 0"), ({"seed": -1}, "1, -1")])
+def test_corpus_file_dimension_and_seed(tmp_path, change, got):
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps([{"kind": "harmonic", "params": {"xi0": 3}, "N": 16, "n": 1,
+                                 **change}]))
+    with pytest.raises(ConfigError) as exc:
+        load_corpus_file(path)
+    assert str(exc.value).endswith(f"corpus n must be 1 or 2 and seed >= 0, got {got}")
 
 
 def test_default_corpus_shape():

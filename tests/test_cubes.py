@@ -25,6 +25,12 @@ UNIT1 = Cube((0.0,), 1.0)
 UNIT2 = Cube((0.0, 0.0), 1.0)
 
 
+def pair_list(root, count, seed) -> list:
+    """The `sample_pairs` arrays as a list of (x, y) pairs of float tuples."""
+    x, y = sample_pairs(root, count, seed)
+    return list(zip(map(tuple, x.tolist()), map(tuple, y.tolist())))
+
+
 def one(root, x, y, m) -> TreeSets:
     """The tree set of one pair: a batch of one."""
     return tree_sets(root, [x], [y], m)
@@ -196,7 +202,7 @@ def test_gamma_boundary_ties_are_members():
 )
 def test_gamma_matches_exhaustive_random(n, m, count, max_level):
     root = UNIT1 if n == 1 else UNIT2
-    for x, y in sample_pairs(root, count, seed=13):
+    for x, y in pair_list(root, count, seed=13):
         if quotient_depth(root, x, y, m) > max_level:
             continue
         g = one(root, x, y, m)
@@ -275,7 +281,7 @@ def test_tree_sets_batch_matches_exhaustive(root, cap, m, monkeypatch):
     ties = [pair for level in (1, 2, 3) for pair in tie_pairs(root, m, level)]
     pairs = [
         (x, y)
-        for x, y in sample_pairs(root, 8, seed=17) + ties
+        for x, y in pair_list(root, 8, seed=17) + ties
         if quotient_depth(root, x, y, m) <= cap
     ]
     assert sum(pair in pairs for pair in ties) >= 6
@@ -290,7 +296,7 @@ def test_tree_sets_batch_matches_exhaustive(root, cap, m, monkeypatch):
 
 
 def test_gamma_upward_closure_and_finiteness():
-    for x, y in sample_pairs(UNIT2, 20, seed=21):
+    for x, y in pair_list(UNIT2, 20, seed=21):
         members = batch_keys(one(UNIT2, x, y, 2.0))
         d_inf = max(abs(a - b) for a, b in zip(x, y))
         for k, index in members:
@@ -310,6 +316,34 @@ def test_gamma_errors():
     for m in (math.nan, math.inf):
         with pytest.raises(ConfigError, match="finite"):
             one(UNIT1, (0.1,), (0.9,), m)
+    with pytest.raises(ConfigError, match="point dimension does not match root cube"):
+        tree_sets(UNIT2, [(0.1,)], [(0.3,)], 2.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_tree_sets_reject_non_finite_points(bad):
+    for x, y in (((bad,), (0.5,)), ((0.5,), (bad,))):
+        with pytest.raises(ConfigError, match="points must be finite"):
+            one(UNIT1, x, y, 2.0)
+    with pytest.raises(ConfigError, match="points must be finite"):  # one pair among several
+        tree_sets(UNIT2, [(0.1, 0.2), (0.3, bad)], [(0.3, 0.2), (0.5, 0.5)], 2.0)
+
+
+@pytest.mark.parametrize("far", [1e20, -1e300])
+def test_tree_sets_far_point_has_depth_zero(far):
+    # a point whose exact level-0 bound does not fit an int64 index has an
+    # empty level-0 box, as x = 1e18 has, and the other pair of its batch
+    # keeps the boxes of its own one-pair tree set
+    assert one(UNIT1, (far,), (0.5,), 2.0).depth.tolist() == [0]
+    assert one(UNIT1, (1e18,), (0.5,), 2.0).depth.tolist() == [0]
+    near = (0.1, 0.2), (0.3, 0.2)
+    both = tree_sets(UNIT2, [(far, 0.3), near[0]], [(0.5, 0.5), near[1]], 2.0)
+    alone = one(UNIT2, *near, 2.0)
+    width = alone.first.shape[1]
+    assert both.depth.tolist() == [0, int(alone.depth[0])]
+    assert both.first[1, :width].tolist() == alone.first[0].tolist()
+    assert both.last[1, :width].tolist() == alone.last[0].tolist()
+    assert batch_keys(both, 1) == batch_keys(alone)
 
 
 def quotient_depth(root, x, y, m) -> int:
@@ -340,7 +374,7 @@ def test_tree_sets_walk_ends_one_level_past_the_deepest_set(n):
     # a batch is as wide as its deepest set plus the empty level that ends the
     # walk, and the shallow pairs beside a deep one keep their own boxes
     root = Cube((0.0,) * n, 1.0)
-    pairs = [close_pair(n, 1000)] + sample_pairs(root, 200, seed=5)
+    pairs = [close_pair(n, 1000)] + pair_list(root, 200, seed=5)
     sets = tree_sets(root, *zip(*pairs), 3.0)
     assert sets.first.shape[1] == sets.depth.max() + 1 and sets.depth[0] > 1000
     for p, (x, y) in enumerate(pairs):
@@ -374,9 +408,8 @@ def test_allowed_single_and_chain():
 @pytest.mark.parametrize("n,m", [(1, 2.0), (1, 4.0), (2, 2.0), (1, 2.5), (1, 3.0), (2, 2.5), (2, 3.0)])
 def test_allowed_matches_brute_force_and_disjoint(n, m):
     root = UNIT1 if n == 1 else UNIT2
-    pairs = sample_pairs(root, 15, seed=5)
-    sets = tree_sets(root, *zip(*pairs), m)
-    for p in range(len(pairs)):
+    sets = tree_sets(root, *sample_pairs(root, 15, seed=5), m)
+    for p in range(len(sets)):
         al = minimal_keys(sets, p)
         assert al == oracles.brute_force_minimal(batch_keys(sets, p))
         cubes = [Cube(*geometry(root, key)) for key in al]
@@ -412,7 +445,7 @@ def test_box_arithmetic_matches_members():
     # counts, boxes and the level-by-level kernel sum agree with the built cubes
     for n in (1, 2):
         root = UNIT1 if n == 1 else UNIT2
-        for x, y in sample_pairs(root, 20, seed=41):
+        for x, y in pair_list(root, 20, seed=41):
             g = one(root, x, y, 3.0)
             depth = int(g.depth[0])
             # the expansion every minimal-cube row comes from, over the live boxes
@@ -488,7 +521,7 @@ def test_tree_sets_members_union_of_pairs():
     # a two-pair batch holds the members of both one-pair tree sets
     for n in (1, 2):
         root = UNIT1 if n == 1 else UNIT2
-        (x1, y1), (x2, y2) = sample_pairs(root, 2, seed=43)
+        (x1, y1), (x2, y2) = pair_list(root, 2, seed=43)
         both = tree_sets(root, [x1, x2], [y1, y2], 2.5)
         first, second = batch_keys(one(root, x1, y1, 2.5)), batch_keys(one(root, x2, y2, 2.5))
         assert batch_keys(both, 0) | batch_keys(both, 1) == first | second
@@ -496,7 +529,7 @@ def test_tree_sets_members_union_of_pairs():
 
 
 def test_kernel_subset_monotone_exact():
-    sets = tree_sets(UNIT1, *zip(*sample_pairs(UNIT1, 50, seed=9)), 2.0)
+    sets = tree_sets(UNIT1, *sample_pairs(UNIT1, 50, seed=9), 2.0)
     minimal, _ = ring_counts(sets)
     for full, allowed in zip(kernels(sets, sets.counts(), 0.5), kernels(sets, minimal, 0.5)):
         assert full >= allowed
@@ -505,7 +538,7 @@ def test_kernel_subset_monotone_exact():
 def test_kernel_equivalence_constant_stable_under_deeper_trees():
     # the tree set is complete: its last nonempty level lies above the
     # quotient depth
-    for x, y in sample_pairs(UNIT1, 25, seed=10):
+    for x, y in pair_list(UNIT1, 25, seed=10):
         g1 = one(UNIT1, x, y, 2.0)
         assert g1.depth[0] <= quotient_depth(UNIT1, x, y, 2.0)
         minimal, _ = ring_counts(g1)
@@ -524,7 +557,7 @@ def test_classification_single_cube_kinds():
 
 
 def test_classification_matches_predicate_oracle():
-    pairs = sample_pairs(UNIT2, 20, seed=17)
+    pairs = pair_list(UNIT2, 20, seed=17)
     sets = tree_sets(UNIT2, *zip(*pairs), 2.0)
     minimal, _ = ring_counts(sets)
     for p, ((x, y), classes) in enumerate(zip(pairs, all_ring_classes(sets))):
@@ -561,7 +594,7 @@ def test_classification_boundary_ties_match_predicate_oracle(n, step):
 def test_ring_partition_reconstructs_allowed_kernel():
     # summing the kernel ring by ring reproduces the minimal-cube kernel,
     # i.e. the two-kind split really is a partition
-    for x, y in sample_pairs(UNIT1, 25, seed=31):
+    for x, y in pair_list(UNIT1, 25, seed=31):
         g = one(UNIT1, x, y, 2.0)
         minimal, _ = ring_counts(g)
         by_ring = {}  # minimal cubes per level, per ring class
@@ -585,7 +618,7 @@ def test_far_pair_scaled_kernel_closed_form():
 @pytest.mark.parametrize("m", [2.0, 2.5, 3.0])
 def test_ring_counts_match_oracles(n, m, monkeypatch):
     root = Cube((0.0,) * n, 1.0)
-    pairs = sample_pairs(root, 24, seed=31)
+    pairs = pair_list(root, 24, seed=31)
     if n == 2:  # the exhaustive enumeration visits 4^k cubes per level
         pairs = [p for p in pairs if quotient_depth(root, *p, m) <= 8][:4]
     sets = tree_sets(root, *zip(*pairs), m)
@@ -623,20 +656,21 @@ def test_count_bounds_frozen_constants():
     # bounds established by the build-time oracle sweep (2000 pairs, seed 7):
     # n=1: kind1/m^n <= 0.75, kind2 <= 2
     for m in (2.0, 4.0):
-        _, maxima = ring_counts(tree_sets(UNIT1, *zip(*sample_pairs(UNIT1, 120, seed=7)), m))
+        _, maxima = ring_counts(tree_sets(UNIT1, *sample_pairs(UNIT1, 120, seed=7), m))
         for kind1, kind2 in maxima.tolist():
             assert kind1 / m**1 <= 0.75 + 1e-12
             assert kind2 <= 2
 
 
 def test_sample_pairs_properties():
-    pairs = sample_pairs(UNIT2, 40, seed=3)
-    assert len(pairs) == 40
-    for x, y in pairs:
-        assert all(0.0 <= c <= 1.0 for c in x + y)
-        r = math.sqrt(sum((a - b) ** 2 for a, b in zip(x, y)))
+    x, y = sample_pairs(UNIT2, 40, seed=3)
+    assert x.shape == y.shape == (40, 2)
+    for a, b in zip(x.tolist(), y.tolist()):
+        assert all(0.0 <= c <= 1.0 for c in a + b)
+        r = math.sqrt(sum((p - q) ** 2 for p, q in zip(a, b)))
         assert 4e-3 <= r <= 4e-1
-    assert pairs == sample_pairs(UNIT2, 40, seed=3)
+    again = sample_pairs(UNIT2, 40, seed=3)
+    assert x.tolist() == again[0].tolist() and y.tolist() == again[1].tolist()
 
 
 def test_sample_pairs_rejects_dimension_three():
@@ -647,6 +681,12 @@ def test_sample_pairs_rejects_dimension_three():
         kernel_decay_check(0.5, 2.0, 3, 10, 7)
 
 
+def test_sample_pairs_rejects_a_root_narrower_than_the_largest_separation():
+    sample_pairs(Cube((0.0,), 0.4), 1, 0)
+    with pytest.raises(ConfigError, match="separations up to 0.4 exceed the root cube edge"):
+        sample_pairs(Cube((0.0,), 0.39), 1, 0)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("corner,edge", [(0.0, 1.0), (0.25, 0.5), (-0.3, 0.75)])
 def test_sample_pairs_matches_sequential_draws(n, corner, edge):
@@ -655,7 +695,9 @@ def test_sample_pairs_matches_sequential_draws(n, corner, edge):
     root = Cube((corner,) * n, edge)
     for seed, count in itertools.product((0, 1, 7919), (1, 3, 2000)):
         want = oracles.sequential_pairs(root.corner, root.edge, count, seed)
-        assert repr(sample_pairs(root, count, seed)) == repr(want)
+        x, y = sample_pairs(root, count, seed)
+        assert repr(x.tolist()) == repr([list(a) for a, _ in want])
+        assert repr(y.tolist()) == repr([list(b) for _, b in want])
 
 
 def close_pair(n: int, e: int):
@@ -736,7 +778,7 @@ ULP_PAIRS = [
 def test_ring_classes_match_shell_walk(n, m):
     # the float classes are the walk's first shell for sampled pairs
     root = Cube((0.0,) * n, 1.0)
-    sets = tree_sets(root, *zip(*sample_pairs(root, 2000, seed=1)), m)
+    sets = tree_sets(root, *sample_pairs(root, 2000, seed=1), m)
     owner, level, index, ring, kind = cubes_module._classified(sets)
     center, edge0 = cubes_module._shell0(sets.x, sets.y)
     args = (sets.root.corner, sets.root.edge, level, index, center[owner], edge0[owner])
@@ -753,7 +795,7 @@ def test_classified_matches_exact_oracle(n, m):
     # where they differ, each in its own batch.  The pair at 2^-1074 has a
     # subnormal, rounded l0 (sqrt(58) * 2^-1074 for n = 2).
     root = Cube((0.0,) * n, 1.0)
-    sets = tree_sets(root, *zip(*sample_pairs(root, 500, seed=1)), m)
+    sets = tree_sets(root, *sample_pairs(root, 500, seed=1), m)
     assert exact_classes_match(sets) > len(sets)
     pairs = [close_pair(n, e) for e in (60, 200, 600, 1000, 1020, 1030, 1070)]
     pairs.append(tuple(tuple(math.ldexp(v, -1074) for v in p[:n]) for p in ((32, 30), (34, 25))))
@@ -876,7 +918,7 @@ def test_ring_classes_match_exact_oracle_on_ties():
 @pytest.mark.parametrize("m", [2.0, 3.0])
 def test_bench_pinned_object_layer_matches_carriers(n, m):
     root = Cube((0.0,) * n, 1.0)
-    pairs = sample_pairs(root, 30, seed=19)
+    pairs = pair_list(root, 30, seed=19)
     sets = tree_sets(root, *zip(*pairs), m)
     minimal, maxima = ring_counts(sets)
     full, allowed = kernels(sets, sets.counts(), 0.5), kernels(sets, minimal, 0.5)

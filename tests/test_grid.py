@@ -1,13 +1,16 @@
 import itertools
+import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qalpha import ConfigError, Cube, GridFunction, enumerate_cubes, read_grid, write_grid
-from qalpha.grid import cube_blocks, cube_energies, cube_sums, dilate, per_cube
+from qalpha import (ConfigError, Cube, CubeFamily, GridFunction, enumerate_cubes, read_grid,
+                    write_grid)
+from qalpha.grid import _check_values, cube_blocks, cube_energies, cube_sums, dilate, per_cube
 
 import oracles
 
@@ -37,6 +40,53 @@ def test_non_finite_rejected():
         GridFunction(v)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape,at", [((8,), (5,)), ((8, 8), (7, 2))])
+def test_each_non_finite_value_rejected(bad, shape, at):
+    v = np.ones(shape)
+    v[at] = bad
+    with pytest.raises(ConfigError, match="grid values must be finite"):
+        GridFunction(v)
+
+
+def test_max_abs_measured_once_as_built():
+    f = GridFunction(np.array([0.5, -3.0, 2.0, 0.0, 1.0, -0.25, 2.5, 1.5]))
+    assert f.max_abs == 3.0
+    assert GridFunction(np.full((8, 8), 4.0)).max_abs == 4.0
+    assert GridFunction(np.zeros(8)).max_abs == 0.0
+
+
+def test_check_values_reads_the_stored_maximum_only():
+    # a namespace with only max_abs and N: no grid value is read
+    _check_values(SimpleNamespace(max_abs=2.0**480, N=8))  # 2 * 480 = 960, at the bound
+    _check_values(SimpleNamespace(max_abs=0.0, N=8), 1e6)  # zero passes any weight
+    with pytest.raises(ConfigError) as exc:
+        _check_values(SimpleNamespace(max_abs=1.5 * 2.0**480, N=8))
+    assert str(exc.value) == (
+        "grid values up to 4.68262e+144 overflow the squared sums at N=8 (|f| <= 3.122e+144)"
+    )
+    with pytest.raises(ConfigError) as exc:
+        _check_values(SimpleNamespace(max_abs=2.0**480, N=16), 8)
+    assert str(exc.value).endswith("at N=16 (|f| <= 1.951e+143)")
+
+
+def test_grid_shape_rejected():
+    with pytest.raises(ConfigError, match="dimension must be 1 or 2, got array of ndim 3"):
+        GridFunction(np.ones((8, 8, 8)))
+    with pytest.raises(ConfigError, match=r"grid must be square, got shape \(8, 16\)"):
+        GridFunction(np.ones((8, 16)))
+
+
+def test_cube_and_family_rejected():
+    with pytest.raises(ConfigError, match="cube corner must have at least one coordinate"):
+        Cube((), 1.0)
+    for edge in (0.0, math.nan):
+        with pytest.raises(ConfigError, match=f"cube edge must be positive, got {edge}"):
+            Cube((0.0,), edge)
+    with pytest.raises(ConfigError, match="dimension must be 1 or 2, got 3"):
+        CubeFamily(5, 1, n=3)
+
+
 def test_values_immutable():
     f = GridFunction(np.ones(8))
     with pytest.raises(ValueError):
@@ -51,7 +101,7 @@ def test_fresh_array_kept_without_copy():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 0.2 * a.nbytes  # the finiteness mask, an eighth of the grid
+    assert peak <= 0.01 * a.nbytes  # max |f| is two reductions: no mask, no |f| grid
 
 
 def test_ownership_rule():
